@@ -409,17 +409,9 @@ func printTraceStats(w io.Writer, ts *dperf.TraceSet) error {
 	fmt.Fprintf(w, "  template        %12d  ops in %d role(s), %d binding class(es)\n",
 		st.TemplateOps, st.Roles, st.Classes)
 	fmt.Fprintf(w, "  text bytes      %12d\n", st.TextBytes)
-	if st.JSONBytes > 0 {
-		fmt.Fprintf(w, "  json bytes      %12d\n", st.JSONBytes)
-	} else {
-		fmt.Fprintf(w, "  json bytes      %12s\n", "(set too large to materialize)")
-	}
-	if st.JSONBytes > 0 && st.BinaryBytes > 0 {
-		fmt.Fprintf(w, "  binary bytes    %12d  (%.1fx smaller than json)\n",
-			st.BinaryBytes, float64(st.JSONBytes)/float64(st.BinaryBytes))
-	} else {
-		fmt.Fprintf(w, "  binary bytes    %12d\n", st.BinaryBytes)
-	}
+	fmt.Fprintf(w, "  json bytes      %12d\n", st.JSONBytes)
+	fmt.Fprintf(w, "  binary bytes    %12d  (%.1fx smaller than json)\n",
+		st.BinaryBytes, float64(st.JSONBytes)/float64(st.BinaryBytes))
 	fmt.Fprintf(w, "  template bytes  %12d  (dedup ratio %.1fx vs per-rank binary)\n",
 		st.TemplateBytes, st.DedupRatio)
 	if st.ScaleUnits > 0 {

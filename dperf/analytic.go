@@ -10,6 +10,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/platform"
 	"repro/internal/replay"
+	"repro/internal/trace"
 )
 
 // PredictMode selects the prediction tier Predict and Sweep run a
@@ -103,6 +104,10 @@ type Predictor struct {
 // concurrent certification of the same key without blocking the
 // predictor.
 type certEntry struct {
+	// src pins the source the key names by address (see analyticKey):
+	// while the entry lives, no other source can take that address and
+	// be served this certificate.
+	src       trace.Source
 	mu        sync.Mutex
 	cert      *analytic.Certificate
 	err       error
@@ -173,12 +178,12 @@ func (p *Predictor) model(plat *platform.Platform) (*analytic.Model, error) {
 	return m, nil
 }
 
-func (p *Predictor) entry(key string) *certEntry {
+func (p *Predictor) entry(key string, src trace.Source) *certEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.certs[key]
 	if !ok {
-		e = &certEntry{}
+		e = &certEntry{src: src}
 		p.certs[key] = e
 	}
 	return e
@@ -198,9 +203,10 @@ func analyticSpec(spec *EngineSpec) analytic.Spec {
 }
 
 // analyticKey identifies a certifiable configuration. Like the sweep's
-// periodKey, platform and source are keyed by identity; an unkeyable
-// source disables caching rather than risk serving a wrong
-// certificate.
+// periodKey, platform and source are keyed by identity, so an entry
+// must keep both alive: the model cache pins the platform and the
+// entry itself the source. An unkeyable source disables caching rather
+// than risk serving a wrong certificate.
 func analyticKey(spec *EngineSpec) string {
 	src := sourceID(spec.Source)
 	if src == "" {
@@ -252,7 +258,7 @@ func (p *Predictor) tryAnalytic(spec *EngineSpec, verify bool) (*EngineResult, e
 		}
 		return analyticResult(cert.Res), nil
 	}
-	e := p.entry(key)
+	e := p.entry(key, spec.Source)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.certified {

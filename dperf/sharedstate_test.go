@@ -3,12 +3,14 @@ package dperf_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/dperf"
 	"repro/internal/platform"
+	"repro/internal/trace"
 )
 
 // TestSharedServingStateConcurrent is the serving-stack shared-state
@@ -186,5 +188,70 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// scaleCompute multiplies every compute duration of a folded op
+// sequence by f, in place.
+func scaleCompute(ops []trace.Op, f float64) {
+	for i := range ops {
+		scaleCompute(ops[i].Body, f)
+		if ops[i].Rec.Kind == trace.KindCompute {
+			ops[i].Rec.NS *= f
+		}
+	}
+}
+
+// TestSharedCachesPinTheirSources: the Predictor's certificates and the
+// PeriodCache key a trace source by its address. A long-lived pair of
+// caches serving a stream of short-lived sets — each dropped and
+// collected before the next arrives, so the allocator may hand the next
+// set a freed set's address — must never serve one set another's
+// cached answer: every auto prediction through the shared caches is
+// byte-equal to a cold Predictor's.
+func TestSharedCachesPinTheirSources(t *testing.T) {
+	a, err := dperf.New(ffObstacle(), dperf.WithRanks(2)).Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := a.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var artifact bytes.Buffer
+	if err := base.WriteBinary(&artifact); err != nil {
+		t.Fatal(err)
+	}
+	predictor, periods := dperf.NewPredictor(), dperf.NewPeriodCache()
+	render := func(ts *dperf.TraceSet, opts ...dperf.Option) string {
+		t.Helper()
+		pred, err := ts.Predict(append([]dperf.Option{dperf.WithPredictMode(dperf.PredictAuto),
+			dperf.WithFastForward(true), dperf.WithPlatform(dperf.KindCluster)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pred.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for i := 0; i < 24; i++ {
+		ts, err := dperf.ReadTraceSetData("variant", artifact.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range ts.Folded() {
+			scaleCompute(f.Ops, 1+float64(i)/64)
+		}
+		if err := ts.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		shared := render(ts, dperf.WithPredictor(predictor), dperf.WithPeriodCache(periods))
+		if cold := render(ts); shared != cold {
+			t.Fatalf("variant %d: shared caches served\n%s\nwant the cold prediction\n%s", i, shared, cold)
+		}
+		ts = nil
+		runtime.GC()
 	}
 }

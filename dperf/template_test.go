@@ -306,6 +306,9 @@ func TestTemplateSetSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st1, st2 := checkStatsSizes(t, ld1), checkStatsSizes(t, ld2); st1.TextBytes != st2.TextBytes || st1.JSONBytes != st2.JSONBytes {
+		t.Fatalf("v1 and v2 containers sized differently: %+v vs %+v", st1, st2)
+	}
 	if ld2.Workload != ts.Workload || ld2.Ranks != ts.Ranks || ld2.Level != ts.Level ||
 		ld2.ScatterBytes != ts.ScatterBytes || ld2.GatherBytes != ts.GatherBytes {
 		t.Fatalf("v2 metadata diverged: %+v vs %+v", ld2, ts)
@@ -344,9 +347,7 @@ func TestTemplateSetSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Stats(); err != nil {
-		t.Fatal(err)
-	}
+	checkStatsSizes(t, fresh)
 	afterStats := filepath.Join(dir, "after-stats.bin")
 	if err := fresh.SaveBinary(afterStats); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package dperf_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -156,6 +157,7 @@ func TestBinaryCompressionAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := checkStatsSizes(t, ts)
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "set.json")
 	binPath := filepath.Join(dir, "set.bin")
@@ -165,11 +167,7 @@ func TestBinaryCompressionAcceptance(t *testing.T) {
 	if err := ts.SaveBinary(binPath); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ts.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.JSONBytes == 0 || st.BinaryBytes == 0 {
+	if st.BinaryBytes == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	ratio := float64(st.JSONBytes) / float64(st.BinaryBytes)
@@ -191,6 +189,158 @@ func TestBinaryCompressionAcceptance(t *testing.T) {
 	if a, b := predictFingerprint(t, fromJSON), predictFingerprint(t, fromBin); a != b {
 		t.Fatalf("JSON vs binary predictions diverged: %v != %v", a, b)
 	}
+}
+
+// checkStatsSizes asserts that Stats reports the bytes the writers
+// actually write — the per-rank text files and the JSON document —
+// and that measuring a folded or templated set leaves its flat view
+// unbuilt.
+func checkStatsSizes(t *testing.T, ts *dperf.TraceSet) *dperf.TraceStats {
+	t.Helper()
+	flat := ts.Traces != nil
+	st, err := ts.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flat && ts.Traces != nil {
+		t.Fatal("Stats materialized the flat view of a folded set")
+	}
+	var text, js bytes.Buffer
+	for _, f := range ts.Folded() {
+		if err := trace.WriteText(&text, f.Rank, f.Of, f.Cursor()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ts.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if st.TextBytes != int64(text.Len()) || st.JSONBytes != int64(js.Len()) {
+		t.Fatalf("Stats sized text %d B, JSON %d B; the writers wrote %d B, %d B",
+			st.TextBytes, st.JSONBytes, text.Len(), js.Len())
+	}
+	return st
+}
+
+// statsContainers re-reads a set from each container an upload can
+// arrive in: the v1 per-rank binary (a folded set), the v2 template
+// binary (a templated set) and the JSON document (a flat set).
+func statsContainers(t *testing.T, ts *dperf.TraceSet) map[string]*dperf.TraceSet {
+	t.Helper()
+	read := func(data []byte) *dperf.TraceSet {
+		t.Helper()
+		ld, err := dperf.ReadTraceSetData("set", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ld.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		return ld
+	}
+	var v1 bytes.Buffer
+	if err := ts.WriteBinary(&v1); err != nil {
+		t.Fatal(err)
+	}
+	factored := read(v1.Bytes())
+	if _, err := factored.Template(); err != nil {
+		t.Fatal(err)
+	}
+	var v2, js bytes.Buffer
+	if err := factored.WriteBinary(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := read(v1.Bytes()).WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*dperf.TraceSet{
+		"v1": read(v1.Bytes()), "v2": read(v2.Bytes()), "json": read(js.Bytes()),
+	}
+}
+
+// TestStatsSizesMatchWriters: at every level O0–O3 and 2–16 ranks, in
+// every container, Stats sizes the text and JSON renderings exactly as
+// the writers write them, without unfolding — including a set with an
+// empty rank, under both JSON spellings of an empty records array.
+func TestStatsSizesMatchWriters(t *testing.T) {
+	a, err := dperf.New(smallObstacle()).Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range levelsUnderTest {
+		for _, ranks := range []int{2, 3, 8, 16} {
+			ts, err := a.Traces(dperf.WithRanks(ranks), dperf.WithLevel(level))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, ld := range statsContainers(t, ts) {
+				t.Run(fmt.Sprintf("%s/r%d/%s", level, ranks, name), func(t *testing.T) {
+					checkStatsSizes(t, ld)
+				})
+			}
+		}
+	}
+	for _, empty := range []string{"[]", "null"} {
+		doc := `{"dperf_traceset_version": 1, "ranks": 3, "level": 0, "scatter_bytes": 0, "gather_bytes": 0, "traces": [
+			{"rank": 0, "of": 3, "records": [{"kind": "compute", "ns": 2.5e-7}, {"kind": "send", "peer": 1, "bytes": 8}]},
+			{"rank": 1, "of": 3, "records": [{"kind": "recv", "peer": 0, "bytes": 8}, {"kind": "compute", "ns": -0}]},
+			{"rank": 2, "of": 3, "records": ` + empty + `}]}`
+		ts, err := dperf.ReadTraceSetData("empty-rank", []byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run("empty-rank/"+empty, func(t *testing.T) { checkStatsSizes(t, ts) })
+		for name, ld := range statsContainers(t, ts) {
+			t.Run("empty-rank/"+empty+"/"+name, func(t *testing.T) { checkStatsSizes(t, ld) })
+		}
+	}
+}
+
+// FuzzStatsSizes: every artifact that decodes to a set of at most 2^16
+// records is sized by Stats exactly as the writers write it; larger
+// ones must still measure without error.
+func FuzzStatsSizes(f *testing.F) {
+	a, err := dperf.New(smallObstacle()).Analyze()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, level := range []dperf.Level{dperf.O0, dperf.O3} {
+		ts, err := a.Traces(dperf.WithRanks(3), dperf.WithLevel(level))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var v1, v2 bytes.Buffer
+		if err := ts.WriteBinary(&v1); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := ts.Template(); err != nil {
+			f.Fatal(err)
+		}
+		if err := ts.WriteBinary(&v2); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v1.Bytes())
+		f.Add(v2.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts, err := dperf.ReadTraceSetData("fuzz", data)
+		if err != nil {
+			return
+		}
+		if err := ts.Prepare(); err != nil {
+			return
+		}
+		var records int64
+		for _, fd := range ts.Folded() {
+			records += fd.NumRecords()
+		}
+		if records > 1<<16 {
+			if _, err := ts.Stats(); err != nil {
+				t.Fatalf("decoded set of %d records failed to measure: %v", records, err)
+			}
+			return
+		}
+		checkStatsSizes(t, ts)
+	})
 }
 
 // TestSweepIdenticalAcrossFoldStates: sweeping a folded source and a

@@ -255,9 +255,10 @@ func (ts *TraceSet) Source() trace.Source {
 
 // Prepare finalizes the set for concurrent sharing: it resolves the
 // replay representation Source will hand out, so later Source calls
-// are read-only. A TraceSet's lazy conversions (Flat, Folded,
-// Template, Stats) are unsynchronized; a server admitting a set must
-// call Prepare — and perform any inspection such as Stats — once,
+// are read-only. It never unfolds records. A TraceSet's lazy
+// conversions (Flat, Folded, Template) are unsynchronized, and Stats
+// folds a flat or templated set on first use; a server admitting a set
+// must call Prepare — and perform any inspection such as Stats — once,
 // before the set is shared across concurrent Predict/Sweep calls.
 // After that the set is effectively immutable and replays freely:
 // source cursors are independent. It also rejects empty sets at
@@ -377,8 +378,14 @@ func (ts *TraceSet) WriteJSON(w io.Writer) error {
 	if _, err := ts.Flat(); err != nil {
 		return err
 	}
+	return ts.encodeJSON(w)
+}
+
+// encodeJSON writes the set's JSON document as it stands, its flat
+// view included.
+func (ts *TraceSet) encodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", jsonIndent)
 	return enc.Encode(traceSetJSON{Version: traceSetVersion, TraceSet: *ts})
 }
 
@@ -826,12 +833,12 @@ type TraceStats struct {
 	AnalyticEligible bool   `json:"analytic_eligible"`
 	AnalyticReason   string `json:"analytic_reason,omitempty"`
 	// Byte sizes of the set serialized in each format (text is the
-	// sum of the per-rank files). JSONBytes is 0 when the set is too
-	// large to materialize flat — the JSON format itself cannot hold
-	// it. BinaryBytes is the v1 per-rank container; TemplateBytes the
-	// v2 template container.
+	// sum of the per-rank files), measured from the folded IR without
+	// unfolding, so every size is reported at any record count; text
+	// and JSON sizes saturate at math.MaxInt64. BinaryBytes is the v1
+	// per-rank container; TemplateBytes the v2 template container.
 	TextBytes     int64 `json:"text_bytes"`
-	JSONBytes     int64 `json:"json_bytes,omitempty"`
+	JSONBytes     int64 `json:"json_bytes"`
 	BinaryBytes   int64 `json:"binary_bytes"`
 	TemplateBytes int64 `json:"template_bytes"`
 }
@@ -855,10 +862,6 @@ type ClassFit struct {
 	Residual float64 `json:"residual,omitempty"`
 }
 
-// maxStatsJSONRecords bounds the flat materialization Stats is
-// willing to do just to measure the JSON size.
-const maxStatsJSONRecords = 1 << 24
-
 // levelFromOrdinal decodes a serialized optimization level, rejecting
 // values outside the known set.
 func levelFromOrdinal(v uint64) (Level, error) {
@@ -880,8 +883,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // Stats measures the set: raw vs folded record counts, the template
 // factoring and its dedup ratio, and the serialized byte size of each
-// format. It folds, factors (and, for the JSON size, materializes)
-// the set as needed.
+// format. It folds the set and factors a template as needed, and sizes
+// every format in O(folded ops): it never unfolds the records, so
+// neither its time nor its memory grows with repeat counts.
 func (ts *TraceSet) Stats() (*TraceStats, error) {
 	st := &TraceStats{Workload: ts.Workload, Ranks: ts.Ranks}
 	folded, err := ts.foldedOrErr()
@@ -911,23 +915,10 @@ func (ts *TraceSet) Stats() (*TraceStats, error) {
 	} else {
 		st.AnalyticEligible = true
 	}
+	if st.TextBytes, st.JSONBytes, err = ts.formatSizes(folded); err != nil {
+		return nil, err
+	}
 	var cw countingWriter
-	for _, f := range folded {
-		if err := trace.WriteText(&cw, f.Rank, f.Of, f.Cursor()); err != nil {
-			return nil, err
-		}
-	}
-	st.TextBytes = cw.n
-	cw.n = 0
-	// JSON is the only format that needs the flat view; skip it for
-	// sets too large to materialize rather than fail the inspection.
-	if ts.Traces != nil || st.Records <= maxStatsJSONRecords {
-		if err := ts.WriteJSON(&cw); err != nil {
-			return nil, err
-		}
-		st.JSONBytes = cw.n
-	}
-	cw.n = 0
 	if err := ts.writeBinary(&cw, nil); err != nil {
 		return nil, err
 	}
@@ -941,6 +932,88 @@ func (ts *TraceSet) Stats() (*TraceStats, error) {
 		st.DedupRatio = float64(st.BinaryBytes) / float64(st.TemplateBytes)
 	}
 	return st, nil
+}
+
+// WriteJSON indents its document by jsonIndent per level. A record
+// object sits four levels deep (set, "traces", trace, "records"), and
+// its records array closes one level out.
+const (
+	jsonIndent       = "  "
+	jsonRecordIndent = jsonIndent + jsonIndent + jsonIndent + jsonIndent
+	jsonArrayClose   = jsonIndent + jsonIndent + jsonIndent
+)
+
+// formatSizes returns the bytes WriteText (summed over the per-rank
+// files) and WriteJSON write for the set, in one walk of each rank's
+// folded ops. Each distinct record is rendered once, by the writers'
+// own formatters — the text line formatter and encoding/json at the
+// record's depth — and counted with its saturating multiplicity; the
+// JSON document around the records is encoded for real with every
+// records array empty.
+func (ts *TraceSet) formatSizes(folded []*trace.Folded) (text, js int64, err error) {
+	// The skeleton: the document WriteJSON would write with each rank's
+	// records elided. A flat set keeps its own arrays' nil-ness (a nil
+	// array encodes as null); the flat view of a folded set has none.
+	doc := *ts
+	doc.Traces = make([]*trace.Trace, len(folded))
+	for i, f := range folded {
+		recs := []trace.Record{}
+		if ts.Traces != nil && ts.Traces[i].Records == nil {
+			recs = nil
+		}
+		doc.Traces[i] = &trace.Trace{Rank: f.Rank, Of: f.Of, Records: recs}
+	}
+	var cw countingWriter
+	if err := doc.encodeJSON(&cw); err != nil {
+		return 0, 0, err
+	}
+	js = cw.n
+
+	// Records are keyed by their bits: 0 and -0 compare equal but
+	// format differently.
+	type recordKey struct {
+		kind      trace.Kind
+		peer      int
+		ns, bytes uint64
+	}
+	type recordSize struct{ text, js int64 }
+	sizes := make(map[recordKey]recordSize)
+	var buf []byte
+	for _, f := range folded {
+		text = trace.SatAdd(text, int64(len(trace.AppendTextHeader(buf[:0], f.Rank, f.Of))))
+		var recs int64
+		err := trace.WalkOps(f.Ops, 1, func(r trace.Record, mult int64) error {
+			key := recordKey{r.Kind, r.Peer, math.Float64bits(r.NS), math.Float64bits(r.Bytes)}
+			sz, ok := sizes[key]
+			if !ok {
+				line, err := trace.AppendTextRecord(buf[:0], r)
+				if err != nil {
+					return err
+				}
+				obj, err := json.MarshalIndent(r, jsonRecordIndent, jsonIndent)
+				if err != nil {
+					return err
+				}
+				buf = line
+				// Each element sits on its own indented line, followed
+				// by a comma (dropped after the last, below).
+				sz = recordSize{int64(len(line)), int64(len(obj) + len("\n"+jsonRecordIndent+","))}
+				sizes[key] = sz
+			}
+			text = trace.SatAdd(text, trace.SatMul(sz.text, mult))
+			recs = trace.SatAdd(recs, trace.SatMul(sz.js, mult))
+			return nil
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		if recs > 0 {
+			// The skeleton's "[]" takes the elements, less the last
+			// comma, and the closing bracket's own indented line.
+			js = trace.SatAdd(js, trace.SatAdd(recs, int64(len("\n"+jsonArrayClose)-len(","))))
+		}
+	}
+	return text, js, nil
 }
 
 // classFits summarizes the template's binding classes for TraceStats.

@@ -8,9 +8,10 @@
 package platform
 
 import (
+	"container/heap"
 	"fmt"
-	"math"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/des"
@@ -51,6 +52,11 @@ type Platform struct {
 	// one Platform across worker goroutines).
 	mu        sync.Mutex
 	predCache map[string]map[string]int // src -> node -> incoming edge index
+	// Sorted name lists, built on first use and guarded by mu. hosts
+	// excludes hostsFrontend, the Frontend it was built for.
+	nodeNames     []string
+	hosts         []string
+	hostsFrontend string
 }
 
 // New returns an empty platform.
@@ -81,6 +87,9 @@ func (p *Platform) addNode(n *Node) error {
 		return fmt.Errorf("platform: host %q needs positive speed", n.Name)
 	}
 	p.nodes[n.Name] = n
+	p.mu.Lock()
+	p.nodeNames, p.hosts = nil, nil // invalidate
+	p.mu.Unlock()
 	return nil
 }
 
@@ -92,7 +101,9 @@ func (p *Platform) Connect(a, b, linkName string, bandwidth, latency float64) er
 	if _, ok := p.nodes[b]; !ok {
 		return fmt.Errorf("platform: unknown node %q", b)
 	}
-	if bandwidth <= 0 || latency < 0 {
+	// NaN latencies are refused too: route selection needs costs that
+	// order totally.
+	if bandwidth <= 0 || !(latency >= 0) {
 		return fmt.Errorf("platform: link %q invalid bandwidth/latency", linkName)
 	}
 	for _, e := range p.edges {
@@ -115,25 +126,36 @@ func (p *Platform) Node(name string) *Node { return p.nodes[name] }
 
 // Hosts returns the names of all compute hosts, sorted. The frontend
 // host, when set, is excluded: it submits work, it does not compute.
+// The list is sorted once and the caller gets its own copy.
 func (p *Platform) Hosts() []string {
-	var out []string
-	for name, n := range p.nodes {
-		if !n.Router && name != p.Frontend {
-			out = append(out, name)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.hosts == nil || p.hostsFrontend != p.Frontend {
+		p.hosts = p.hosts[:0]
+		for _, name := range p.sortedNodes() {
+			if !p.nodes[name].Router && name != p.Frontend {
+				p.hosts = append(p.hosts, name)
+			}
 		}
+		p.hostsFrontend = p.Frontend
 	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(p.hosts)
 }
 
-// Nodes returns all node names, sorted.
+// Nodes returns all node names, sorted. The list is sorted once and
+// the caller gets its own copy.
 func (p *Platform) Nodes() []string {
-	var out []string
-	for name := range p.nodes {
-		out = append(out, name)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.sortedNodes())
+}
+
+// sortedNodes returns the cached sorted node names. p.mu must be held.
+func (p *Platform) sortedNodes() []string {
+	if p.nodeNames == nil {
+		p.nodeNames = slices.Sorted(maps.Keys(p.nodes))
 	}
-	sort.Strings(out)
-	return out
+	return p.nodeNames
 }
 
 // Edges returns a copy of the edge list.
@@ -181,48 +203,72 @@ func (p *Platform) Path(src, dst string) ([]int, error) {
 	return rev, nil
 }
 
-// shortestPathTree runs Dijkstra with cost = (hops, latency) lexicographic.
+// shortestPathTree runs Dijkstra with cost = (hops, latency)
+// lexicographic. Nodes leave the queue in (hops, latency, name) order,
+// so equal-cost ties resolve by name and the tree is deterministic.
 func (p *Platform) shortestPathTree(src string) map[string]int {
-	type cost struct {
-		hops int
-		lat  float64
-	}
-	dist := map[string]cost{src: {}}
+	dist := map[string]pathCost{src: {}}
 	pred := make(map[string]int)
 	visited := make(map[string]bool)
-	for {
-		// Extract unvisited node with min cost (linear scan: platforms
-		// have at most ~1100 nodes, and trees are cached per source).
-		var cur string
-		best := cost{hops: math.MaxInt32, lat: math.Inf(1)}
-		for name, d := range dist {
-			if visited[name] {
-				continue
-			}
-			if d.hops < best.hops || (d.hops == best.hops && d.lat < best.lat) ||
-				(d.hops == best.hops && d.lat == best.lat && (cur == "" || name < cur)) {
-				best = d
-				cur = name
-			}
+	q := pathQueue{{name: src}}
+	for len(q) > 0 {
+		cur := heap.Pop(&q).(pathItem)
+		// A node is queued again whenever its cost improves; only its
+		// first (cheapest) pop counts.
+		if visited[cur.name] {
+			continue
 		}
-		if cur == "" {
-			return pred
-		}
-		visited[cur] = true
-		for _, ei := range p.adj[cur] {
+		visited[cur.name] = true
+		for _, ei := range p.adj[cur.name] {
 			e := p.edges[ei]
 			next := e.B
-			if next == cur {
+			if next == cur.name {
 				next = e.A
 			}
-			nd := cost{hops: best.hops + 1, lat: best.lat + e.Latency}
-			old, seen := dist[next]
-			if !seen || nd.hops < old.hops || (nd.hops == old.hops && nd.lat < old.lat) {
+			nd := pathCost{hops: cur.hops + 1, lat: cur.lat + e.Latency}
+			if old, seen := dist[next]; !seen || nd.less(old) {
 				dist[next] = nd
 				pred[next] = ei
+				heap.Push(&q, pathItem{nd, next})
 			}
 		}
 	}
+	return pred
+}
+
+// pathCost orders routes by hop count, then total latency.
+type pathCost struct {
+	hops int
+	lat  float64
+}
+
+func (c pathCost) less(o pathCost) bool {
+	return c.hops < o.hops || (c.hops == o.hops && c.lat < o.lat)
+}
+
+// pathItem is a queued node with the cost it was reached at.
+type pathItem struct {
+	pathCost
+	name string
+}
+
+// pathQueue is a min-heap of pathItems in (hops, latency, name) order.
+type pathQueue []pathItem
+
+func (q pathQueue) Len() int { return len(q) }
+func (q pathQueue) Less(i, j int) bool {
+	if q[i].pathCost != q[j].pathCost {
+		return q[i].less(q[j].pathCost)
+	}
+	return q[i].name < q[j].name
+}
+func (q pathQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *pathQueue) Push(x any)   { *q = append(*q, x.(pathItem)) }
+func (q *pathQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
 }
 
 // Realize creates all hosts and links of the platform inside the given

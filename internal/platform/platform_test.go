@@ -2,8 +2,14 @@ package platform
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -300,16 +306,17 @@ func TestSerializeRoundTrip(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"",
-		"host h 10.0.0.1 1e9",                   // before header
-		"platform p\nhost h bad-ip 1e9",         // bad IP
-		"platform p\nhost h 10.0.0.1 x",         // bad speed
-		"platform p\nhost h",                    // arity
-		"platform p\nrouter",                    // arity
-		"platform p\nlink a b c 1 2",            // unknown nodes
-		"platform p\nfrobnicate x",              // unknown directive
-		"platform p\nplatform q",                // duplicate header
-		"platform p\nrouter r\nlink r r l x 0",  // bad bandwidth
-		"platform p\nrouter r\nlink r r l 1 xx", // bad latency
+		"host h 10.0.0.1 1e9",                    // before header
+		"platform p\nhost h bad-ip 1e9",          // bad IP
+		"platform p\nhost h 10.0.0.1 x",          // bad speed
+		"platform p\nhost h",                     // arity
+		"platform p\nrouter",                     // arity
+		"platform p\nlink a b c 1 2",             // unknown nodes
+		"platform p\nfrobnicate x",               // unknown directive
+		"platform p\nplatform q",                 // duplicate header
+		"platform p\nrouter r\nlink r r l x 0",   // bad bandwidth
+		"platform p\nrouter r\nlink r r l 1 xx",  // bad latency
+		"platform p\nrouter r\nlink r r l 1 NaN", // unordered latency
 	}
 	for _, c := range cases {
 		if _, err := Parse(strings.NewReader(c)); err == nil {
@@ -405,4 +412,179 @@ func BenchmarkClusterRouting(b *testing.B) {
 			}
 		}
 	}
+}
+
+// scanShortestPathTree is the linear-scan Dijkstra the heap-ordered
+// shortestPathTree replaced, kept as its oracle: each step scans every
+// reached, unvisited node for the least (hops, latency, name), then
+// relaxes its edges, keeping a predecessor unless a strictly cheaper
+// route appears. Node state lives in slices indexed in name order
+// instead of the original's maps, which keeps every source of the
+// 1,024-host platforms checkable in seconds; the selection and
+// relaxation rules are the original's.
+func scanShortestPathTree(p *Platform, src string) map[string]int {
+	type cost struct {
+		hops int
+		lat  float64
+	}
+	names := p.Nodes()
+	index := make(map[string]int, len(names))
+	for i, name := range names {
+		index[name] = i
+	}
+	dist := make([]cost, len(names))
+	seen := make([]bool, len(names))
+	visited := make([]bool, len(names))
+	pred := make(map[string]int)
+	seen[index[src]] = true
+	for {
+		cur := -1
+		best := cost{hops: math.MaxInt32, lat: math.Inf(1)}
+		for i, d := range dist {
+			if !seen[i] || visited[i] {
+				continue
+			}
+			// Ascending i is ascending name, so the first of equal
+			// costs is the least name.
+			if d.hops < best.hops || (d.hops == best.hops && d.lat < best.lat) ||
+				(d.hops == best.hops && d.lat == best.lat && cur < 0) {
+				best = d
+				cur = i
+			}
+		}
+		if cur < 0 {
+			return pred
+		}
+		visited[cur] = true
+		for _, ei := range p.adj[names[cur]] {
+			e := p.edges[ei]
+			next := e.B
+			if next == names[cur] {
+				next = e.A
+			}
+			j := index[next]
+			nd := cost{hops: best.hops + 1, lat: best.lat + e.Latency}
+			if old := dist[j]; !seen[j] || nd.hops < old.hops || (nd.hops == old.hops && nd.lat < old.lat) {
+				dist[j], seen[j] = nd, true
+				pred[next] = ei
+			}
+		}
+	}
+}
+
+// checkTreesMatchScan asserts that the heap-ordered tree from every
+// source equals the scan oracle's, predecessor edge for edge.
+func checkTreesMatchScan(t *testing.T, p *Platform, sources []string) {
+	t.Helper()
+	for _, src := range sources {
+		if got, want := p.shortestPathTree(src), scanShortestPathTree(p, src); !maps.Equal(got, want) {
+			t.Fatalf("%s: shortest-path tree from %s diverged from the scan oracle", p.Name, src)
+		}
+	}
+}
+
+// TestShortestPathTreeMatchesScan: on the three paper platforms, the
+// tree from every host source is the one the linear scan builds.
+func TestShortestPathTreeMatchesScan(t *testing.T) {
+	for _, kind := range []Kind{KindCluster, KindDaisy, KindLAN} {
+		t.Run(string(kind), func(t *testing.T) {
+			t.Parallel()
+			p, err := ForKind(kind, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTreesMatchScan(t, p, append(p.Hosts(), p.Frontend))
+		})
+	}
+}
+
+// TestShortestPathTreeTiesMatchScan: on random graphs whose link
+// latencies are drawn from a few values, so equal-cost routes abound,
+// ties resolve exactly as the scan resolves them.
+func TestShortestPathTreeTiesMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lats := []float64{0, 1e-4, 2e-4, 3e-4}
+	for g := 0; g < 40; g++ {
+		p := New(fmt.Sprintf("random-%d", g))
+		n := 2 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			if err := p.AddRouter(fmt.Sprintf("n%02d", rng.Intn(1000)*100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		names := p.Nodes()
+		for e := 0; e < n*(1+rng.Intn(4)); e++ {
+			a, b := names[rng.Intn(n)], names[rng.Intn(n)]
+			if a == b {
+				continue
+			}
+			if err := p.Connect(a, b, fmt.Sprintf("l%d", e), 1e9, lats[rng.Intn(len(lats))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkTreesMatchScan(t, p, names)
+	}
+}
+
+// TestNameListsCached: Hosts and Nodes are sorted once, hand out
+// copies the caller may modify, and follow node additions and a
+// changed frontend.
+func TestNameListsCached(t *testing.T) {
+	p := New("lists")
+	for _, h := range []string{"h2", "h1", "fe"} {
+		if err := p.AddHost(h, ip("10.0.0.1"), 1e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.AddRouter("r"); err != nil {
+		t.Fatal(err)
+	}
+	p.Frontend = "fe"
+	hosts := p.Hosts()
+	if want := []string{"h1", "h2"}; !reflect.DeepEqual(hosts, want) {
+		t.Fatalf("Hosts() = %v, want %v", hosts, want)
+	}
+	hosts[0] = "mutated"
+	p.Nodes()[0] = "mutated"
+	if got := p.Hosts(); got[0] != "h1" {
+		t.Fatalf("a caller's edit reached the cached host list: %v", got)
+	}
+	if got, want := p.Nodes(), []string{"fe", "h1", "h2", "r"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Nodes() = %v, want %v", got, want)
+	}
+	if err := p.AddHost("h0", ip("10.0.0.2"), 1e9); err != nil {
+		t.Fatal(err)
+	}
+	p.Frontend = "h2"
+	if got, want := p.Hosts(), []string{"fe", "h0", "h1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after AddHost and a new frontend, Hosts() = %v, want %v", got, want)
+	}
+	if got := p.Nodes(); !slices.IsSorted(got) || len(got) != 5 {
+		t.Fatalf("after AddHost, Nodes() = %v", got)
+	}
+}
+
+// TestNameListsConcurrent: the lazily built name lists and route trees
+// of one platform may be first used from several goroutines at once.
+func TestNameListsConcurrent(t *testing.T) {
+	p, err := LAN(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hosts := p.Hosts()
+			if len(hosts) != 64 || len(p.Nodes()) != 67 {
+				t.Errorf("%d hosts, %d nodes; want 64, 67", len(hosts), len(p.Nodes()))
+				return
+			}
+			if _, err := p.Path(hosts[g], hosts[63-g]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }

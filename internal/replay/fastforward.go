@@ -56,6 +56,7 @@ import (
 	"sync"
 
 	"repro/internal/p2pdc"
+	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
@@ -135,6 +136,11 @@ type periodCacheKey struct {
 // iteration `done` with boundary signature `sig`, the loop jumped
 // with the given period and cycle shifts (in application order).
 type periodCacheEntry struct {
+	// src and plat pin the objects the key names by address: while the
+	// entry lives, no other source or platform can take those
+	// addresses and match it.
+	src    trace.Source
+	plat   *platform.Platform
 	done   int
 	period int
 	sig    []ffSigEntry
@@ -222,9 +228,13 @@ type ffController struct {
 	reps  map[ffRepKey]*repeatCtl
 	stats FFStats
 	// cache/specKey plug the shared cross-replay period cache in; a
-	// nil cache (or empty key) disables it.
+	// nil cache (or empty key) disables it. specKey names the source
+	// and platform by address, so the entries this replay stores pin
+	// both.
 	cache   *PeriodCache
 	specKey string
+	src     trace.Source
+	plat    *platform.Platform
 	// dbg receives boundary-rejection and jump diagnostics when
 	// non-nil (Spec.Debug). Observational only: it can never reach a
 	// prediction.
@@ -240,18 +250,21 @@ type ffRepKey struct {
 	count       int
 }
 
-func newFFController(env *p2pdc.Environment, mode FFMode, ranks int, cache *PeriodCache, specKey string, dbg io.Writer) *ffController {
-	if specKey == "" {
+func newFFController(env *p2pdc.Environment, spec Spec, src trace.Source) *ffController {
+	cache := spec.Periods
+	if spec.PeriodKey == "" {
 		cache = nil
 	}
 	return &ffController{
 		env:     env,
-		jump:    mode == FFOn,
-		n:       ranks,
+		jump:    spec.FastForward == FFOn,
+		n:       src.Ranks(),
 		reps:    make(map[ffRepKey]*repeatCtl),
 		cache:   cache,
-		specKey: specKey,
-		dbg:     dbg,
+		specKey: spec.PeriodKey,
+		src:     src,
+		plat:    spec.Platform,
+		dbg:     spec.Debug,
 	}
 }
 
@@ -464,6 +477,8 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 			}
 			if jumped := rc.jumpRounds(st, done, p, shifts); jumped > done {
 				rc.ctl.cache.store(rc.cacheKey(), &periodCacheEntry{
+					src:    rc.ctl.src,
+					plat:   rc.ctl.plat,
 					done:   done,
 					period: p,
 					sig:    append([]ffSigEntry(nil), sig...),

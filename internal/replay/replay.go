@@ -228,7 +228,7 @@ func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
 			// boundaries and runs the steady-state protocol. Sources
 			// without op structure fall through to the cursor path
 			// (nothing to fast-forward over).
-			ctl = newFFController(s.env, spec.FastForward, src.Ranks(), spec.Periods, spec.PeriodKey, spec.Debug)
+			ctl = newFFController(s.env, spec, src)
 			app = func(w *p2pdc.Worker) error {
 				ex := &opsExec{w: w, ctl: ctl}
 				return ex.run(ops.RankOps(w.Rank()), true)

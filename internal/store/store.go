@@ -8,9 +8,12 @@
 // Admission does all mutation up front: the artifact is parsed
 // (dperf.ReadTraceSetData — the same parser the CLI uses, so store and
 // CLI accept byte-identical inputs), prepared for concurrent sharing
-// (TraceSet.Prepare) and measured (TraceSet.Stats, which materializes
-// every lazy representation). After Put returns, the entry is
-// immutable and its set replays freely from any number of goroutines.
+// (TraceSet.Prepare, which resolves the read-only replay view) and
+// measured (TraceSet.Stats, which sizes every format from the folded
+// IR in O(folded ops) and never unfolds the records, so admission
+// costs track the artifact's folded size, not the record count it
+// claims). After Put returns, the entry is immutable and its set
+// replays freely from any number of goroutines.
 //
 // With a directory the store persists each artifact under its digest
 // via an atomic temp-file rename, and reopening verifies every file
@@ -40,9 +43,10 @@ type Entry struct {
 	// Set is the parsed, Prepare()d trace set, safe for concurrent
 	// replay.
 	Set *dperf.TraceSet
-	// Stats is the admission-time measurement of the set (computed once
-	// here precisely so no request-time path has to touch the set's
-	// lazy conversions).
+	// Stats is the admission-time measurement of the set, taken in
+	// O(folded ops) without unfolding it (computed once here precisely
+	// so no request-time path has to touch the set's lazy
+	// conversions).
 	Stats *dperf.TraceStats
 }
 
@@ -126,8 +130,8 @@ func (s *Store) admit(data []byte, digest string, persist bool) (*Entry, bool, e
 	}
 	s.mu.Unlock()
 
-	// Parse and materialize outside the lock: admission is the
-	// expensive path and must not block serving.
+	// Parse and measure outside the lock: admission is the expensive
+	// path and must not block serving.
 	ts, err := dperf.ReadTraceSetData("traceset "+shortDigest(digest), data)
 	if err != nil {
 		return nil, false, err

@@ -2,13 +2,16 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/dperf"
+	"repro/internal/trace"
 )
 
 var (
@@ -192,5 +195,62 @@ func TestPutHostile(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatalf("failed admissions left %d entries", s.Len())
+	}
+}
+
+// loopArtifact is a two-rank v1 binary container whose ranks each run
+// one loop of iters iterations of {compute, barrier}: a few dozen
+// bytes that unfold to 2*iters records per rank.
+func loopArtifact(t *testing.T, iters int) []byte {
+	t.Helper()
+	b := []byte("dpts")
+	b = binary.AppendUvarint(b, 1) // per-rank container
+	b = binary.AppendUvarint(b, 0) // no workload name
+	b = binary.AppendUvarint(b, 2) // ranks
+	b = binary.AppendUvarint(b, 0) // level O0
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	for rank := 0; rank < 2; rank++ {
+		f := &trace.Folded{Rank: rank, Of: 2, Ops: []trace.Op{{Count: iters, Body: []trace.Op{
+			trace.Lit(trace.Record{Kind: trace.KindCompute, NS: 1000}),
+			trace.Lit(trace.Record{Kind: trace.KindBarrier}),
+		}}}}
+		var blob bytes.Buffer
+		if err := f.WriteBinary(&blob); err != nil {
+			t.Fatal(err)
+		}
+		b = binary.AppendUvarint(b, uint64(blob.Len()))
+		b = append(b, blob.Bytes()...)
+	}
+	return b
+}
+
+// TestPutFoldedLoopBoundedMemory: admitting a tiny artifact that claims
+// 2^20 records per rank costs memory in its folded size, not its
+// unfolded one — every format is sized without unfolding.
+func TestPutFoldedLoopBoundedMemory(t *testing.T) {
+	const iters = 1 << 19
+	data := loopArtifact(t, iters)
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, _, err := s.Put(data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Fatalf("admitting a %d-byte artifact allocated %d MB", len(data), alloc>>20)
+	}
+	st := e.Stats
+	if st.Records != 2*2*iters || e.Set.Traces != nil {
+		t.Fatalf("admission unfolded or miscounted the set: %d records, flat view %v", st.Records, e.Set.Traces != nil)
+	}
+	perRank := int64(len("# dperf trace rank=0 of=2\n")) + iters*int64(len("compute 1000\n")+len("barrier\n"))
+	if st.TextBytes != 2*perRank || st.JSONBytes <= st.TextBytes {
+		t.Fatalf("sizes text %d B (want %d), JSON %d B", st.TextBytes, 2*perRank, st.JSONBytes)
 	}
 }

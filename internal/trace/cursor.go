@@ -153,12 +153,12 @@ func (s FoldedSource) RankOps(rank int) []Op { return s[rank].Ops }
 // the same loop in every rank's trace even when the surrounding op
 // layout differs.
 func Collectives(ops []Op) (convs, barriers int64) {
-	walkOps(ops, 1, func(r Record, mult int64) error {
+	WalkOps(ops, 1, func(r Record, mult int64) error {
 		switch r.Kind {
 		case KindConv:
-			convs = satAdd(convs, mult)
+			convs = SatAdd(convs, mult)
 		case KindBarrier:
-			barriers = satAdd(barriers, mult)
+			barriers = SatAdd(barriers, mult)
 		}
 		return nil
 	})
@@ -184,11 +184,11 @@ func ValidateSource(src Source) error {
 		var err error
 		switch s := src.(type) {
 		case FoldedSource:
-			err = walkOps(s[i].Ops, 1, v.visitor(i))
+			err = WalkOps(s[i].Ops, 1, v.visitor(i))
 		case SliceSource:
 			err = walkRecords(s[i].Records, v.visitor(i))
 		case OpsSource:
-			err = walkOps(s.RankOps(i), 1, v.visitor(i))
+			err = WalkOps(s.RankOps(i), 1, v.visitor(i))
 		default:
 			err = walkCursor(src.Cursor(i), v.visitor(i))
 		}
@@ -199,19 +199,22 @@ func ValidateSource(src Source) error {
 	return v.check()
 }
 
-// walkOps visits each distinct record of a folded op sequence once,
-// with the total multiplicity it unfolds to — O(ops), independent of
-// repeat counts.
-func walkOps(ops []Op, mult int64, visit func(Record, int64) error) error {
+// WalkOps visits each literal op of a folded op sequence once, with
+// the total multiplicity its record unfolds to: mult (1 for a rank's
+// whole sequence) times the counts of the op and its enclosing
+// repeats, saturating at math.MaxInt64. It is O(ops), independent of
+// repeat counts — the walk behind validation, collective counting and
+// TraceSet.Stats's format sizes. A visit error stops the walk.
+func WalkOps(ops []Op, mult int64, visit func(Record, int64) error) error {
 	for _, op := range ops {
-		m := satMul(mult, int64(op.Count))
+		m := SatMul(mult, int64(op.Count))
 		if len(op.Body) == 0 {
 			if err := visit(op.Rec, m); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := walkOps(op.Body, m, visit); err != nil {
+		if err := WalkOps(op.Body, m, visit); err != nil {
 			return err
 		}
 	}
@@ -263,7 +266,7 @@ func newValidator(n int) *validator {
 func (v *validator) visitor(rank int) func(Record, int64) error {
 	var total int64
 	return func(r Record, mult int64) error {
-		if total = satAdd(total, mult); total > maxValidateRecords {
+		if total = SatAdd(total, mult); total > maxValidateRecords {
 			return fmt.Errorf("trace: rank %d implies more than %d records", rank, maxValidateRecords)
 		}
 		switch r.Kind {
@@ -272,17 +275,17 @@ func (v *validator) visitor(rank int) func(Record, int64) error {
 				return fmt.Errorf("trace: rank %d sends to invalid peer %d", rank, r.Peer)
 			}
 			p := ValidatePair{rank, r.Peer}
-			v.sends[p] = satAdd(v.sends[p], mult)
+			v.sends[p] = SatAdd(v.sends[p], mult)
 		case KindRecv:
 			if r.Peer < 0 || r.Peer >= v.n || r.Peer == rank {
 				return fmt.Errorf("trace: rank %d receives from invalid peer %d", rank, r.Peer)
 			}
 			p := ValidatePair{r.Peer, rank}
-			v.recvs[p] = satAdd(v.recvs[p], mult)
+			v.recvs[p] = SatAdd(v.recvs[p], mult)
 		case KindConv:
-			v.convs[rank] = satAdd(v.convs[rank], mult)
+			v.convs[rank] = SatAdd(v.convs[rank], mult)
 		case KindBarrier:
-			v.bars[rank] = satAdd(v.bars[rank], mult)
+			v.bars[rank] = SatAdd(v.bars[rank], mult)
 		case KindCompute:
 			if r.NS < 0 || math.IsNaN(r.NS) {
 				return fmt.Errorf("trace: rank %d has invalid compute duration %v", rank, r.NS)

@@ -30,7 +30,7 @@ func (o Op) NumRecords() int64 {
 	if len(o.Body) == 0 {
 		return int64(o.Count)
 	}
-	return satMul(int64(o.Count), opsRecords(o.Body))
+	return SatMul(int64(o.Count), opsRecords(o.Body))
 }
 
 // opEqual reports exact structural equality.
@@ -60,7 +60,7 @@ func opsEqual(a, b []Op) bool {
 // of it, unless the combined count would overflow.
 func normalizeOp(op Op) Op {
 	if len(op.Body) == 1 && len(op.Body[0].Body) == 0 {
-		if prod := satMul(int64(op.Count), int64(op.Body[0].Count)); prod < math.MaxInt64 {
+		if prod := SatMul(int64(op.Count), int64(op.Body[0].Count)); prod < math.MaxInt64 {
 			return Op{Count: int(prod), Rec: op.Body[0].Rec}
 		}
 	}
@@ -72,7 +72,7 @@ func normalizeOp(op Op) Op {
 // preserves exact unfold equality (hostile counts near the int64
 // limit refuse to merge rather than wrap).
 func mergeOp(a *Op, b Op) bool {
-	sum := satAdd(int64(a.Count), int64(b.Count))
+	sum := SatAdd(int64(a.Count), int64(b.Count))
 	if sum == math.MaxInt64 {
 		return false
 	}
@@ -110,19 +110,23 @@ func appendOps(dst []Op, src []Op) []Op {
 func opsRecords(ops []Op) int64 {
 	var n int64
 	for _, op := range ops {
-		n = satAdd(n, op.NumRecords())
+		n = SatAdd(n, op.NumRecords())
 	}
 	return n
 }
 
-func satAdd(a, b int64) int64 {
+// SatAdd returns a+b for non-negative operands, saturating at
+// math.MaxInt64 — the arithmetic behind every unfolded count.
+func SatAdd(a, b int64) int64 {
 	if a > math.MaxInt64-b {
 		return math.MaxInt64
 	}
 	return a + b
 }
 
-func satMul(a, b int64) int64 {
+// SatMul returns a*b for non-negative operands, saturating at
+// math.MaxInt64.
+func SatMul(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}

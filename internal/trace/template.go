@@ -410,7 +410,7 @@ func (t *Template) roleAggregates(ops []TOp, maxParam []int, expanded []int64) (
 	mp, size := -1, int64(0)
 	for i := range ops {
 		op := &ops[i]
-		size = satAdd(size, 1)
+		size = SatAdd(size, 1)
 		if p := op.NS.maxParam(); p > mp {
 			mp = p
 		}
@@ -421,14 +421,14 @@ func (t *Template) roleAggregates(ops []TOp, maxParam []int, expanded []int64) (
 			if maxParam[ref] > mp {
 				mp = maxParam[ref]
 			}
-			size = satAdd(size, expanded[ref])
+			size = SatAdd(size, expanded[ref])
 		}
 		if len(op.Body) > 0 {
 			bmp, bsize := t.roleAggregates(op.Body, maxParam, expanded)
 			if bmp > mp {
 				mp = bmp
 			}
-			size = satAdd(size, bsize)
+			size = SatAdd(size, bsize)
 		}
 	}
 	return mp, size

@@ -137,31 +137,46 @@ func (t *Trace) Write(w io.Writer) error {
 // the way to render a folded trace as text without materializing it.
 func WriteText(w io.Writer, rank, of int, cur Cursor) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# dperf trace rank=%d of=%d\n", rank, of)
+	bw.Write(AppendTextHeader(nil, rank, of))
+	var line []byte
 	for cur.Next() {
 		r, n := cur.Run()
-		var line string
-		switch r.Kind {
-		case KindCompute:
-			line = fmt.Sprintf("compute %g\n", r.NS)
-		case KindSend:
-			line = fmt.Sprintf("send %d %g\n", r.Peer, r.Bytes)
-		case KindRecv:
-			line = fmt.Sprintf("recv %d %g\n", r.Peer, r.Bytes)
-		case KindConv:
-			line = "conv\n"
-		case KindBarrier:
-			line = "barrier\n"
-		default:
-			return fmt.Errorf("trace: unknown record kind %d", r.Kind)
+		var err error
+		if line, err = AppendTextRecord(line[:0], r); err != nil {
+			return err
 		}
 		for i := 0; i < n; i++ {
-			if _, err := bw.WriteString(line); err != nil {
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// AppendTextHeader appends the header line that opens a rank's file
+// in the text format.
+func AppendTextHeader(b []byte, rank, of int) []byte {
+	return fmt.Appendf(b, "# dperf trace rank=%d of=%d\n", rank, of)
+}
+
+// AppendTextRecord appends one record's line in the text format. It is
+// the formatter WriteText uses, shared so a caller can size a text
+// rendering without writing it.
+func AppendTextRecord(b []byte, r Record) ([]byte, error) {
+	switch r.Kind {
+	case KindCompute:
+		return fmt.Appendf(b, "compute %g\n", r.NS), nil
+	case KindSend:
+		return fmt.Appendf(b, "send %d %g\n", r.Peer, r.Bytes), nil
+	case KindRecv:
+		return fmt.Appendf(b, "recv %d %g\n", r.Peer, r.Bytes), nil
+	case KindConv:
+		return append(b, "conv\n"...), nil
+	case KindBarrier:
+		return append(b, "barrier\n"...), nil
+	}
+	return b, fmt.Errorf("trace: unknown record kind %d", r.Kind)
 }
 
 // Parse reads one trace file.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/dperf"
@@ -168,6 +169,43 @@ func BenchmarkTraceSetEncode(b *testing.B) {
 		}
 		b.ReportMetric(float64(n), "bytes")
 	})
+}
+
+// BenchmarkTraceSetStats measures trace-set admission as dperfd's
+// store runs it — decode, Prepare and Stats — on the paper-scale
+// obstacle workload at 8 ranks, at O0 (its rounds settle) and O2 (they
+// never do), from the v1 container an upload carries. With -benchmem
+// the allocations are admission's memory cost.
+func BenchmarkTraceSetStats(b *testing.B) {
+	a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithRanks(8)).Analyze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, level := range []dperf.Level{dperf.O0, dperf.O2} {
+		ts, err := a.Traces(dperf.WithLevel(level))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var artifact bytes.Buffer
+		if err := ts.WriteBinary(&artifact); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(level.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ld, err := dperf.ReadTraceSetData("bench", artifact.Bytes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ld.Prepare(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ld.Stats(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 type countWriter struct{ n int64 }
