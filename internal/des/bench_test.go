@@ -109,3 +109,28 @@ func BenchmarkKernelSleepChain(b *testing.B) {
 	})
 	s.Run()
 }
+
+// BenchmarkKernelQueuePingPong measures the message wakeup path that
+// Send/Recv rides on: two processes bounce a value through two Queues,
+// so every op is two Puts that each wake a parked Get. With the sleep
+// chain it shows the process switch cost, and it must stay at 0
+// allocs/op once the queues have warmed up.
+func BenchmarkKernelQueuePingPong(b *testing.B) {
+	s := New()
+	ping, pong := s.NewQueue(), s.NewQueue()
+	var ball interface{} = &struct{}{}
+	s.Spawn("ping", 0, func(p *Process) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(ball)
+			pong.Get(p)
+		}
+	})
+	s.Spawn("pong", 0, func(p *Process) {
+		for i := 0; i < b.N; i++ {
+			pong.Put(ping.Get(p))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}

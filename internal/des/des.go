@@ -2,10 +2,13 @@
 //
 // A Simulation owns a virtual clock and an event queue ordered by
 // (time, sequence). Plain callback events are scheduled with Schedule.
-// Blocking, goroutine-backed activities are modelled by Process: each
-// process runs in its own goroutine but only ever executes while it
-// holds the kernel's execution token, so simulations are fully
-// deterministic and race-free regardless of GOMAXPROCS.
+// Blocking activities are modelled by Process: each process is a
+// coroutine (iter.Pull) that the kernel switches into when its
+// activation event fires and that switches back when it blocks, so
+// one process or the driver runs at a time, in event order.
+// Simulations are therefore fully deterministic and race-free
+// regardless of GOMAXPROCS. A panic in a process body is re-raised on
+// the driver, the goroutine running the kernel.
 //
 // # Virtual time and epochs
 //
@@ -25,6 +28,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -161,8 +165,7 @@ type Simulation struct {
 	base    float64 // accumulated epoch base; AbsNow = base + now
 	seq     uint64
 	queue   eventQueue
-	aux     int            // pending evAux events
-	yielded chan yieldKind // processes signal the driver here
+	aux     int // pending evAux events
 	running bool
 	// live counts processes that have been started and not yet finished.
 	live  int
@@ -172,16 +175,9 @@ type Simulation struct {
 	Trace func(t float64, what string)
 }
 
-type yieldKind int
-
-const (
-	yieldParked yieldKind = iota
-	yieldFinished
-)
-
 // New returns an empty simulation whose clock starts at 0.
 func New() *Simulation {
-	return &Simulation{yielded: make(chan yieldKind)}
+	return &Simulation{}
 }
 
 // Now returns the current virtual time within the epoch, in seconds.
@@ -506,97 +502,88 @@ func (s *Simulation) AdvanceBase(delta float64, rounds int) {
 // ---------------------------------------------------------------------------
 // Processes
 
-// Process is a goroutine-backed simulated activity. Its body only runs
-// while it holds the simulation token; every blocking primitive
-// (Sleep, WaitChan-style conditions) parks the goroutine and returns
-// control to the kernel.
+// Process is a simulated activity run as a coroutine of the driver —
+// the goroutine calling Run, RunUntil, RunWindow or Step. Its body only
+// runs from an activation event to its next blocking call: every
+// blocking primitive (Sleep, Cond.Wait, Queue.Get, Barrier.Arrive)
+// parks the body and switches straight back to the driver, and the
+// next activation switches straight back in, without a trip through
+// the goroutine scheduler. Exactly one of the driver and the
+// simulation's processes runs at any moment, so bodies share kernel
+// state without locks.
 type Process struct {
-	sim    *Simulation
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
+	sim   *Simulation
+	name  string
+	next  func() (struct{}, bool) // run the body until it parks (true) or returns (false)
+	yield func(struct{}) bool     // park the body; false once stop has been called
+	stop  func()                  // unwind a parked body, or discard an unstarted one
+	done  bool
 }
 
-// errKilled is the sentinel panic value that unwinds a process
-// goroutine torn down by Shutdown.
+// killedSentinel is the panic value that unwinds a parked process
+// body torn down by Shutdown.
 type killedSentinel struct{}
 
 // Spawn creates a process executing body and schedules its start after
 // delay seconds. body receives the process handle for blocking calls.
+// The body runs as an iter.Pull coroutine; a panic in it ends the
+// process and is re-raised on the driver as
+// "des: process <name> panicked: <value>", so the caller of Run can
+// recover it like any other kernel panic and then Shutdown the rest.
 func (s *Simulation) Spawn(name string, delay float64, body func(p *Process)) *Process {
-	p := &Process{sim: s, name: name, resume: make(chan struct{})}
-	s.live++
-	s.procs = append(s.procs, p)
-	//dperfvet:allow simpurity process goroutines only run while holding the kernel's execution token, so scheduling is fully sequenced and deterministic
-	go func() {
-		<-p.resume // wait for first activation
-		if p.killed {
-			p.done = true
-			s.yielded <- yieldFinished
-			return
-		}
+	p := &Process{sim: s, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedSentinel); ok {
-					p.done = true
-					s.yielded <- yieldFinished
 					return
 				}
-				// Re-panic on the driver's side would be nicer, but the
-				// driver is blocked on s.yielded; report and crash loudly.
-				p.done = true
-				s.yielded <- yieldFinished
 				panic(fmt.Sprintf("des: process %q panicked: %v", p.name, r))
 			}
 		}()
 		body(p)
-		p.done = true
-		s.yielded <- yieldFinished
-	}()
+	})
+	s.live++
+	s.procs = append(s.procs, p)
 	s.scheduleActivate(delay, p)
 	return p
 }
 
-// activate hands the token to p and waits for it to park or finish.
+// activate switches to p and returns when it parks or finishes.
 func (s *Simulation) activate(p *Process) {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	k := <-s.yielded
-	if k == yieldFinished {
+	if _, ok := p.next(); !ok {
+		p.done = true
 		s.live--
 	}
 }
 
-// park gives the token back to the driver and blocks until reactivated.
+// park switches back to the driver until the process is reactivated.
 func (p *Process) park() {
-	p.sim.yielded <- yieldParked
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
 	}
 }
 
-// Shutdown tears down every live process goroutine: each one is
-// resumed with the killed flag set and unwinds instead of continuing
-// its body. Pending events are dropped and the kernel is left
-// resettable. It is the cleanup path for a simulation abandoned
-// mid-run (a stalled replay), where parked process goroutines would
-// otherwise leak for the lifetime of the program.
+// Shutdown tears down every live process: a parked body is unwound
+// from its blocking call (deferred calls run, the rest of the body
+// does not), and a never-activated one is discarded without running.
+// Pending events are dropped and the kernel is left resettable. It is
+// the cleanup path for a simulation abandoned mid-run (a stalled
+// replay, or one whose process panicked), where each parked coroutine
+// would otherwise hold a goroutine for the lifetime of the program.
 func (s *Simulation) Shutdown() {
 	if s.running {
 		panic("des: Shutdown during Run")
 	}
 	for _, p := range s.procs {
-		if p.done {
-			continue
+		if !p.done {
+			p.stop()
+			p.done = true
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-s.yielded // the goroutine reports yieldFinished and exits
-		s.live--
 	}
 	s.procs = s.procs[:0]
 	s.queue.a = s.queue.a[:0]
@@ -686,8 +673,8 @@ func (c *Cond) Waiting() bool { return c.waiter != nil }
 // reader at a time (multiple readers are served in arrival order).
 type Queue struct {
 	sim     *Simulation
-	items   []interface{}
-	readers []*Process
+	items   fifo[interface{}]
+	readers fifo[*Process]
 }
 
 // NewQueue returns an empty queue bound to the simulation.
@@ -696,38 +683,66 @@ func (s *Simulation) NewQueue() *Queue { return &Queue{sim: s} }
 // Put appends v and wakes the oldest waiting reader, if any. Put is
 // safe to call from event callbacks and from process context.
 func (q *Queue) Put(v interface{}) {
-	q.items = append(q.items, v)
-	if len(q.readers) > 0 {
-		r := q.readers[0]
-		q.readers = q.readers[1:]
-		q.sim.scheduleActivate(0, r)
+	q.items.push(v)
+	if q.readers.len() > 0 {
+		q.sim.scheduleActivate(0, q.readers.pop())
 	}
 }
 
 // Get removes and returns the head item, parking the process while the
 // queue is empty.
 func (q *Queue) Get(p *Process) interface{} {
-	for len(q.items) == 0 {
-		q.readers = append(q.readers, p)
+	for q.items.len() == 0 {
+		q.readers.push(p)
 		p.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // TryGet removes the head item without blocking; ok reports success.
 func (q *Queue) TryGet() (v interface{}, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		return nil, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.items.len() }
+
+// fifo is a slice-backed FIFO that keeps its backing array: pop
+// advances a head index (re-slicing past the head would strand the
+// front capacity, so every append after a drain would reallocate),
+// and a drained fifo rewinds to the array's start. A fifo that never
+// drains slides its live tail to the front when the array is full and
+// at least half of it is dead, so its memory stays proportional to
+// its peak length.
+type fifo[T any] struct {
+	a    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.a) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.a) == cap(f.a) && f.head > 0 && 2*f.head >= len(f.a) {
+		n := copy(f.a, f.a[f.head:])
+		clear(f.a[n:])
+		f.a, f.head = f.a[:n], 0
+	}
+	f.a = append(f.a, v)
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.a[f.head]
+	var zero T
+	f.a[f.head] = zero // release the reference; the slot stays in cap
+	f.head++
+	if f.head == len(f.a) {
+		f.a, f.head = f.a[:0], 0
+	}
+	return v
+}
 
 // ---------------------------------------------------------------------------
 // Barrier: N-party synchronization usable from process context.

@@ -487,17 +487,6 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-func BenchmarkProcessContextSwitch(b *testing.B) {
-	s := New()
-	s.Spawn("p", 0, func(p *Process) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	s.Run()
-}
-
 func TestReset(t *testing.T) {
 	s := New()
 	s.Spawn("p", 0, func(p *Process) { p.Sleep(3) })

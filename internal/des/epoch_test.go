@@ -165,8 +165,8 @@ func TestScheduleAuxPendingReal(t *testing.T) {
 }
 
 // TestShutdownReapsParkedProcesses: Shutdown must unwind parked
-// process goroutines (they would otherwise block forever) and leave
-// the kernel resettable.
+// processes (each holds a goroutine that would otherwise block
+// forever) and leave the kernel resettable.
 func TestShutdownReapsParkedProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New()

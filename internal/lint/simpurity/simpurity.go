@@ -9,8 +9,9 @@
 // The sweep-timing and CLI layers (package dperf, cmd/*) are outside
 // the scope: wall-clock cost reporting there is part of the UX, not of
 // the simulation. Inside the scope, a deliberate impurity (e.g. the
-// kernel's own token-passing process goroutines, or a debug-only env
-// gate) carries //dperfvet:allow simpurity <reason>.
+// parallel replay engine's per-window partition goroutines, which a
+// barrier and a deterministic merge order sequence, or a debug-only
+// env gate) carries //dperfvet:allow simpurity <reason>.
 package simpurity
 
 import (

@@ -65,12 +65,12 @@ func (e *Environment) Reset() error {
 	return nil
 }
 
-// Shutdown tears down every process goroutine still parked in the
-// kernel and drops pending events. It is the cleanup path for an
-// environment abandoned after a failed run (a stalled application
-// leaves workers parked forever); without it, each failed replay
-// would leak one goroutine per parked worker for the lifetime of the
-// program.
+// Shutdown unwinds every process still parked in the kernel and drops
+// pending events. It is the cleanup path for an environment abandoned
+// after a failed run (a stalled application leaves workers parked
+// forever, and a panicking one leaves its peers parked); without it,
+// each failed replay would hold one coroutine per parked worker, each
+// with its own goroutine stack, for the lifetime of the program.
 func (e *Environment) Shutdown() { e.Sim.Shutdown() }
 
 // App is the per-peer subtask body. It runs as one simulated process
@@ -189,8 +189,9 @@ func (e *Environment) Run(spec RunSpec, app App) (*RunResult, error) {
 	// Drive the simulation until the submitter has everything. A
 	// stalled application (e.g. a rank that errored out of a
 	// collective, leaving the others waiting) surfaces as a kernel
-	// deadlock panic; convert it into an error so callers see the
-	// per-rank causes.
+	// deadlock panic, and a panic inside a process body is re-raised
+	// here by the kernel; convert either into an error so callers see
+	// the per-rank causes.
 	e.Sim.Spawn("watchdog", 0, func(p *des.Process) {
 		gatherDoneCond.Wait(p)
 	})

@@ -3,6 +3,7 @@ package p2pdc
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/p2psap"
@@ -215,6 +216,36 @@ func TestAppErrorStallsWithError(t *testing.T) {
 	}
 	if res == nil || res.FirstError() == nil {
 		t.Fatal("application error lost")
+	}
+}
+
+// TestAppPanicFailsRun: a panic inside one rank's body fails the run
+// with an error naming the rank, instead of crashing the program, and
+// after Shutdown the environment hosts the next run.
+func TestAppPanicFailsRun(t *testing.T) {
+	e, plat, hosts := env(t, 4)
+	spec := RunSpec{Submitter: plat.Frontend, Hosts: hosts, Scheme: p2psap.Synchronous}
+	_, err := e.Run(spec, func(w *Worker) error {
+		w.Compute(3e9)
+		if w.Rank() == 2 {
+			panic("rank 2 blew up")
+		}
+		_, err := w.ConvergeMax(0)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), `des: process "rank2" panicked: rank 2 blew up`) {
+		t.Fatalf("run error = %v, want the rank 2 panic", err)
+	}
+	e.Shutdown()
+	if err := e.Reset(); err != nil {
+		t.Fatalf("Reset after Shutdown: %v", err)
+	}
+	res, err := e.Run(spec, func(w *Worker) error {
+		w.Compute(3e9)
+		return nil
+	})
+	if err != nil || res.Total < 1 {
+		t.Fatalf("post-panic run: %+v, %v", res, err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // on: a session (or parallel engine) cycled through failed run → dirty
 // rebuild → successful reuse hundreds of times must keep producing
 // bit-identical results and must not accumulate goroutines — every
-// failed run parks process goroutines that only an explicit teardown
-// reaps.
+// failed run leaves process coroutines parked, each holding a
+// goroutine, that only an explicit teardown reaps.
 
 // cyclicStall builds a validation-passing deadlock: every rank Recvs
 // from its cross partner before Sending, so all ranks park forever.

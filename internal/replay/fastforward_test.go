@@ -308,8 +308,8 @@ func TestFailedRunReapsProcessGoroutines(t *testing.T) {
 			t.Fatal("deadlocked replay succeeded")
 		}
 	}
-	// Parked process goroutines unwind asynchronously after Shutdown;
-	// give the scheduler a moment before declaring a leak.
+	// Each parked process holds a goroutine until Shutdown unwinds it;
+	// give the runtime a moment before declaring a leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.Gosched()

@@ -156,8 +156,8 @@ func (e *ParallelEngine) RunSource(spec Spec, src trace.Source) (*Result, error)
 	res, err := e.runPartitioned(spec, src, p, lookahead)
 	if err != nil {
 		// Same contract as Session.RunSource's error path: tear the
-		// wrecked kernels down (a stalled partition leaves processes
-		// parked forever) and rebuild on the next run.
+		// wrecked kernels down (a stalled or panicked partition leaves
+		// processes parked forever) and rebuild on the next run.
 		for _, env := range e.envs {
 			env.Post.SetPartition(nil, nil)
 			env.Shutdown()
@@ -235,6 +235,21 @@ func minRouteLatency(net *netsim.Network, hosts []string) (float64, error) {
 	return min, nil
 }
 
+// runWindow advances partition i's kernel through one window. A panic
+// there — a process body's, which the kernel re-raises on the goroutine
+// driving it, or the kernel's own — becomes the window's error, so a
+// failure on a partition goroutine fails the run instead of the
+// program.
+func runWindow(i int, env *p2pdc.Environment, limit float64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("replay: parallel execution failed in partition %d: %v", i, r)
+		}
+	}()
+	env.Sim.RunWindow(limit)
+	return nil
+}
+
 // boundaryRecord is one partition's FlowStart tagged with its origin.
 type boundaryRecord struct {
 	part int
@@ -301,6 +316,7 @@ func (e *ParallelEngine) runPartitioned(spec Spec, src trace.Source, p int, look
 
 	stats := ParStats{Workers: p, LookaheadSeconds: lookahead}
 	var merged []boundaryRecord
+	windowErrs := make([]error, p)
 	for {
 		// Barrier: merge the previous window's records in a single
 		// deterministic order — start time, then origin partition,
@@ -349,9 +365,9 @@ func (e *ParallelEngine) runPartitioned(spec Spec, src trace.Source, p int, look
 		}
 		limit := next + lookahead
 		var wg sync.WaitGroup
-		for _, env := range envs[1:] {
+		for i, env := range envs[1:] {
 			wg.Add(1)
-			env := env
+			i, env := i+1, env
 			// Barrier-parallel window execution: between barriers the
 			// kernels share nothing (each partition's boundary buffer is
 			// filled only by its own kernel), and the wait below plus the
@@ -360,12 +376,17 @@ func (e *ParallelEngine) runPartitioned(spec Spec, src trace.Source, p int, look
 			//dperfvet:allow simpurity kernels are independent between barriers; the barrier wait and deterministic merge order make results schedule-independent
 			go func() {
 				defer wg.Done()
-				env.Sim.RunWindow(limit)
+				windowErrs[i] = runWindow(i, env, limit)
 			}()
 		}
-		envs[0].Sim.RunWindow(limit)
+		windowErrs[0] = runWindow(0, envs[0], limit)
 		wg.Wait()
 		stats.Windows++
+		for _, err := range windowErrs {
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	res := &p2pdc.RunResult{

@@ -149,8 +149,8 @@ func NewSession(plat *platform.Platform) (*Session, error) {
 // Platform returns the platform the session is bound to.
 func (s *Session) Platform() *platform.Platform { return s.plat }
 
-// Close tears down the session's simulation environment, reaping any
-// process goroutines still parked in the kernel. A closed session is
+// Close tears down the session's simulation environment, unwinding any
+// processes still parked in the kernel. A closed session is
 // not dead: the next Run rebuilds the environment from the platform,
 // exactly like the rebuild after a failed run. Close is for callers
 // that pool sessions (a long-running server keeping per-platform
@@ -207,10 +207,10 @@ func (s *Session) RunSource(spec Spec, src trace.Source) (*Result, error) {
 	res, err := s.run(spec, src)
 	if err != nil {
 		// Tear down the wreck before marking it for rebuild: a failed
-		// run (a stalled application) leaves worker processes parked
-		// forever, and without an explicit shutdown every failed
-		// replay would leak their goroutines for the life of the
-		// program.
+		// run (a stalled application, or a process that panicked)
+		// leaves worker processes parked forever, and without an
+		// explicit shutdown every failed replay would leak their
+		// coroutines for the life of the program.
 		s.env.Shutdown()
 		s.dirty = true
 		return nil, err

@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/p2psap"
@@ -131,6 +133,57 @@ func TestReplayRejectsInvalidTraces(t *testing.T) {
 	}
 	if _, err := Run(Spec{Platform: spec.Platform, Hosts: spec.Hosts[:1], Submitter: spec.Submitter}, bad); err == nil {
 		t.Fatal("host/trace count mismatch accepted")
+	}
+}
+
+// TestReplayRejectsInvalidQuantities: the validator holds in-memory
+// sources to the decoders' bound on compute durations and message
+// sizes, so replay refuses them before simulating: an infinite
+// compute would spin the network model at virtual time +Inf, and a
+// NaN, negative or infinite message would never complete.
+func TestReplayRejectsInvalidQuantities(t *testing.T) {
+	spec := clusterSpec(t, 2)
+	cases := []struct {
+		name string
+		rank int
+		rec  trace.Record
+	}{
+		{"compute +Inf", 1, trace.Record{Kind: trace.KindCompute, NS: math.Inf(1)}},
+		{"compute NaN", 1, trace.Record{Kind: trace.KindCompute, NS: math.NaN()}},
+		{"compute negative", 1, trace.Record{Kind: trace.KindCompute, NS: -1}},
+		{"send NaN", 0, trace.Record{Kind: trace.KindSend, Peer: 1, Bytes: math.NaN()}},
+		{"send negative", 0, trace.Record{Kind: trace.KindSend, Peer: 1, Bytes: -8}},
+		{"send +Inf", 0, trace.Record{Kind: trace.KindSend, Peer: 1, Bytes: math.Inf(1)}},
+		{"recv +Inf", 1, trace.Record{Kind: trace.KindRecv, Peer: 0, Bytes: math.Inf(1)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			traces := []*trace.Trace{
+				{Rank: 0, Of: 2, Records: []trace.Record{
+					{Kind: trace.KindCompute, NS: 1e6},
+					{Kind: trace.KindSend, Peer: 1, Bytes: 1024},
+				}},
+				{Rank: 1, Of: 2, Records: []trace.Record{
+					{Kind: trace.KindCompute, NS: 1e6},
+					{Kind: trace.KindRecv, Peer: 0, Bytes: 1024},
+				}},
+			}
+			recs := traces[c.rank].Records
+			for i := range recs {
+				if recs[i].Kind == c.rec.Kind {
+					recs[i] = c.rec
+				}
+			}
+			verr := trace.ValidateSource(trace.SliceSource(traces))
+			if verr == nil || !strings.Contains(verr.Error(), fmt.Sprintf("rank %d ", c.rank)) {
+				t.Fatalf("ValidateSource = %v, want an error naming rank %d", verr, c.rank)
+			}
+			// The replay's error is the validator's: it failed before
+			// simulating anything.
+			if _, err := Run(spec, traces); err == nil || err.Error() != verr.Error() {
+				t.Fatalf("Run error = %v, want the validation error %v", err, verr)
+			}
+		})
 	}
 }
 

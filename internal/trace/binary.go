@@ -335,7 +335,7 @@ func readOp(br *bufio.Reader, depth int) (op Op, end bool, err error) {
 		if err != nil {
 			return Op{}, false, err
 		}
-		if !(ns >= 0) || math.IsInf(ns, 1) {
+		if !validQuantity(ns) {
 			return Op{}, false, fmt.Errorf("trace: bad compute duration %v", ns)
 		}
 		rec.NS = ns
@@ -348,7 +348,7 @@ func readOp(br *bufio.Reader, depth int) (op Op, end bool, err error) {
 		if err != nil {
 			return Op{}, false, err
 		}
-		if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		if !validQuantity(bytes) {
 			return Op{}, false, fmt.Errorf("trace: bad payload size %v", bytes)
 		}
 		rec.Peer = int(peer)

@@ -240,6 +240,14 @@ func walkCursor(cur Cursor, visit func(Record, int64) error) error {
 	return nil
 }
 
+// validQuantity reports whether x is a usable compute duration or
+// message size: non-negative and below +Inf (NaN fails the
+// comparison). Every decoder and the validator apply it, so a source
+// built in memory is held to the same bound as a parsed one: replay
+// cannot advance past an infinite compute, and a NaN, negative or
+// infinite message never completes.
+func validQuantity(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // validator accumulates per-direction message counts and collective
 // counts across ranks.
 type validator struct {
@@ -274,11 +282,17 @@ func (v *validator) visitor(rank int) func(Record, int64) error {
 			if r.Peer < 0 || r.Peer >= v.n || r.Peer == rank {
 				return fmt.Errorf("trace: rank %d sends to invalid peer %d", rank, r.Peer)
 			}
+			if !validQuantity(r.Bytes) {
+				return fmt.Errorf("trace: rank %d sends invalid message size %v", rank, r.Bytes)
+			}
 			p := ValidatePair{rank, r.Peer}
 			v.sends[p] = SatAdd(v.sends[p], mult)
 		case KindRecv:
 			if r.Peer < 0 || r.Peer >= v.n || r.Peer == rank {
 				return fmt.Errorf("trace: rank %d receives from invalid peer %d", rank, r.Peer)
+			}
+			if !validQuantity(r.Bytes) {
+				return fmt.Errorf("trace: rank %d receives invalid message size %v", rank, r.Bytes)
 			}
 			p := ValidatePair{r.Peer, rank}
 			v.recvs[p] = SatAdd(v.recvs[p], mult)
@@ -287,7 +301,7 @@ func (v *validator) visitor(rank int) func(Record, int64) error {
 		case KindBarrier:
 			v.bars[rank] = SatAdd(v.bars[rank], mult)
 		case KindCompute:
-			if r.NS < 0 || math.IsNaN(r.NS) {
+			if !validQuantity(r.NS) {
 				return fmt.Errorf("trace: rank %d has invalid compute duration %v", rank, r.NS)
 			}
 		default:

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -216,7 +215,7 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: line %d: want 'compute <ns>'", lineNo)
 			}
 			ns, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || !(ns >= 0) || math.IsInf(ns, 1) {
+			if err != nil || !validQuantity(ns) {
 				return nil, fmt.Errorf("trace: line %d: bad duration %q", lineNo, fields[1])
 			}
 			t.Records = append(t.Records, Record{Kind: KindCompute, NS: ns})
@@ -229,7 +228,7 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: line %d: bad peer %q", lineNo, fields[1])
 			}
 			bytes, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || !(bytes >= 0) || math.IsInf(bytes, 1) {
+			if err != nil || !validQuantity(bytes) {
 				return nil, fmt.Errorf("trace: line %d: bad size %q", lineNo, fields[2])
 			}
 			k := KindSend
