@@ -10,8 +10,8 @@ package repro
 import (
 	"testing"
 
+	"repro/dperf"
 	"repro/internal/alloc"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/des"
 	"repro/internal/experiments"
@@ -34,8 +34,15 @@ func benchWorkload(level costmodel.Level) obstacle.Config {
 	return cfg
 }
 
-func benchParams() core.ObstacleParams {
-	return core.ObstacleParams{N: 300, Rounds: 30, Sweeps: 30, BenchN: 20}
+// predictProgram runs the analyzed obstacle program through trace
+// generation and replay at benchWorkload's scale.
+func predictProgram(a *dperf.Analysis, kind platform.Kind, peers int, level costmodel.Level) (*dperf.Prediction, error) {
+	w := dperf.ObstacleWorkload{N: 300, Rounds: 30, Sweeps: 30, BenchN: 20}
+	ts, err := a.WithWorkload(w).Traces(dperf.WithRanks(peers), dperf.WithLevel(level))
+	if err != nil {
+		return nil, err
+	}
+	return ts.Predict(dperf.WithPlatform(kind))
 }
 
 func runReference(b *testing.B, kind platform.Kind, peers int, level costmodel.Level) float64 {
@@ -88,13 +95,13 @@ func BenchmarkFig9ReferenceTime(b *testing.B) {
 // BenchmarkFig10PredictionAccuracy regenerates the Fig. 10 comparison
 // at O3: reference vs dPerf prediction on the cluster.
 func BenchmarkFig10PredictionAccuracy(b *testing.B) {
-	a, err := core.Analyze(core.ObstacleSource, []string{"N"})
+	a, err := dperf.AnalyzeSource(dperf.ObstacleSource, []string{"N"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		ref := runReference(b, platform.KindCluster, 4, costmodel.O3)
-		pred, err := core.PredictProgram(a, platform.KindCluster, 4, costmodel.O3, benchParams())
+		pred, err := predictProgram(a, platform.KindCluster, 4, costmodel.O3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,17 +116,16 @@ func BenchmarkFig10PredictionAccuracy(b *testing.B) {
 // BenchmarkFig11CrossPlatform regenerates one Fig. 11 column (4
 // peers, O0): prediction on all three platforms from one trace set.
 func BenchmarkFig11CrossPlatform(b *testing.B) {
-	a, err := core.Analyze(core.ObstacleSource, []string{"N"})
+	a, err := dperf.AnalyzeSource(dperf.ObstacleSource, []string{"N"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := benchParams()
 	for _, kind := range []platform.Kind{platform.KindCluster, platform.KindDaisy, platform.KindLAN} {
 		kind := kind
 		b.Run(string(kind), func(b *testing.B) {
 			var vsec float64
 			for i := 0; i < b.N; i++ {
-				pred, err := core.PredictProgram(a, kind, 4, costmodel.O0, params)
+				pred, err := predictProgram(a, kind, 4, costmodel.O0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,17 +139,16 @@ func BenchmarkFig11CrossPlatform(b *testing.B) {
 // BenchmarkTableIEquivalence regenerates one Table I row: 8 LAN peers
 // vs 4 cluster nodes at O0 (the "same as" row).
 func BenchmarkTableIEquivalence(b *testing.B) {
-	a, err := core.Analyze(core.ObstacleSource, []string{"N"})
+	a, err := dperf.AnalyzeSource(dperf.ObstacleSource, []string{"N"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := benchParams()
 	for i := 0; i < b.N; i++ {
-		lan, err := core.PredictProgram(a, platform.KindLAN, 8, costmodel.O0, params)
+		lan, err := predictProgram(a, platform.KindLAN, 8, costmodel.O0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g5k, err := core.PredictProgram(a, platform.KindCluster, 4, costmodel.O0, params)
+		g5k, err := predictProgram(a, platform.KindCluster, 4, costmodel.O0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,13 +280,13 @@ func BenchmarkAblationChurn(b *testing.B) {
 // overhead (paper: "reduced slowdown due to block benchmarking";
 // DESIGN.md ablation A3).
 func BenchmarkAblationInstrumentation(b *testing.B) {
-	a, err := core.Analyze(core.ObstacleSource, []string{"N"})
+	a, err := dperf.AnalyzeSource(dperf.ObstacleSource, []string{"N"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		rep, err := core.Benchmark(a, costmodel.O0, map[string]int64{"N": 48, "ROUNDS": 4, "SWEEPS": 4})
+		rep, err := dperf.Benchmark(a, costmodel.O0, map[string]int64{"N": 48, "ROUNDS": 4, "SWEEPS": 4})
 		if err != nil {
 			b.Fatal(err)
 		}

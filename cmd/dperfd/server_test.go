@@ -353,6 +353,24 @@ func TestHostileRequests(t *testing.T) {
 		t.Fatalf("truncated upload: status %d body %q", resp.StatusCode, body)
 	}
 
+	// A JSON set with negative deployment bytes: no tier would predict
+	// it, so it is refused at admission, naming the field.
+	neg := fixtureSet(t)
+	neg.ScatterBytes = -1
+	var js bytes.Buffer
+	if err := neg.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(hs.URL+"/v1/tracesets", "application/json", &js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "scatter_bytes") {
+		t.Fatalf("negative scatter_bytes upload: status %d body %q", resp.StatusCode, body)
+	}
+
 	// Unknown digest: 404.
 	code, body := postJSON(t, hs.URL+"/v1/predict", predictRequest{Digest: strings.Repeat("0", 64)})
 	if code != http.StatusNotFound {

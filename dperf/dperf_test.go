@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/dperf"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/p2psap"
 	"repro/internal/platform"
@@ -22,8 +21,7 @@ func smallObstacle() dperf.ObstacleWorkload {
 
 // TestGoldenFacadeMatchesLegacy asserts the façade pipeline is
 // numerically identical to the pre-façade wiring: explicit trace
-// generation plus a hand-built replay.Spec, exactly as the old
-// core.PredictObstacle implementation chained them.
+// generation plus a hand-built replay.Spec.
 func TestGoldenFacadeMatchesLegacy(t *testing.T) {
 	w := smallObstacle()
 	const peers = 4
@@ -72,18 +70,6 @@ func TestGoldenFacadeMatchesLegacy(t *testing.T) {
 	}
 	if pred.Scatter != legacy.ScatterSeconds || pred.Compute != legacy.ComputeSeconds || pred.Gather != legacy.GatherSeconds {
 		t.Fatalf("phase breakdown diverged: façade %+v legacy %+v", pred, legacy)
-	}
-
-	// And the deprecated core entry point must delegate to the same
-	// numbers.
-	old, err := core.PredictObstacle(kind, peers, level,
-		core.ObstacleParams{N: w.N, Rounds: w.Rounds, Sweeps: w.Sweeps, BenchN: w.BenchN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Predicted != pred.Predicted || old.Scatter != pred.Scatter ||
-		old.Compute != pred.Compute || old.Gather != pred.Gather {
-		t.Fatalf("core.PredictObstacle %+v != façade %+v", old, pred)
 	}
 	if pred.Workload != "obstacle" || pred.Engine != "replay" || pred.Ranks != peers {
 		t.Fatalf("prediction metadata: %+v", pred)

@@ -3,6 +3,7 @@ package dperf_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -476,5 +477,55 @@ func TestLoadTraceSetErrorContext(t *testing.T) {
 	if _, err := dperf.ReadTraceSetData("upload-43", []byte("zzzz")); err == nil ||
 		!strings.Contains(err.Error(), "upload-43") {
 		t.Fatalf("garbage admission error lacks the label: %v", err)
+	}
+}
+
+// TestReadTraceSetRejectsInvalidDeploymentBytes: both readers hold a
+// set's deployment bytes to the rule every prediction tier applies, so
+// a set that no tier would predict is refused at admission, naming the
+// field. JSON cannot spell NaN or Inf; the binary header can.
+func TestReadTraceSetRejectsInvalidDeploymentBytes(t *testing.T) {
+	a, err := dperf.New(smallObstacle(), dperf.WithRanks(2)).Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		field           string
+		scatter, gather float64
+		binaryOnly      bool
+	}{
+		{"scatter_bytes", -1, 0, false},
+		{"gather_bytes", 0, -1, false},
+		{"scatter_bytes", math.NaN(), 0, true},
+		{"gather_bytes", 0, math.Inf(1), true},
+	}
+	for _, c := range cases {
+		ts, err := a.Traces()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.ScatterBytes, ts.GatherBytes = c.scatter, c.gather
+		var js, bin bytes.Buffer
+		if err := ts.WriteBinary(&bin); err != nil {
+			t.Fatal(err)
+		}
+		artifacts := map[string][]byte{"binary": bin.Bytes()}
+		if !c.binaryOnly {
+			if err := ts.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			artifacts["json"] = js.Bytes()
+		}
+		for _, format := range []string{"json", "binary"} {
+			data, ok := artifacts[format]
+			if !ok {
+				continue
+			}
+			_, err := dperf.ReadTraceSetData("upload", data)
+			if err == nil || !strings.Contains(err.Error(), "invalid "+c.field) {
+				t.Errorf("%s set with scatter %v gather %v: got %v, want an error naming %s",
+					format, c.scatter, c.gather, err, c.field)
+			}
+		}
 	}
 }

@@ -415,6 +415,9 @@ func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
 	if err := validateSetShape(ts.Ranks, len(ts.Traces)); err != nil {
 		return nil, err
 	}
+	if err := validateDeployment(ts.ScatterBytes, ts.GatherBytes); err != nil {
+		return nil, err
+	}
 	for i, t := range ts.Traces {
 		if t == nil {
 			return nil, fmt.Errorf("dperf: trace set entry %d is null", i)
@@ -424,6 +427,19 @@ func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
 		return nil, err
 	}
 	return &ts, nil
+}
+
+// validateDeployment holds a set's deployment bytes to the rule both
+// prediction tiers apply (trace.ValidQuantity), naming the offending
+// field: a set every tier would reject must not be admitted.
+func validateDeployment(scatter, gather float64) error {
+	if !trace.ValidQuantity(scatter) {
+		return fmt.Errorf("dperf: invalid scatter_bytes %v (want finite and non-negative)", scatter)
+	}
+	if !trace.ValidQuantity(gather) {
+		return fmt.Errorf("dperf: invalid gather_bytes %v (want finite and non-negative)", gather)
+	}
+	return nil
 }
 
 // validateSetShape checks the header rank count against the actual
@@ -634,8 +650,8 @@ func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 		return nil, fmt.Errorf("dperf: reading gather bytes at byte offset %d: %w", br.off, err)
 	}
 	gather := math.Float64frombits(binary.LittleEndian.Uint64(f64[:]))
-	if !(scatter >= 0) || !(gather >= 0) || math.IsInf(scatter, 1) || math.IsInf(gather, 1) {
-		return nil, fmt.Errorf("dperf: invalid deployment bytes (scatter %v, gather %v)", scatter, gather)
+	if err := validateDeployment(scatter, gather); err != nil {
+		return nil, err
 	}
 	ts := &TraceSet{
 		Workload:     string(name),

@@ -2,24 +2,31 @@
 // steady-state workload without running the discrete-event simulator
 // on the prediction path.
 //
-// The DES replay (internal/replay over internal/des) is exact but pays
-// a goroutine park/resume handoff per kernel event — with fast-forward
-// enabled a paper-scale obstacle replay still crosses thousands of
-// events before the steady-state detector can jump. This package
-// re-derives the identical prediction arithmetically: the des kernel,
-// the netsim fluid network, the p2pdc scatter/compute/gather protocol
-// and the p2psap channel model are ported as plain state machines
-// driven by one (time, seq)-ordered event loop in a single goroutine.
-// Every scheduling call, float operation and tie-break mirrors the DES
-// stack operation for operation, so the evaluation is bit-identical to
-// replay.RunSource with FastForward=FFOn — the differential tests in
-// dperf assert exactly that — while certification runs in a fraction
-// of the replay's wall time and a cached Certificate serves repeated
-// predictions in nanoseconds.
+// The DES replay (internal/replay over internal/des) is exact but
+// drives every compute, send and receive through simulated processes,
+// switching into a process coroutine at each wakeup and running a
+// scheduled closure per network event; even with fast-forward a
+// paper-scale obstacle replay crosses thousands of events before the
+// steady-state detector can jump. This package re-derives the
+// identical prediction with one engine (gengine.go, gexec.go): the des
+// kernel, the netsim fluid network, the p2pdc scatter/compute/gather
+// protocol and the p2psap channel model re-expressed as plain state
+// machines driven by one (time, seq)-ordered event loop. Every
+// scheduling call, float operation and tie-break mirrors the DES stack
+// operation for operation, so the evaluation is bit-identical to
+// replay.RunSource with FastForward=FFOn — the differential tests here
+// and in dperf assert exactly that.
+//
+// The engine is generic over its number type and has two
+// instantiations. At float64 (f64.go) it serves Evaluate and Certify;
+// a cached Certificate then answers repeated predictions in
+// nanoseconds. At the tape recorder's symbolic values (tape.go) the
+// same evaluation records a guarded straight-line tape that replays a
+// whole region of platform parameters.
 //
 // Why bit identity is attainable at all: the des event queue is a
 // strict total order ((time, seq) with unique sequence numbers), so
-// pop order is independent of heap shape; process interleaving is
+// pop order is independent of queue shape; process interleaving is
 // fully determined by the scheduling calls each primitive makes; and
 // the replayed applications never exchange data values, only timing —
 // mailbox payloads can be dropped and every queue becomes a counter.
@@ -29,8 +36,6 @@ package analytic
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/p2psap"
 	"repro/internal/platform"
@@ -150,101 +155,70 @@ func Certify(spec Spec) (*Certificate, error) {
 	return m.Certify(spec)
 }
 
-// Model is the reusable, platform-bound half of the evaluator: link
-// records and a route cache whose latencies are summed edge by edge in
-// path order, exactly as the realized network's RouteProvider does.
-// A Model is safe for concurrent use; sweeps share one per platform
-// across workers.
+// Model is the reusable, platform-bound half of the evaluator: the
+// engine's network model at float64 — link records and a route cache
+// whose latencies are summed edge by edge in path order, exactly as
+// the realized network's RouteProvider does. A Model is safe for
+// concurrent use; sweeps and dperfd share one per platform across
+// goroutines.
 type Model struct {
-	plat  *platform.Platform
-	edges []platform.Edge
-	links map[string]*alink
-	nlink int
-
-	mu     sync.Mutex
-	routes map[[2]string]*aroute
-}
-
-// alink mirrors netsim.Link: capacity plus a stable index into the
-// per-evaluation rate-assignment scratch.
-type alink struct {
-	name      string
-	bandwidth float64
-	idx       int
-}
-
-// aroute mirrors netsim.Route: the link sequence and the path latency
-// accumulated in path order (float64 addition order matters for bit
-// identity with boundPlatform.Route).
-type aroute struct {
-	links   []*alink
-	latency float64
+	gm *gmodel[float64]
 }
 
 // NewModel builds the analytic network model for a platform.
 func NewModel(plat *platform.Platform) (*Model, error) {
-	if plat == nil {
-		return nil, fmt.Errorf("analytic: nil platform")
-	}
-	m := &Model{
-		plat:   plat,
-		edges:  plat.Edges(),
-		links:  make(map[string]*alink),
-		routes: make(map[[2]string]*aroute),
-	}
-	for _, e := range m.edges {
-		if _, ok := m.links[e.LinkName]; ok {
-			return nil, fmt.Errorf("analytic: duplicate link %q", e.LinkName)
-		}
-		m.links[e.LinkName] = &alink{name: e.LinkName, bandwidth: e.Bandwidth, idx: m.nlink}
-		m.nlink++
-	}
-	return m, nil
-}
-
-// Platform returns the platform the model is bound to.
-func (m *Model) Platform() *platform.Platform { return m.plat }
-
-// route resolves and caches the directed route between two hosts.
-func (m *Model) route(src, dst string) (*aroute, error) {
-	key := [2]string{src, dst}
-	m.mu.Lock()
-	r, ok := m.routes[key]
-	m.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	path, err := m.plat.Path(src, dst)
-	if err != nil {
-		return nil, fmt.Errorf("analytic: no route %s -> %s: %w", src, dst, err)
-	}
-	r = &aroute{}
-	for _, ei := range path {
-		e := &m.edges[ei]
-		l := m.links[e.LinkName]
-		if l == nil {
-			return nil, fmt.Errorf("analytic: link %q not in model", e.LinkName)
-		}
-		r.links = append(r.links, l)
-		r.latency += e.Latency
-	}
-	m.mu.Lock()
-	if prev, ok := m.routes[key]; ok {
-		r = prev // first writer wins; contents are deterministic anyway
-	} else {
-		m.routes[key] = r
-	}
-	m.mu.Unlock()
-	return r, nil
-}
-
-// Evaluate runs one analytic evaluation against the model's platform.
-func (m *Model) Evaluate(spec Spec) (*Result, error) {
-	ev, err := newEvaluator(m, &spec)
+	gm, err := newGModel[float64](f64{}, plat, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return ev.run()
+	return &Model{gm: gm}, nil
+}
+
+// Platform returns the platform the model is bound to.
+func (m *Model) Platform() *platform.Platform { return m.gm.plat }
+
+// Evaluate runs one analytic evaluation against the model's platform:
+// the engine instantiated at float64. The engine itself checks the
+// hosts, the submitter and the deployment bytes.
+func (m *Model) Evaluate(spec Spec) (*Result, error) {
+	if spec.Platform != nil && spec.Platform != m.gm.plat {
+		return nil, fmt.Errorf("analytic: spec platform %q is not the model's platform %q", spec.Platform.Name, m.gm.plat.Name)
+	}
+	if spec.Source == nil || spec.Source.Ranks() == 0 {
+		return nil, fmt.Errorf("analytic: no traces")
+	}
+	src, ok := spec.Source.(trace.OpsSource)
+	if !ok {
+		return nil, fmt.Errorf("analytic: source is not op-structured (does not implement trace.OpsSource)")
+	}
+	if err := trace.ValidateSource(spec.Source); err != nil {
+		return nil, err
+	}
+	var ar f64
+	ranks := make([][]gop[float64], spec.Source.Ranks())
+	for r := range ranks {
+		ranks[r] = convOps[float64](ar, src.RankOps(r))
+	}
+	res, err := runGeneric[float64, f64](ar, m.gm, &gspec[float64]{
+		hosts:        spec.Hosts,
+		submitter:    spec.Submitter,
+		scheme:       spec.Scheme,
+		scatterBytes: spec.ScatterBytes,
+		gatherBytes:  spec.GatherBytes,
+		ranks:        ranks,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		PredictedSeconds:    res.predicted,
+		ScatterSeconds:      res.scatter,
+		ComputeSeconds:      res.compute,
+		GatherSeconds:       res.gather,
+		RoundsSimulated:     res.roundsSimulated,
+		RoundsFastForwarded: res.roundsFastForwarded,
+		Jumps:               res.jumps,
+	}, nil
 }
 
 // Certify evaluates and packages the outcome for cached serving.
@@ -254,42 +228,4 @@ func (m *Model) Certify(spec Spec) (*Certificate, error) {
 		return nil, err
 	}
 	return &Certificate{Res: *res, SteadyState: res.Jumps > 0}, nil
-}
-
-// validateSpec checks the spec against the model and returns the
-// resolved op source.
-func (m *Model) validateSpec(spec *Spec) (trace.OpsSource, error) {
-	if spec.Platform != nil && spec.Platform != m.plat {
-		return nil, fmt.Errorf("analytic: spec platform %q is not the model's platform %q", spec.Platform.Name, m.plat.Name)
-	}
-	if spec.Source == nil || spec.Source.Ranks() == 0 {
-		return nil, fmt.Errorf("analytic: no traces")
-	}
-	src, ok := spec.Source.(trace.OpsSource)
-	if !ok {
-		return nil, fmt.Errorf("analytic: source is not op-structured (does not implement trace.OpsSource)")
-	}
-	if len(spec.Hosts) != spec.Source.Ranks() {
-		return nil, fmt.Errorf("analytic: %d hosts for %d traces", len(spec.Hosts), spec.Source.Ranks())
-	}
-	if err := trace.ValidateSource(spec.Source); err != nil {
-		return nil, err
-	}
-	if n := m.plat.Node(spec.Submitter); n == nil || n.Router {
-		return nil, fmt.Errorf("analytic: unknown submitter host %q", spec.Submitter)
-	}
-	seen := make(map[string]bool, len(spec.Hosts))
-	for _, h := range spec.Hosts {
-		if n := m.plat.Node(h); n == nil || n.Router {
-			return nil, fmt.Errorf("analytic: unknown host %q", h)
-		}
-		if seen[h] {
-			return nil, fmt.Errorf("analytic: host %q used by two ranks; the analytic tier needs pairwise-distinct hosts", h)
-		}
-		seen[h] = true
-	}
-	if spec.ScatterBytes < 0 || math.IsNaN(spec.ScatterBytes) || spec.GatherBytes < 0 || math.IsNaN(spec.GatherBytes) {
-		return nil, fmt.Errorf("analytic: invalid deployment bytes scatter=%v gather=%v", spec.ScatterBytes, spec.GatherBytes)
-	}
-	return src, nil
 }

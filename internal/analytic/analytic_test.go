@@ -1,6 +1,8 @@
 package analytic
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/p2psap"
@@ -167,16 +169,19 @@ func TestAnalyticBitIdenticalPerturbed(t *testing.T) {
 
 // TestAnalyticNoDeployment: zero scatter/gather bytes skip both
 // phases (the submitter signals at t=0, before the watchdog's first
-// activation — the pending-signal path).
+// activation — the pending-signal path), on a platform that fits the
+// ranks exactly and on one with idle hosts.
 func TestAnalyticNoDeployment(t *testing.T) {
-	plat, err := platform.Cluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := specFor(t, plat, 2, p2psap.Synchronous, 0, 0, steadySrc(2, 12))
-	res := runBoth(t, spec)
-	if res.ScatterSeconds != 0 || res.GatherSeconds != 0 {
-		t.Fatalf("deployment-free run has nonzero phase times: %+v", res)
+	for _, hosts := range []int{2, 4} {
+		plat, err := platform.Cluster(hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := specFor(t, plat, 2, p2psap.Synchronous, 0, 0, steadySrc(2, 12))
+		res := runBoth(t, spec)
+		if res.ScatterSeconds != 0 || res.GatherSeconds != 0 {
+			t.Fatalf("Cluster(%d): deployment-free run has nonzero phase times: %+v", hosts, res)
+		}
 	}
 }
 
@@ -283,6 +288,12 @@ func TestSpecValidation(t *testing.T) {
 		t.Fatal("unknown submitter accepted")
 	}
 
+	neg := base
+	neg.ScatterBytes = -1
+	if _, err := Evaluate(neg); err == nil {
+		t.Fatal("negative scatter bytes accepted")
+	}
+
 	flat := base
 	flat.Source = trace.SliceSource([]*trace.Trace{
 		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e6}}},
@@ -305,18 +316,94 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluate: cold per-point cost of the analytic tier (model
-// reuse, no certificate cache) at paper scale — 8 ranks, 40 rounds.
-func BenchmarkEvaluate(b *testing.B) {
+// TestDeploymentBytesRejectedByEveryTier: a negative, NaN or +Inf
+// scatter or gather size fails every tier up front with an error that
+// names the field — the DES tier no longer predicts an empty phase for
+// -1 or NaN, or deadlocks on +Inf, and the analytic tier no longer
+// stalls on +Inf.
+func TestDeploymentBytesRejectedByEveryTier(t *testing.T) {
+	plat, err := platform.Cluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := replay.NewParallelEngine(plat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"ScatterBytes", "GatherBytes"} {
+		for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+			spec := specFor(t, plat, 4, p2psap.Synchronous, 2048, 2048, steadySrc(4, 12))
+			if field == "ScatterBytes" {
+				spec.ScatterBytes = bad
+			} else {
+				spec.GatherBytes = bad
+			}
+			rspec := replay.Spec{
+				Platform:     spec.Platform,
+				Hosts:        spec.Hosts,
+				Submitter:    spec.Submitter,
+				Scheme:       spec.Scheme,
+				ScatterBytes: spec.ScatterBytes,
+				GatherBytes:  spec.GatherBytes,
+			}
+			// FF off: the parallel engine partitions only replays that
+			// fast-forward would not serve serially.
+			_, serialErr := replay.RunSource(rspec, spec.Source)
+			_, parErr := par.RunSource(rspec, spec.Source)
+			_, anaErr := Evaluate(spec)
+			for i, err := range []error{serialErr, parErr, anaErr} {
+				want := "invalid " + field + " "
+				if err == nil || !strings.Contains(err.Error(), want) {
+					tier := [...]string{"replay", "parallel replay", "analytic"}[i]
+					t.Errorf("%s=%v: %s tier returned %v, want an error containing %q", field, bad, tier, err, want)
+				}
+			}
+		}
+	}
+}
+
+// newBenchModel is BenchmarkEvaluate's fixture: paper scale, 8 ranks
+// by 40 rounds on a 16-host cluster.
+func newBenchModel(t testing.TB) (*Model, Spec) {
+	t.Helper()
 	plat, err := platform.Cluster(16)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	m, err := NewModel(plat)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	spec := specFor(b, plat, 8, p2psap.Synchronous, 1e6, 1e6, steadySrc(8, 40))
+	return m, specFor(t, plat, 8, p2psap.Synchronous, 1e6, 1e6, steadySrc(8, 40))
+}
+
+// evaluateAllocs is the allocation count of one Model.Evaluate on
+// BenchmarkEvaluate's fixture. It is deterministic, so it gates the
+// evaluator's allocation behaviour exactly: recycling flows through
+// the engine's free-list is what keeps it this low.
+const evaluateAllocs = 214
+
+// TestEvaluateAllocs: a warm Model.Evaluate allocates no more than
+// evaluateAllocs times.
+func TestEvaluateAllocs(t *testing.T) {
+	m, spec := newBenchModel(t)
+	if _, err := m.Evaluate(spec); err != nil { // warm the route cache
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := m.Evaluate(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > evaluateAllocs {
+		t.Fatalf("Model.Evaluate allocates %v times per run, want <= %d", got, evaluateAllocs)
+	}
+}
+
+// BenchmarkEvaluate: cold per-point cost of the analytic tier (model
+// reuse, no certificate cache) at paper scale — 8 ranks, 40 rounds.
+func BenchmarkEvaluate(b *testing.B) {
+	m, spec := newBenchModel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,29 +1,31 @@
-// The generic evaluation engine: the analytic evaluator re-expressed
-// over an abstract float type. Instantiated at float64 it performs
-// exactly the arithmetic of the concrete evaluator (exec.go/fluid.go/
-// kernel.go) — the same operations on the same operands in the same
-// order, asserted by a differential test — and instantiated at the
-// tape recorder's symbolic values it becomes a *recording* evaluation:
-// every float operation lands on a flat SSA tape over the free
-// platform parameters and every parameter-dependent comparison is
+// The evaluation engine: the des kernel (des.Simulation) and the
+// netsim fluid network (netsim.Network) re-expressed as one event loop
+// over an abstract float type. Instantiated at float64 (f64.go) it is
+// Model.Evaluate, bit-identical to fast-forward replay; instantiated
+// at the tape recorder's symbolic values it becomes a *recording*
+// evaluation: every float operation lands on a flat SSA tape over the
+// free platform parameters and every parameter-dependent comparison is
 // captured as a guard (tape.go).
 //
-// The one deliberate divergence from the concrete kernel is the event
-// queue. Events are ordered by (time, seq), a strict total order with
-// unique sequence numbers, so *any* correct priority queue yields the
+// The event queue is the one structure that differs from des. Events
+// are ordered by (time, seq), a strict total order with unique
+// sequence numbers, so *any* correct priority queue yields the
 // identical pop sequence; the queue's internal comparisons never feed
-// arithmetic. The concrete kernel uses a 4-ary heap (fastest for plain
-// evaluation); this engine keeps a sorted array with binary-search
-// insertion, which performs far fewer comparisons per event — and
-// under recording every comparison is a guard on the tape, so fewer
-// comparisons mean shorter tapes and wider guard regions.
+// arithmetic. des uses a heap; this engine keeps a sorted array with
+// binary-search insertion, which performs far fewer comparisons per
+// event — and under recording every comparison is a guard on the
+// tape, so fewer comparisons mean shorter tapes and wider guard
+// regions.
 package analytic
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
+	"repro/internal/netsim"
+	"repro/internal/p2pdc"
 	"repro/internal/p2psap"
 	"repro/internal/platform"
 	"repro/internal/replay"
@@ -134,32 +136,39 @@ func gHasCollective[V comparable](ops []gop[V]) bool {
 	return false
 }
 
-// galink / garoute mirror alink / aroute with abstract bandwidth and
-// latency.
+// galink mirrors netsim.Link: capacity plus a stable index into the
+// per-evaluation rate-assignment scratch.
 type galink[V comparable] struct {
 	name      string
 	bandwidth V
 	idx       int
 }
 
+// garoute mirrors netsim.Route: the link sequence and the path latency
+// accumulated in path order (float addition order matters for bit
+// identity).
 type garoute[V comparable] struct {
 	links   []*galink[V]
 	latency V
 }
 
-// gmodel is the platform-bound half of the generic evaluator: link
-// records and a route cache whose latencies are summed edge by edge in
-// path order, exactly as Model.route does. Routing itself (the edge
-// sequence) comes from platform.Path, which orders by hop count with
-// latency only as a tie-break; families scanned symbolically must have
-// value-independent routes (unique shortest-hop paths, as in the star
-// and cluster topologies), which keeps the edge sequence a constant of
-// the region.
+// gmodel is the platform-bound half of the engine: link records and a
+// route cache whose latencies are summed edge by edge in path order,
+// exactly as the realized network's RouteProvider does. Routing itself
+// (the edge sequence) comes from platform.Path, which orders by hop
+// count with latency only as a tie-break; families scanned
+// symbolically must have value-independent routes (unique
+// shortest-hop paths, as in the star and cluster topologies), which
+// keeps the edge sequence a constant of the region.
 type gmodel[V comparable] struct {
-	plat   *platform.Platform
-	edges  []platform.Edge
-	links  map[string]*galink[V]
-	nlink  int
+	plat  *platform.Platform
+	edges []platform.Edge
+	links map[string]*galink[V]
+	nlink int
+
+	// mu guards routes: a Model's gmodel serves concurrent evaluations
+	// (sweep workers, dperfd requests).
+	mu     sync.Mutex
 	routes map[[2]string]*garoute[V]
 
 	// latOver carries per-link latency overrides (symbolic scans bind
@@ -219,6 +228,8 @@ type constAdder[V any] interface {
 // accumulating the path latency in path order.
 func (m *gmodel[V]) route(ar constAdder[V], src, dst string) (*garoute[V], error) {
 	key := [2]string{src, dst}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if r, ok := m.routes[key]; ok {
 		return r, nil
 	}
@@ -254,7 +265,7 @@ type gspec[V comparable] struct {
 	ranks        [][]gop[V]
 }
 
-// gresult mirrors Result with abstract values.
+// gresult is Result with abstract values.
 type gresult[V comparable] struct {
 	predicted V
 	scatter   V
@@ -275,7 +286,10 @@ type gprof[V comparable] struct {
 	recv  V
 }
 
-// Event kinds, as in kernel.go.
+// Event kinds. gevResume replaces des process activation (an actor id
+// instead of a process handle); gevActivate/gevLoopback are the two
+// flow events netsim schedules with plain callbacks; gevAux is the
+// epoch-guarded flow-completion estimate.
 const (
 	gevResume uint8 = iota
 	gevActivate
@@ -292,6 +306,10 @@ type gaev[V comparable] struct {
 	epoch uint64
 }
 
+// gaflow mirrors netsim.Flow, with the delivery callback replaced by
+// the (box, gatherRank) pair every replay delivery reduces to: a
+// mailbox put, optionally followed by a blocking-send completion
+// signal to a worker (the gather path).
 type gaflow[V comparable] struct {
 	remaining  V
 	rate       V
@@ -299,9 +317,11 @@ type gaflow[V comparable] struct {
 	done       bool
 	assigned   bool
 	box        *gbox
-	gatherRank int32
+	gatherRank int32 // worker whose blocking gather send this completes; -1 none
 }
 
+// glinkState is the per-link scratch of one progressive-filling epoch,
+// indexed by galink.idx.
 type glinkState[V comparable] struct {
 	link     *galink[V]
 	residual V
@@ -309,14 +329,16 @@ type glinkState[V comparable] struct {
 	mark     uint64
 }
 
-// gbox mirrors abox: counter mailboxes with readers woken in arrival
-// order.
+// gbox mirrors a des.Queue used as a mailbox: payloads never influence
+// timing, so items collapse to a count and readers to actor ids served
+// in arrival order.
 type gbox struct {
 	items   int
 	readers []int32
 }
 
-// gev is the complete state of one generic evaluation.
+// gev is the complete state of one evaluation. It is single-use; the
+// reusable, shareable part lives in gmodel.
 type gev[V comparable, A arith[V]] struct {
 	ar A
 	m  *gmodel[V]
@@ -339,8 +361,8 @@ type gev[V comparable, A arith[V]] struct {
 	cConv     V // convergence control payload bytes
 
 	// Event queue: sorted descending by (time, seq) pop order, so the
-	// next event sits at the back. See the package comment for why a
-	// sorted array replaces the concrete kernel's 4-ary heap.
+	// next event sits at the back. See the file comment for why a
+	// sorted array replaces des's heap.
 	q    []gaev[V]
 	seq  uint64
 	now  V
@@ -349,13 +371,14 @@ type gev[V comparable, A arith[V]] struct {
 	live int
 
 	// Fluid network.
-	flows       int
+	flows       int // mirrors len(netsim.Network.flows)
 	flowOrder   []*gaflow[V]
 	lastUpdate  V
 	epoch       uint64
 	linkStates  []glinkState[V]
 	activeLinks []*glinkState[V]
 	finished    []*gaflow[V]
+	flowPool    []*gaflow[V]
 	rateMark    uint64
 
 	// Mailboxes.
@@ -366,26 +389,27 @@ type gev[V comparable, A arith[V]] struct {
 	ctlBox      []*gbox
 	pairProf    []*gprof[V]
 
-	// p2pdc bookkeeping.
+	// p2pdc run bookkeeping (mirrors p2pdc.Environment.Run locals).
 	scatterEnd  V
 	computeEnd  V
 	computeDone int
 	workerTimes []V
 	errs        []error
 
+	// Actors. Ids: 0..n-1 workers, n submitter, n+1 watchdog.
 	workers   []gworker[V, A]
 	subPhase  int
 	subGot    int
-	wdPhase   int
+	wdPhase   int // 0 not activated, 1 parked on cond, 2 signaled, 3 done
 	wdPending bool
 
 	ctl gctl[V, A]
 }
 
-// newGev validates the generic spec against the model and builds the
-// evaluator. The structural checks mirror Model.validateSpec; the
-// float checks on deployment bytes run through the arith so the
-// recording instantiation guards them.
+// newGev validates the spec against the model and builds the
+// evaluator. The deployment bytes are held to trace.ValidQuantity, the
+// rule the DES tier applies, through the arith so the recording
+// instantiation guards them (constant bytes fold away).
 func newGev[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gev[V, A], error) {
 	n := len(sp.ranks)
 	if n == 0 {
@@ -408,8 +432,13 @@ func newGev[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gev[V,
 		seen[h] = true
 	}
 	zero := ar.Const(0)
-	if ar.Less(sp.scatterBytes, zero) || ar.IsNaN(sp.scatterBytes) || ar.Less(sp.gatherBytes, zero) || ar.IsNaN(sp.gatherBytes) {
-		return nil, fmt.Errorf("analytic: invalid deployment bytes scatter=%v gather=%v", ar.Float(sp.scatterBytes), ar.Float(sp.gatherBytes))
+	for _, b := range [2]struct {
+		field string
+		v     V
+	}{{"ScatterBytes", sp.scatterBytes}, {"GatherBytes", sp.gatherBytes}} {
+		if ar.Less(b.v, zero) || ar.IsNaN(b.v) || ar.IsInfPos(b.v) {
+			return nil, fmt.Errorf("analytic: invalid %s %v (want finite and non-negative)", b.field, ar.Float(b.v))
+		}
 	}
 	ev := &gev[V, A]{
 		ar:           ar,
@@ -422,11 +451,11 @@ func newGev[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gev[V,
 		gatherBytes:  sp.gatherBytes,
 		zero:         zero,
 		cNS:          ar.Const(1e9),
-		cLoopback:    ar.Const(loopbackLatency),
-		cQuantum:     ar.Const(timeQuantum),
-		cRemEps:      ar.Const(1e-9),
+		cLoopback:    ar.Const(netsim.LoopbackLatency),
+		cQuantum:     ar.Const(netsim.TimeQuantum),
+		cRemEps:      ar.Const(netsim.RemainingEpsilon),
 		cInf:         ar.Const(math.Inf(1)),
-		cConv:        ar.Const(convBytes),
+		cConv:        ar.Const(p2pdc.ConvergeBytes),
 		now:          zero,
 		base:         zero,
 		lastUpdate:   zero,
@@ -455,8 +484,10 @@ func newGev[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gev[V,
 	return ev, nil
 }
 
-// run mirrors evaluator.run: seed submitter, workers in rank order,
-// watchdog, all at t=0, and drive to completion.
+// run seeds the three actor groups in p2pdc.Environment.Run's spawn
+// order — submitter, then the workers in rank order, then the
+// watchdog, all activating at t=0 — and drives the event loop to
+// completion.
 func (ev *gev[V, A]) run() (*gresult[V], error) {
 	ev.live = ev.n + 2
 	ev.scheduleResume(ev.zero, ev.n)
@@ -517,8 +548,8 @@ func (ev *gev[V, A]) popsBefore(x, y *gaev[V]) bool {
 
 // push schedules an event. The sequence counter advances exactly once
 // per call, mirroring des.Simulation scheduling, which keeps event
-// identity — and therefore every tie-break — in lockstep with the
-// concrete kernel.
+// identity — and therefore every tie-break — in lockstep with the des
+// kernel.
 func (ev *gev[V, A]) push(e gaev[V]) {
 	ev.seq++
 	e.seq = ev.seq
@@ -543,7 +574,7 @@ func (ev *gev[V, A]) pop() gaev[V] {
 
 // resortQueue re-establishes the descending order after a uniform time
 // shift — float subtraction can collapse nearby times and flip a seq
-// tie-break, exactly as the concrete kernel's post-shift reheap can.
+// tie-break, exactly as des.Simulation.Rebase's post-shift reheap can.
 // Insertion sort: adaptive (the array stays nearly sorted), stable in
 // the comparisons it performs, and cheap in guards.
 func (ev *gev[V, A]) resortQueue() {
@@ -572,10 +603,12 @@ func (ev *gev[V, A]) scheduleAux(delay V, epoch uint64) {
 	ev.aux++
 }
 
+// pendingReal mirrors des.Simulation.PendingReal.
 func (ev *gev[V, A]) pendingReal() int { return len(ev.q) - ev.aux }
 
-// discardAux drops every pending auxiliary event in place. The filter
-// preserves the sorted order, so no re-sort (and no guards) needed.
+// discardAux mirrors des.Simulation.DiscardAux: drop every pending
+// auxiliary event in place. The filter preserves the sorted order, so
+// no re-sort (and no guards) needed.
 func (ev *gev[V, A]) discardAux() {
 	if ev.aux == 0 {
 		return
@@ -597,7 +630,8 @@ func (ev *gev[V, A]) discardAux() {
 
 func (ev *gev[V, A]) absNow() V { return ev.ar.Add(ev.base, ev.now) }
 
-// rebase mirrors des.Simulation.Rebase plus the netsim rebase hook.
+// rebase mirrors des.Simulation.Rebase plus the netsim rebase hook
+// (the only hook the DES stack registers).
 func (ev *gev[V, A]) rebase() V {
 	ar := ev.ar
 	shift := ev.now
@@ -628,7 +662,9 @@ func (ev *gev[V, A]) advanceBase(delta V, rounds int) {
 	}
 }
 
-// drive pops events to completion.
+// drive pops events to completion, mirroring des.Simulation.Run. A
+// drained queue with live actors is the stall the des kernel reports
+// as a deadlock panic; here it surfaces as an error.
 func (ev *gev[V, A]) drive() error {
 	for len(ev.q) > 0 {
 		e := ev.pop()
@@ -645,8 +681,8 @@ func (ev *gev[V, A]) drive() error {
 		case gevActivate:
 			ev.activateFlow(e.flow)
 		case gevLoopback:
-			f := e.flow
-			ev.deliver(f)
+			ev.deliver(e.flow)
+			ev.releaseFlow(e.flow)
 		case gevAux:
 			if e.epoch == ev.epoch {
 				ev.advanceFlows()
@@ -663,6 +699,9 @@ func (ev *gev[V, A]) drive() error {
 // ---------------------------------------------------------------------------
 // Counter mailboxes
 
+// tryGet mirrors des.Queue.Get: take the head item when present,
+// otherwise register as a reader and report blocked. Like Get's
+// re-check loop, a woken caller must call tryGet again.
 func (ev *gev[V, A]) tryGet(b *gbox, id int) bool {
 	if b.items == 0 {
 		b.readers = append(b.readers, int32(id))
@@ -673,6 +712,8 @@ func (ev *gev[V, A]) tryGet(b *gbox, id int) bool {
 	return true
 }
 
+// put mirrors des.Queue.Put: append and wake the oldest reader via a
+// zero-delay resume event. pendingMsgs mirrors Post.PendingMessages.
 func (ev *gev[V, A]) put(b *gbox) {
 	b.items++
 	ev.pendingMsgs++
@@ -683,6 +724,10 @@ func (ev *gev[V, A]) put(b *gbox) {
 	}
 }
 
+// boxAt returns the lazily created peer mailbox of the given traffic
+// class for messages arriving at rank `at` from rank `from`. The
+// (at, from) pair mirrors the DES per-(host, tag) mailboxes exactly
+// when hosts are pairwise distinct — validated in newGev.
 func (ev *gev[V, A]) boxAt(ctl bool, at, from int) *gbox {
 	arr := ev.dataBox
 	if ctl {
@@ -703,9 +748,9 @@ func (ev *gev[V, A]) adaptProfile(lat V) gprof[V] {
 	ar := ev.ar
 	var p p2psap.Profile
 	switch {
-	case ar.Less(lat, ar.Const(0.5e-3)):
+	case ar.Less(lat, ar.Const(p2psap.ClusterMaxLatency)):
 		p = p2psap.ClusterProfile
-	case ar.Less(lat, ar.Const(5e-3)):
+	case ar.Less(lat, ar.Const(p2psap.LANMaxLatency)):
 		p = p2psap.LANProfile
 	default:
 		p = p2psap.WANProfile
@@ -713,8 +758,9 @@ func (ev *gev[V, A]) adaptProfile(lat V) gprof[V] {
 	return gprof[V]{frame: ar.Const(p.FrameBytes), send: ar.Const(p.SendOverhead), recv: ar.Const(p.RecvOverhead)}
 }
 
-// profileFor mirrors evaluator.profileFor: probe the zero-byte
-// transfer time (path latency) and adapt.
+// profileFor returns the adapted P2PSAP profile of a rank pair,
+// probing the zero-byte transfer time exactly as p2psap's
+// Protocol.Channel does (path latency + 0/bottleneck = path latency).
 func (ev *gev[V, A]) profileFor(a, b int) (*gprof[V], error) {
 	lo, hi := a, b
 	if lo > hi {
@@ -739,6 +785,7 @@ func (ev *gev[V, A]) profileFor(a, b int) (*gprof[V], error) {
 	return &p, nil
 }
 
+// checkPeer mirrors p2pdc.Worker.channel's range check.
 func (ev *gev[V, A]) checkPeer(peer int) error {
 	if peer < 0 || peer >= ev.n {
 		return fmt.Errorf("analytic: rank %d out of range [0,%d)", peer, ev.n)
@@ -747,8 +794,30 @@ func (ev *gev[V, A]) checkPeer(peer int) error {
 }
 
 // ---------------------------------------------------------------------------
-// Fluid network (port of fluid.go into the value domain)
+// Fluid network: netsim.Network's flow model. Flow order,
+// progressive-filling order, the link-name tie-break sort, the
+// completion quantum and the loopback cost are carried over verbatim.
 
+// newFlow and releaseFlow keep a free-list of flows, as
+// netsim.Network does: a flow is recycled once delivered.
+func (ev *gev[V, A]) newFlow() *gaflow[V] {
+	if k := len(ev.flowPool); k > 0 {
+		f := ev.flowPool[k-1]
+		ev.flowPool = ev.flowPool[:k-1]
+		return f
+	}
+	return &gaflow[V]{}
+}
+
+func (ev *gev[V, A]) releaseFlow(f *gaflow[V]) {
+	*f = gaflow[V]{}
+	ev.flowPool = append(ev.flowPool, f)
+}
+
+// deliver mirrors the replay delivery callbacks: mailbox put first,
+// then the blocking-send condition signal — the order the DES gather
+// path schedules its wakeups in (Post.Send's onDone puts, then
+// signals).
 func (ev *gev[V, A]) deliver(f *gaflow[V]) {
 	if f.box != nil {
 		ev.put(f.box)
@@ -764,14 +833,16 @@ func (ev *gev[V, A]) deliver(f *gaflow[V]) {
 	}
 }
 
+// startFlow mirrors netsim.Network.startFlow (the transient path the
+// message layer always uses).
 func (ev *gev[V, A]) startFlow(src, dst string, bytes V, box *gbox, gatherRank int) error {
 	ar := ev.ar
 	if ar.Less(bytes, ev.zero) || ar.IsNaN(bytes) {
 		return fmt.Errorf("analytic: invalid flow size %v", ar.Float(bytes))
 	}
-	f := &gaflow[V]{remaining: bytes, rate: ev.zero, box: box, gatherRank: int32(gatherRank)}
 	if src == dst {
-		f.done = true
+		f := ev.newFlow()
+		*f = gaflow[V]{remaining: bytes, rate: ev.zero, done: true, box: box, gatherRank: int32(gatherRank)}
 		ev.push(gaev[V]{time: ar.Add(ev.now, ev.cLoopback), kind: gevLoopback, flow: f})
 		return nil
 	}
@@ -779,16 +850,19 @@ func (ev *gev[V, A]) startFlow(src, dst string, bytes V, box *gbox, gatherRank i
 	if err != nil {
 		return err
 	}
-	f.route = rt
+	f := ev.newFlow()
+	*f = gaflow[V]{remaining: bytes, rate: ev.zero, route: rt, box: box, gatherRank: int32(gatherRank)}
 	ev.push(gaev[V]{time: ar.Add(ev.now, rt.latency), kind: gevActivate, flow: f})
 	return nil
 }
 
+// activateFlow mirrors netsim.Network.activateFlow.
 func (ev *gev[V, A]) activateFlow(f *gaflow[V]) {
 	ev.advanceFlows()
 	if ev.ar.LessEq(f.remaining, ev.zero) {
 		f.done = true
 		ev.deliver(f)
+		ev.releaseFlow(f)
 		return
 	}
 	ev.flows++
@@ -796,6 +870,7 @@ func (ev *gev[V, A]) activateFlow(f *gaflow[V]) {
 	ev.recompute()
 }
 
+// advanceFlows mirrors netsim.Network.advance.
 func (ev *gev[V, A]) advanceFlows() {
 	ar := ev.ar
 	dt := ar.Sub(ev.now, ev.lastUpdate)
@@ -812,6 +887,9 @@ func (ev *gev[V, A]) advanceFlows() {
 	ev.lastUpdate = ev.now
 }
 
+// finishCompleted mirrors netsim.Network.finishCompleted: completed
+// flows leave the sharing set first, then their deliveries run in flow
+// order.
 func (ev *gev[V, A]) finishCompleted() {
 	ar := ev.ar
 	finished := ev.finished[:0]
@@ -833,6 +911,7 @@ func (ev *gev[V, A]) finishCompleted() {
 	}
 	for _, f := range finished {
 		ev.deliver(f)
+		ev.releaseFlow(f)
 	}
 	for i := range finished {
 		finished[i] = nil
@@ -840,6 +919,7 @@ func (ev *gev[V, A]) finishCompleted() {
 	ev.finished = finished[:0]
 }
 
+// recompute mirrors netsim.Network.recompute.
 func (ev *gev[V, A]) recompute() {
 	ar := ev.ar
 	for {
@@ -875,8 +955,9 @@ func (ev *gev[V, A]) recompute() {
 	}
 }
 
-// assignRates mirrors fluid.go's progressive filling: flow order for
-// assignment, link states sorted by name for bottleneck selection.
+// assignRates mirrors netsim.Network.assignRates' progressive filling:
+// flow order for assignment, link states sorted by name for
+// bottleneck selection.
 func (ev *gev[V, A]) assignRates() {
 	ar := ev.ar
 	ev.rateMark++
@@ -903,8 +984,8 @@ func (ev *gev[V, A]) assignRates() {
 		}
 	}
 	// Sort by link name. Link names are unique, so this insertion sort
-	// realizes the same strict total order as fluid.go's
-	// slices.SortFunc — and performs no float comparisons.
+	// realizes the same strict total order as netsim's slices.SortFunc
+	// — and performs no float comparisons.
 	for i := 1; i < len(active); i++ {
 		e := active[i]
 		j := i - 1

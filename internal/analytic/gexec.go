@@ -1,11 +1,11 @@
-// The generic actor layer: the port of exec.go (submitter/worker/
-// watchdog state machines plus the fast-forward boundary protocol)
-// into the abstract value domain of gengine.go. Every scheduling call
-// happens in the same order with the same operands as the concrete
-// evaluator — which itself mirrors the DES stack — so the float64
-// instantiation reproduces the concrete evaluator operation for
-// operation, and the recording instantiation captures that exact
-// operation sequence on a tape.
+// The actor layer: the p2pdc submitter/worker/watchdog processes of
+// p2pdc.Environment.Run and the p2psap channel protocol re-expressed
+// as resumable state machines over gengine.go's event loop, plus
+// replay's fast-forward boundary protocol (ffController). Each DES
+// process becomes an actor id; each park point becomes a state-machine
+// phase; every scheduling call happens in the same order with the
+// same operands as the DES original, which keeps event sequence
+// numbers — and therefore tie-breaks and every float — in lockstep.
 package analytic
 
 import (
@@ -13,7 +13,8 @@ import (
 	"repro/internal/trace"
 )
 
-// resumeActor hands the execution token to an actor.
+// resumeActor hands the execution token to an actor, which runs until
+// it parks or finishes — the analogue of des.Simulation.activate.
 func (ev *gev[V, A]) resumeActor(id int) {
 	switch {
 	case id < ev.n:
@@ -28,6 +29,9 @@ func (ev *gev[V, A]) resumeActor(id int) {
 // ---------------------------------------------------------------------------
 // Submitter and watchdog
 
+// runSubmitter mirrors the p2pdc submitter process: scatter the inputs
+// with raw async sends, then block on the shared gather mailbox until
+// every result arrived, then signal the watchdog.
 func (ev *gev[V, A]) runSubmitter() {
 	ar := ev.ar
 	if ev.subPhase == 0 {
@@ -53,6 +57,7 @@ func (ev *gev[V, A]) runSubmitter() {
 	ev.live--
 }
 
+// signalGatherDone mirrors gatherDoneCond.Signal.
 func (ev *gev[V, A]) signalGatherDone() {
 	if ev.wdPhase == 1 {
 		ev.wdPhase = 2
@@ -62,6 +67,7 @@ func (ev *gev[V, A]) signalGatherDone() {
 	ev.wdPending = true
 }
 
+// runWatchdog mirrors the watchdog process: one Cond.Wait.
 func (ev *gev[V, A]) runWatchdog() {
 	if ev.wdPhase == 0 {
 		if ev.wdPending {
@@ -80,7 +86,19 @@ func (ev *gev[V, A]) runWatchdog() {
 // ---------------------------------------------------------------------------
 // Worker
 
-// gwframe mirrors wframe over generic ops.
+// Worker phases.
+const (
+	wkInit = iota
+	wkScatter
+	wkBody
+	wkGatherWait
+	wkDone
+)
+
+// gwframe is one level of the op-tree walk. A frame either iterates an
+// op list (`ops`: the current body, `rem` whole-list iterations left)
+// or, when mrc is set, runs one managed Repeat through the boundary
+// protocol (mop/done/mst).
 type gwframe[V comparable, A arith[V]] struct {
 	ops  []gop[V]
 	idx  int
@@ -88,10 +106,11 @@ type gwframe[V comparable, A arith[V]] struct {
 	mrc  *grepCtl[V, A]
 	mop  gop[V]
 	done int
-	mst  uint8
+	mst  uint8 // 0 at boundary, 1 lead sleeping, 2 body rest running
 }
 
-// gworker mirrors worker.
+// gworker is one rank's actor: the p2pdc worker process plus replay's
+// op-structured executor (opsExec), flattened into resumable state.
 type gworker[V comparable, A arith[V]] struct {
 	ev    *gev[V, A]
 	rank  int
@@ -101,19 +120,22 @@ type gworker[V comparable, A arith[V]] struct {
 
 	frames []gwframe[V, A]
 
+	// Leaf execution state.
 	leafOn bool
 	leaf   gop[V]
-	ci     int
-	lph    int
-	lj     int
+	ci     int // completed leaf iterations
+	lph    int // sub-phase within one iteration
+	lj     int // rank-0 collective peer index
 
-	convs, bars int64
+	convs, bars int64 // collectives completed (managed-loop keys)
 
 	gatherWaiting bool
 	gatherPending bool
 	err           error
 }
 
+// resume runs the worker until it parks or finishes, mirroring the
+// p2pdc worker process body.
 func (w *gworker[V, A]) resume() {
 	ev := w.ev
 	ar := ev.ar
@@ -495,15 +517,25 @@ func (w *gworker[V, A]) leafStep() bool {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-forward controller
+// Fast-forward controller: replay's ffController with jumping always
+// enabled (the analytic tier is the FFOn path by definition), minus
+// the cross-replay period cache — certificates make it moot.
 
-// gSigEntry mirrors aSigEntry with the wake time kept in the value
-// domain; signature equality compares wake bits through arith.BitsEq.
+// arepKey mirrors replay.ffRepKey.
+type arepKey struct {
+	convs, bars int64
+	count       int
+}
+
+// gSigEntry mirrors replay.ffSigEntry with the wake time kept in the
+// value domain; signature equality compares wake bits through
+// arith.BitsEq.
 type gSigEntry[V comparable] struct {
 	rank int
 	wake V
 }
 
+// gRankState mirrors replay.ffRankState.
 type gRankState[V comparable] struct {
 	joined   bool
 	done     int
@@ -513,11 +545,13 @@ type gRankState[V comparable] struct {
 	parkSeq  uint64
 }
 
+// gBoundary mirrors replay.ffBoundary.
 type gBoundary[V comparable] struct {
 	sig   []gSigEntry[V]
 	shift V
 }
 
+// gctl mirrors replay.ffController.
 type gctl[V comparable, A arith[V]] struct {
 	ev                         *gev[V, A]
 	n                          int
@@ -525,6 +559,7 @@ type gctl[V comparable, A arith[V]] struct {
 	roundsSim, roundsFF, jumps int64
 }
 
+// grepCtl mirrors replay.repeatCtl.
 type grepCtl[V comparable, A arith[V]] struct {
 	ctl         *gctl[V, A]
 	key         arepKey
@@ -694,10 +729,10 @@ func (rc *grepCtl[V, A]) period() int {
 	return 0
 }
 
-// gSigsEqual mirrors aSigsEqual: rank identity, then wake-time *bits*
-// (the concrete controller stores math.Float64bits; BitsEq is that
-// comparison lifted into the value domain, and the guard a symbolic
-// scan needs before trusting a recorded steady-state period).
+// gSigsEqual mirrors replay.ffSigsEqual: rank identity, then wake-time
+// *bits* (replay stores math.Float64bits; BitsEq is that comparison
+// lifted into the value domain, and the guard a symbolic scan needs
+// before trusting a recorded steady-state period).
 func (rc *grepCtl[V, A]) gSigsEqual(a, b []gSigEntry[V]) bool {
 	if len(a) != len(b) {
 		return false
@@ -717,7 +752,7 @@ func (rc *grepCtl[V, A]) gSigsEqual(a, b []gSigEntry[V]) bool {
 // ---------------------------------------------------------------------------
 // Entry point
 
-// runGeneric validates and runs one generic evaluation.
+// runGeneric validates and runs one evaluation.
 func runGeneric[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gresult[V], error) {
 	ev, err := newGev[V, A](ar, m, sp)
 	if err != nil {

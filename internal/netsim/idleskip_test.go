@@ -115,7 +115,7 @@ func photoFinish(t testing.TB, skip bool) ([]float64, int64) {
 		t.Fatal(err)
 	}
 	// c activates half a nanosecond before that estimate, when a and b
-	// have ~0.05 bytes left (within rate*timeQuantum = 0.1): the
+	// have ~0.05 bytes left (within rate*TimeQuantum = 0.1): the
 	// recompute zero-outs a, b and the 0.04-byte c together, idling
 	// the network at t < 1e-5 with the t=1e-5 estimate still queued.
 	sim.Schedule(9.9995e-6, func() {

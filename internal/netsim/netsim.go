@@ -243,7 +243,7 @@ func (n *Network) startFlow(src, dst string, bytes float64, onDone func(), poole
 	if src == dst {
 		// Loopback: modelled as instantaneous plus a tiny fixed cost.
 		f.done = true
-		n.sim.Schedule(loopbackLatency, func() {
+		n.sim.Schedule(LoopbackLatency, func() {
 			if f.onDone != nil {
 				f.onDone()
 			}
@@ -303,8 +303,13 @@ func (n *Network) InjectArrival(src, dst string, bytes, startedAt float64, onDon
 	return nil
 }
 
-// loopbackLatency is the fixed cost of a same-host transfer.
-const loopbackLatency = 1e-6
+// LoopbackLatency is the fixed cost of a same-host transfer.
+const LoopbackLatency = 1e-6
+
+// RemainingEpsilon is the byte residue below which an advancing flow
+// counts as fully transferred, so float64 cancellation cannot leave a
+// flow a few ulps short of completion.
+const RemainingEpsilon = 1e-9
 
 func (n *Network) activateFlow(f *Flow) {
 	n.advance()
@@ -333,7 +338,7 @@ func (n *Network) advance() {
 		for _, f := range n.flowOrder {
 			if !f.done {
 				f.remaining -= f.rate * dt
-				if f.remaining < 1e-9 {
+				if f.remaining < RemainingEpsilon {
 					f.remaining = 0
 				}
 			}
@@ -380,10 +385,10 @@ func (n *Network) compactOrder() {
 	n.flowOrder = keep
 }
 
-// timeQuantum is the smallest scheduling step the fluid model resolves;
+// TimeQuantum is the smallest scheduling step the fluid model resolves;
 // flows that would complete within it are completed immediately. This
 // prevents float64 cancellation from stalling virtual time.
-const timeQuantum = 1e-9
+const TimeQuantum = 1e-9
 
 // recompute reassigns max–min fair rates and schedules the next
 // completion event.
@@ -408,10 +413,10 @@ func (n *Network) recompute() {
 			}
 			return
 		}
-		if next <= timeQuantum {
+		if next <= TimeQuantum {
 			// Complete all flows within the quantum right now and loop.
 			for _, f := range n.flowOrder {
-				if f.rate > 0 && f.remaining <= f.rate*timeQuantum {
+				if f.rate > 0 && f.remaining <= f.rate*TimeQuantum {
 					f.remaining = 0
 				}
 			}
@@ -569,7 +574,7 @@ func (n *Network) Reset() error {
 // quick estimates.
 func (n *Network) TransferTime(src, dst string, bytes float64) (float64, error) {
 	if src == dst {
-		return loopbackLatency, nil
+		return LoopbackLatency, nil
 	}
 	hs, hd := n.hosts[src], n.hosts[dst]
 	if hs == nil || hd == nil {

@@ -75,8 +75,8 @@ func TestLoopbackFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run()
-	if done != loopbackLatency {
-		t.Fatalf("loopback completion = %v, want %v", done, loopbackLatency)
+	if done != LoopbackLatency {
+		t.Fatalf("loopback completion = %v, want %v", done, LoopbackLatency)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/p2psap"
 	"repro/internal/platform"
+	"repro/internal/trace"
 )
 
 // Environment binds a platform to an event kernel, network, message
@@ -103,18 +104,36 @@ type RunResult struct {
 	Errors []error
 }
 
-// Run executes the application and returns the measured phase times.
-func (e *Environment) Run(spec RunSpec, app App) (*RunResult, error) {
+// checkSpec validates a run spec against the environment's network
+// before anything is spawned: the hosts and submitter must exist, and
+// each deployment size must be a valid trace quantity (zero skips its
+// phase; a negative, NaN or infinite size would otherwise be skipped
+// silently or never finish transferring).
+func (e *Environment) checkSpec(spec RunSpec) error {
 	if len(spec.Hosts) == 0 {
-		return nil, fmt.Errorf("p2pdc: no hosts")
+		return fmt.Errorf("p2pdc: no hosts")
 	}
 	if e.Net.Host(spec.Submitter) == nil {
-		return nil, fmt.Errorf("p2pdc: unknown submitter host %q", spec.Submitter)
+		return fmt.Errorf("p2pdc: unknown submitter host %q", spec.Submitter)
 	}
 	for _, h := range spec.Hosts {
 		if e.Net.Host(h) == nil {
-			return nil, fmt.Errorf("p2pdc: unknown host %q", h)
+			return fmt.Errorf("p2pdc: unknown host %q", h)
 		}
+	}
+	if !trace.ValidQuantity(spec.ScatterBytes) {
+		return fmt.Errorf("p2pdc: invalid ScatterBytes %v (want finite and non-negative)", spec.ScatterBytes)
+	}
+	if !trace.ValidQuantity(spec.GatherBytes) {
+		return fmt.Errorf("p2pdc: invalid GatherBytes %v (want finite and non-negative)", spec.GatherBytes)
+	}
+	return nil
+}
+
+// Run executes the application and returns the measured phase times.
+func (e *Environment) Run(spec RunSpec, app App) (*RunResult, error) {
+	if err := e.checkSpec(spec); err != nil {
+		return nil, err
 	}
 	res := &RunResult{
 		WorkerTimes: make([]float64, len(spec.Hosts)),
@@ -352,18 +371,21 @@ func (w *Worker) recvCtl(from int) (interface{}, error) {
 	return ch.Recv(w.proc, w.Host())
 }
 
+// ConvergeBytes is the payload of one ConvergeMax control message:
+// a single float64 residual.
+const ConvergeBytes = 8
+
 // ConvergeMax performs the convergence test of distributed iterative
 // methods: every rank contributes a local residual, rank 0 gathers
 // them (its P2PSAP receive processing serializes, making the test cost
 // grow with the peer count), computes the maximum and broadcasts it.
 // All ranks return the global maximum. It doubles as a barrier.
 func (w *Worker) ConvergeMax(local float64) (float64, error) {
-	const valBytes = 8
 	if w.Size() == 1 {
 		return local, nil
 	}
 	if w.rank != 0 {
-		if err := w.sendCtl(0, valBytes, local); err != nil {
+		if err := w.sendCtl(0, ConvergeBytes, local); err != nil {
 			return 0, err
 		}
 		v, err := w.recvCtl(0)
@@ -383,7 +405,7 @@ func (w *Worker) ConvergeMax(local float64) (float64, error) {
 		}
 	}
 	for i := 1; i < w.Size(); i++ {
-		if err := w.sendCtl(i, valBytes, max); err != nil {
+		if err := w.sendCtl(i, ConvergeBytes, max); err != nil {
 			return 0, err
 		}
 	}

@@ -42,18 +42,10 @@ type Partition struct {
 // drive the kernel; the caller advances it window by window with
 // des.Simulation.RunWindow. The ranks slice must be ascending.
 func (e *Environment) LaunchPartition(spec RunSpec, app App, ranks []int, withSubmitter bool) (*Partition, error) {
+	if err := e.checkSpec(spec); err != nil {
+		return nil, err
+	}
 	n := len(spec.Hosts)
-	if n == 0 {
-		return nil, fmt.Errorf("p2pdc: no hosts")
-	}
-	if e.Net.Host(spec.Submitter) == nil {
-		return nil, fmt.Errorf("p2pdc: unknown submitter host %q", spec.Submitter)
-	}
-	for _, h := range spec.Hosts {
-		if e.Net.Host(h) == nil {
-			return nil, fmt.Errorf("p2pdc: unknown host %q", h)
-		}
-	}
 	for i, r := range ranks {
 		if r < 0 || r >= n {
 			return nil, fmt.Errorf("p2pdc: partition rank %d out of range [0,%d)", r, n)

@@ -58,14 +58,23 @@ var (
 	WANProfile     = Profile{Name: "wan", FrameBytes: 256, SendOverhead: 300e-6, RecvOverhead: 1.5e-3}
 )
 
+// AdaptProfile's path-latency thresholds, in seconds: below
+// ClusterMaxLatency peers talk through the cluster profile, below
+// LANMaxLatency through the LAN profile, and beyond through the WAN
+// profile.
+const (
+	ClusterMaxLatency = 0.5e-3
+	LANMaxLatency     = 5e-3
+)
+
 // AdaptProfile selects the transport profile from the measured
 // one-way path latency between two peers — the transport-level
 // context element of the paper.
 func AdaptProfile(pathLatency float64) Profile {
 	switch {
-	case pathLatency < 0.5e-3:
+	case pathLatency < ClusterMaxLatency:
 		return ClusterProfile
-	case pathLatency < 5e-3:
+	case pathLatency < LANMaxLatency:
 		return LANProfile
 	default:
 		return WANProfile

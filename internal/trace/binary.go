@@ -335,7 +335,7 @@ func readOp(br *bufio.Reader, depth int) (op Op, end bool, err error) {
 		if err != nil {
 			return Op{}, false, err
 		}
-		if !validQuantity(ns) {
+		if !ValidQuantity(ns) {
 			return Op{}, false, fmt.Errorf("trace: bad compute duration %v", ns)
 		}
 		rec.NS = ns
@@ -348,7 +348,7 @@ func readOp(br *bufio.Reader, depth int) (op Op, end bool, err error) {
 		if err != nil {
 			return Op{}, false, err
 		}
-		if !validQuantity(bytes) {
+		if !ValidQuantity(bytes) {
 			return Op{}, false, fmt.Errorf("trace: bad payload size %v", bytes)
 		}
 		rec.Peer = int(peer)

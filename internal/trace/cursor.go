@@ -240,13 +240,14 @@ func walkCursor(cur Cursor, visit func(Record, int64) error) error {
 	return nil
 }
 
-// validQuantity reports whether x is a usable compute duration or
+// ValidQuantity reports whether x is a usable compute duration or
 // message size: non-negative and below +Inf (NaN fails the
 // comparison). Every decoder and the validator apply it, so a source
 // built in memory is held to the same bound as a parsed one: replay
 // cannot advance past an infinite compute, and a NaN, negative or
-// infinite message never completes.
-func validQuantity(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+// infinite message never completes. The trace-set readers and both
+// prediction tiers hold a run's deployment bytes to the same rule.
+func ValidQuantity(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // validator accumulates per-direction message counts and collective
 // counts across ranks.
@@ -282,7 +283,7 @@ func (v *validator) visitor(rank int) func(Record, int64) error {
 			if r.Peer < 0 || r.Peer >= v.n || r.Peer == rank {
 				return fmt.Errorf("trace: rank %d sends to invalid peer %d", rank, r.Peer)
 			}
-			if !validQuantity(r.Bytes) {
+			if !ValidQuantity(r.Bytes) {
 				return fmt.Errorf("trace: rank %d sends invalid message size %v", rank, r.Bytes)
 			}
 			p := ValidatePair{rank, r.Peer}
@@ -291,7 +292,7 @@ func (v *validator) visitor(rank int) func(Record, int64) error {
 			if r.Peer < 0 || r.Peer >= v.n || r.Peer == rank {
 				return fmt.Errorf("trace: rank %d receives from invalid peer %d", rank, r.Peer)
 			}
-			if !validQuantity(r.Bytes) {
+			if !ValidQuantity(r.Bytes) {
 				return fmt.Errorf("trace: rank %d receives invalid message size %v", rank, r.Bytes)
 			}
 			p := ValidatePair{r.Peer, rank}
@@ -301,7 +302,7 @@ func (v *validator) visitor(rank int) func(Record, int64) error {
 		case KindBarrier:
 			v.bars[rank] = SatAdd(v.bars[rank], mult)
 		case KindCompute:
-			if !validQuantity(r.NS) {
+			if !ValidQuantity(r.NS) {
 				return fmt.Errorf("trace: rank %d has invalid compute duration %v", rank, r.NS)
 			}
 		default:

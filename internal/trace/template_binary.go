@@ -459,7 +459,7 @@ func readTOp(br *bufio.Reader, role, depth int) (TOp, error) {
 				if err != nil {
 					return TOp{}, err
 				}
-				if !validQuantity(ns) {
+				if !ValidQuantity(ns) {
 					return TOp{}, fmt.Errorf("trace: bad template compute duration %v", ns)
 				}
 				op.NS = FConst(ns)
@@ -490,7 +490,7 @@ func readTOp(br *bufio.Reader, role, depth int) (TOp, error) {
 				if err != nil {
 					return TOp{}, err
 				}
-				if !validQuantity(bs) {
+				if !ValidQuantity(bs) {
 					return TOp{}, fmt.Errorf("trace: bad template payload size %v", bs)
 				}
 				op.Bytes = FConst(bs)

@@ -215,7 +215,7 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: line %d: want 'compute <ns>'", lineNo)
 			}
 			ns, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || !validQuantity(ns) {
+			if err != nil || !ValidQuantity(ns) {
 				return nil, fmt.Errorf("trace: line %d: bad duration %q", lineNo, fields[1])
 			}
 			t.Records = append(t.Records, Record{Kind: KindCompute, NS: ns})
@@ -228,7 +228,7 @@ func Parse(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: line %d: bad peer %q", lineNo, fields[1])
 			}
 			bytes, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil || !validQuantity(bytes) {
+			if err != nil || !ValidQuantity(bytes) {
 				return nil, fmt.Errorf("trace: line %d: bad size %q", lineNo, fields[2])
 			}
 			k := KindSend
