@@ -316,6 +316,51 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestGenericEngineValidation: the generic engine behind Model.Evaluate
+// rejects bad specs on a reused model (one whose route cache is warm),
+// and a rejection leaves the model usable for the next valid spec.
+func TestGenericEngineValidation(t *testing.T) {
+	plat, err := platform.Cluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := specFor(t, plat, 2, p2psap.Synchronous, 0, 0, steadySrc(2, 12))
+	want, err := m.Evaluate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dup := base
+	dup.Hosts = []string{base.Hosts[0], base.Hosts[0]}
+	if _, err := m.Evaluate(dup); err == nil {
+		t.Fatal("duplicate hosts accepted")
+	}
+
+	badSub := base
+	badSub.Submitter = "no-such-host"
+	if _, err := m.Evaluate(badSub); err == nil {
+		t.Fatal("unknown submitter accepted")
+	}
+
+	neg := base
+	neg.ScatterBytes = -1
+	if _, err := m.Evaluate(neg); err == nil {
+		t.Fatal("negative scatter bytes accepted")
+	}
+
+	got, err := m.Evaluate(base)
+	if err != nil {
+		t.Fatalf("valid spec rejected after invalid ones: %v", err)
+	}
+	if *got != *want {
+		t.Fatalf("rejections changed the model's result:\nbefore %+v\nafter  %+v", want, got)
+	}
+}
+
 // TestDeploymentBytesRejectedByEveryTier: a negative, NaN or +Inf
 // scatter or gather size fails every tier up front with an error that
 // names the field — the DES tier no longer predicts an empty phase for
