@@ -1,10 +1,12 @@
 // Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation, plus the ablations DESIGN.md
-// lists. Every benchmark runs a reduced-scale but structurally
+// figure of the paper's evaluation, plus three ablations: A1
+// hierarchical allocation, A2 churn repair and A3 instrumentation
+// overhead. Every benchmark runs a reduced-scale but structurally
 // complete experiment per iteration and reports the *virtual* times
 // as custom metrics (vsec-*); wall-clock ns/op measures the simulator
 // itself. The full paper-scale numbers are regenerated by
-// `go run ./cmd/experiments -all` and recorded in EXPERIMENTS.md.
+// `go run ./cmd/experiments -all`; internal/experiments' tests
+// (TestFig9Calibration, TestFig10PredictionAccuracy) check them.
 package repro
 
 import (
@@ -162,7 +164,7 @@ func BenchmarkTableIEquivalence(b *testing.B) {
 
 // BenchmarkAblationAllocation compares hierarchical task allocation
 // against the flat submitter-connects-to-everyone baseline (paper
-// §III-C's design argument; DESIGN.md ablation A1).
+// §III-C's design argument; ablation A1).
 func BenchmarkAblationAllocation(b *testing.B) {
 	build := func(b *testing.B) (*des.Simulation, *overlay.System, *alloc.Submitter, []proximity.Addr) {
 		sim := des.New()
@@ -238,7 +240,7 @@ func BenchmarkAblationAllocation(b *testing.B) {
 
 // BenchmarkAblationChurn measures tracker-line repair cost (messages
 // and virtual time) under crashes, for two neighbour-set sizes
-// (DESIGN.md ablation A2).
+// (ablation A2).
 func BenchmarkAblationChurn(b *testing.B) {
 	for _, nsize := range []int{4, 8} {
 		nsize := nsize
@@ -278,7 +280,7 @@ func BenchmarkAblationChurn(b *testing.B) {
 
 // BenchmarkAblationInstrumentation quantifies dPerf's block-probe
 // overhead (paper: "reduced slowdown due to block benchmarking";
-// DESIGN.md ablation A3).
+// ablation A3).
 func BenchmarkAblationInstrumentation(b *testing.B) {
 	a, err := dperf.AnalyzeSource(dperf.ObstacleSource, []string{"N"})
 	if err != nil {

@@ -2,10 +2,9 @@
 //
 // It keeps a content-addressed trace-set store and the full prediction
 // cache hierarchy hot across requests: one shared Predictor (platform
-// identity, analytic certificates, scan tapes), one shared PeriodCache
-// (proven fast-forward jumps), a replay session pool (realized
-// networks), and a response cache keyed by (trace-set digest, platform,
-// spec). Every layer is stats-neutral, so a dperfd response is
+// identity, analytic certificates, scan tapes), a replay session pool
+// (realized networks), and a response cache keyed by (trace-set digest,
+// platform, spec). Every layer is stats-neutral, so a dperfd response is
 // byte-identical to what the dperf CLI prints for the same inputs —
 // warm or cold.
 //

@@ -36,8 +36,8 @@ const maxUploadBytes = 256 << 20
 
 // server is the dperfd state shared by every request: the
 // content-addressed trace-set store, the analytic predictor (platform
-// identity + certificate + tape caches), the steady-state period
-// cache, the replay session pool, and the response cache.
+// identity + certificate + tape caches), the replay session pool, and
+// the response cache.
 //
 // Every cache is stats-neutral by construction, which is the service's
 // correctness story: a response is bit-identical to what a fresh
@@ -46,7 +46,6 @@ const maxUploadBytes = 256 << 20
 type server struct {
 	store     *store.Store
 	predictor *dperf.Predictor
-	periods   *dperf.PeriodCache
 	pool      *dperf.SessionPool
 	scanFam   dperf.ScanFamily
 	mux       *http.ServeMux
@@ -66,7 +65,6 @@ func newServer(st *store.Store) (*server, error) {
 	s := &server{
 		store:     st,
 		predictor: dperf.NewPredictor(),
-		periods:   dperf.NewPeriodCache(),
 		pool:      dperf.NewSessionPool(),
 		scanFam: dperf.ScanFamily{
 			Platform:  plat,
@@ -242,8 +240,8 @@ func (pr *predictRequest) cacheKey() string {
 
 // replayOptions are the shared-state options every replay-side request
 // gets: the predictor pins platform identity (and serves the analytic
-// tier), the period cache shares proven fast-forward jumps, and — for
-// serial replays — the session pool keeps realized networks hot.
+// tier), and — for serial replays — the session pool keeps realized
+// networks hot.
 // replayWorkers > 1 selects the partitioned engine instead of the
 // pool, exactly as the CLI does, so the engine label in responses
 // matches CLI output byte for byte.
@@ -252,7 +250,6 @@ func (s *server) replayOptions(mode dperf.PredictMode, noFF bool, replayWorkers 
 		dperf.WithFastForward(!noFF),
 		dperf.WithPredictMode(mode),
 		dperf.WithPredictor(s.predictor),
-		dperf.WithPeriodCache(s.periods),
 	}
 	if replayWorkers > 1 {
 		opts = append(opts, dperf.WithReplayWorkers(replayWorkers))

@@ -251,8 +251,7 @@ func TestScanDifferential(t *testing.T) {
 // sweep and scan requests from many goroutines. Every response must be
 // byte-identical to the library output no matter which request warmed
 // which cache first — run under -race, this is also the shared-state
-// audit for the predictor, period cache, session pool and result
-// cache.
+// audit for the predictor, session pool and result cache.
 func TestConcurrentDifferential(t *testing.T) {
 	_, hs := newTestServer(t)
 	digest := upload(t, hs)

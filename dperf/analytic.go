@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -202,11 +203,23 @@ func analyticSpec(spec *EngineSpec) analytic.Spec {
 	}
 }
 
-// analyticKey identifies a certifiable configuration. Like the sweep's
-// periodKey, platform and source are keyed by identity, so an entry
-// must keep both alive: the model cache pins the platform and the
-// entry itself the source. An unkeyable source disables caching rather
-// than risk serving a wrong certificate.
+// sourceID renders a trace source's identity. Only reference kinds
+// have one; anything else disables certificate caching rather than
+// risk keying two distinct sources alike.
+func sourceID(src trace.Source) string {
+	v := reflect.ValueOf(src)
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return fmt.Sprintf("%s@%x", v.Type(), v.Pointer())
+	}
+	return ""
+}
+
+// analyticKey identifies a certifiable configuration. Platform and
+// source are keyed by identity, so an entry must keep both alive: the
+// model cache pins the platform and the entry itself the source. An
+// unkeyable source disables caching rather than risk serving a wrong
+// certificate.
 func analyticKey(spec *EngineSpec) string {
 	src := sourceID(spec.Source)
 	if src == "" {
@@ -290,8 +303,6 @@ func (p *Predictor) tryAnalytic(spec *EngineSpec, verify bool) (*EngineResult, e
 func verifyCertificate(cert *analytic.Certificate, spec *EngineSpec) error {
 	vs := *spec
 	vs.FastForward = true
-	vs.Periods = nil
-	vs.PeriodKey = ""
 	res, err := replay.RunSource(replaySpec(vs), vs.Source)
 	if err != nil {
 		return fmt.Errorf("dperf: analytic verification replay failed: %w", err)

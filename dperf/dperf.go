@@ -25,8 +25,9 @@
 //     scale parameters and deployment byte shape. ObstacleWorkload is
 //     the paper's workload; ProgramWorkload adapts any mini-C source.
 //   - Engine abstracts the replay stage. DefaultEngine is the
-//     in-process replay/p2pdc/netsim stack; alternative engines
-//     (batched DES, distributed replay) plug in via WithEngine.
+//     in-process replay/p2pdc/netsim stack, a SessionPool that reuses
+//     realized networks across replays; alternative engines (batched
+//     DES, distributed replay) plug in via WithEngine.
 package dperf
 
 import (

@@ -10,19 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
-// PeriodCache shares detected steady-state periods across replays: a
-// cache hit replays a previously proven fast-forward jump decision
-// instead of re-deriving it, and by construction never changes results
-// or round statistics. Sweep builds one per call automatically; a
-// long-running caller (a prediction server) creates one with
-// NewPeriodCache and installs it with WithPeriodCache so the warmth
-// survives across independent Predict and Sweep calls. Safe for
-// concurrent use.
-type PeriodCache = replay.PeriodCache
+// PeriodCache once shared proven fast-forward jumps across replays.
+//
+// Deprecated: the cache is gone; a warm hit skipped one scan of at
+// most 16 boundary signatures and saved no measurable time. The type
+// remains so existing callers compile, and does nothing.
+type PeriodCache struct{}
 
-// NewPeriodCache returns an empty steady-state period cache for
-// WithPeriodCache.
-func NewPeriodCache() *PeriodCache { return replay.NewPeriodCache() }
+// NewPeriodCache returns an empty PeriodCache.
+//
+// Deprecated: see PeriodCache.
+func NewPeriodCache() *PeriodCache { return &PeriodCache{} }
 
 // EngineSpec is everything a replay engine needs to turn a
 // platform-independent trace set into a platform-specific prediction.
@@ -48,14 +46,6 @@ type EngineSpec struct {
 	// to a replay without fast-forward (the default) predictions can
 	// differ by float64 rounding in the last ulps.
 	FastForward bool
-	// Periods optionally shares detected steady-state periods across
-	// the replays of a sweep (see replay.PeriodCache): a cache hit
-	// replays a previously proven jump decision instead of
-	// re-deriving it, and by construction never changes results or
-	// round statistics. PeriodKey identifies the full replay; Sweep
-	// fills both in, and an empty key disables the cache.
-	Periods   *replay.PeriodCache
-	PeriodKey string
 	// Debug, when non-nil, receives the fast-forward engine's boundary
 	// and jump diagnostics. Observational only: it never reaches a
 	// prediction.
@@ -136,13 +126,12 @@ func ReplayAll(e Engine, specs []EngineSpec) []ReplayOutcome {
 	return out
 }
 
-// DefaultEngine returns the in-process trace-replay engine: the
-// SimGrid-MSG equivalent built on replay, p2pdc and netsim.
-func DefaultEngine() Engine { return replayEngine{} }
-
-type replayEngine struct{}
-
-func (replayEngine) Name() string { return "replay" }
+// DefaultEngine returns the in-process trace-replay engine, the
+// SimGrid-MSG equivalent built on replay, p2pdc and netsim. It is a
+// fresh SessionPool, so the replays of whoever holds it — a Pipeline
+// and the artifacts it produces, or one Sweep call's workers — reuse
+// the realized networks of earlier replays on the same platform.
+func DefaultEngine() Engine { return NewSessionPool() }
 
 func replaySpec(spec EngineSpec) replay.Spec {
 	mode := replay.FFOff
@@ -157,8 +146,6 @@ func replaySpec(spec EngineSpec) replay.Spec {
 		ScatterBytes: spec.ScatterBytes,
 		GatherBytes:  spec.GatherBytes,
 		FastForward:  mode,
-		Periods:      spec.Periods,
-		PeriodKey:    spec.PeriodKey,
 		Debug:        spec.Debug,
 	}
 }
@@ -176,44 +163,6 @@ func engineResult(res *replay.Result) *EngineResult {
 	}
 }
 
-func (replayEngine) Replay(spec EngineSpec) (*EngineResult, error) {
-	res, err := replay.RunSource(replaySpec(spec), spec.Source)
-	if err != nil {
-		return nil, err
-	}
-	return engineResult(res), nil
-}
-
-// ReplayAll implements BatchEngine: specs targeting the same platform
-// graph share one replay.Session, so the realized network, route
-// caches and mailboxes are built once per platform instead of once
-// per replay.
-func (replayEngine) ReplayAll(specs []EngineSpec) []ReplayOutcome {
-	sessions := make(map[*platform.Platform]*replay.Session)
-	out := make([]ReplayOutcome, len(specs))
-	for i, spec := range specs {
-		start := time.Now()
-		s, ok := sessions[spec.Platform]
-		if !ok {
-			var err error
-			//dperfvet:allow sessionreuse memoized: constructed once per distinct platform, then reused for the whole batch
-			s, err = replay.NewSession(spec.Platform)
-			if err != nil {
-				out[i] = ReplayOutcome{Err: err, Cost: time.Since(start)}
-				continue
-			}
-			sessions[spec.Platform] = s
-		}
-		res, err := s.RunSource(replaySpec(spec), spec.Source)
-		if err != nil {
-			out[i] = ReplayOutcome{Err: err, Cost: time.Since(start)}
-			continue
-		}
-		out[i] = ReplayOutcome{Result: engineResult(res), Cost: time.Since(start)}
-	}
-	return out
-}
-
 // ParallelReplayEngine returns the partitioned in-process replay
 // engine: each replay's rank set is split across the given number of
 // workers, every worker driving its own event kernel over a full
@@ -222,7 +171,7 @@ func (replayEngine) ReplayAll(specs []EngineSpec) []ReplayOutcome {
 // DefaultEngine at every worker count; replays the partitioning
 // cannot help (fewer than two effective workers, fast-forwardable
 // op-structured sources, duplicate hosts) silently run serially.
-// Like the default engine it is safe for concurrent Replay calls:
+// Like the default engine it is safe for concurrent Replay calls; its
 // engine state is created per call, and per batch in ReplayAll.
 func ParallelReplayEngine(workers int) Engine {
 	return parallelReplayEngine{workers: workers}

@@ -3,9 +3,9 @@ package dperf_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/dperf"
+	"repro/internal/analytic"
 	"repro/internal/p2psap"
 	"repro/internal/platform"
 	"repro/internal/replay"
@@ -44,8 +44,10 @@ func paperTraces(t *testing.T) (trace.FoldedSource, *platform.Platform, replay.S
 // TestFastForwardPaperScale is the acceptance gate of the steady-state
 // fast-forward engine: on the paper-scale obstacle replay (8 ranks,
 // sync scheme) the fast-forwarded prediction must be bit-identical to
-// the per-iteration path, skip the bulk of the 120 rounds, and beat
-// the non-fast-forwarded folded replay by at least 5× wall clock.
+// the per-iteration path and do exactly the pinned work. The managed
+// loop has 119 rounds; fast-forward simulates 8 of them, jumps once
+// and skips the other 111, and the analytic tier, which drives the
+// same controller, must do exactly the same.
 func TestFastForwardPaperScale(t *testing.T) {
 	src, plat, spec := paperTraces(t)
 	session, err := replay.NewSession(plat)
@@ -63,18 +65,6 @@ func TestFastForwardPaperScale(t *testing.T) {
 		}
 		return res
 	}
-	// Wall-clock cost of a mode: best of three, on a warmed session.
-	cost := func(mode replay.FFMode) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			run(mode)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
 
 	verify := run(replay.FFVerify)
 	on := run(replay.FFOn)
@@ -85,11 +75,28 @@ func TestFastForwardPaperScale(t *testing.T) {
 		t.Fatalf("fast-forward is not bit-identical to the per-iteration path:\nverify %+v\non     %+v",
 			verify, on)
 	}
-	if on.FF.RoundsFastForwarded < 100 {
-		t.Fatalf("expected the bulk of the 120 rounds fast-forwarded, got %+v", on.FF)
+	if want := (replay.FFStats{RoundsSimulated: 8, RoundsFastForwarded: 111, Jumps: 1}); on.FF != want {
+		t.Fatalf("fast-forward work %+v, want %+v", on.FF, want)
 	}
-	if verify.FF.RoundsFastForwarded != 0 {
-		t.Fatalf("verify mode skipped rounds: %+v", verify.FF)
+	if want := (replay.FFStats{RoundsSimulated: 119}); verify.FF != want {
+		t.Fatalf("verify-mode work %+v, want %+v", verify.FF, want)
+	}
+
+	cert, err := analytic.Certify(analytic.Spec{
+		Platform:     plat,
+		Hosts:        spec.Hosts,
+		Submitter:    spec.Submitter,
+		Scheme:       spec.Scheme,
+		ScatterBytes: spec.ScatterBytes,
+		GatherBytes:  spec.GatherBytes,
+		Source:       src,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cert.Res; got.RoundsSimulated != 8 || got.RoundsFastForwarded != 111 || got.Jumps != 1 {
+		t.Fatalf("analytic work %d/%d/%d simulated/fast-forwarded/jumps, want 8/111/1",
+			got.RoundsSimulated, got.RoundsFastForwarded, got.Jumps)
 	}
 
 	// Sanity against the legacy path: same prediction up to float64
@@ -98,16 +105,6 @@ func TestFastForwardPaperScale(t *testing.T) {
 	if rel := math.Abs(on.PredictedSeconds-off.PredictedSeconds) / off.PredictedSeconds; rel > 1e-9 {
 		t.Fatalf("fast-forward drifted from legacy replay: rel %g", rel)
 	}
-
-	run(replay.FFOn) // warm both paths before timing
-	slow := cost(replay.FFOff)
-	fast := cost(replay.FFOn)
-	if fast*5 > slow {
-		t.Fatalf("fast-forward speedup %.1fx, want >= 5x (off %v, on %v)",
-			float64(slow)/float64(fast), slow, fast)
-	}
-	t.Logf("paper-scale folded replay: off %v, on %v (%.1fx), %+v",
-		slow, fast, float64(slow)/float64(fast), on.FF)
 }
 
 // TestPredictWithFastForward: the public pipeline option engages the

@@ -24,7 +24,6 @@ type config struct {
 	fastForward   bool
 	predictMode   PredictMode
 	predictor     *Predictor
-	periods       *PeriodCache
 	ffDebug       io.Writer
 }
 
@@ -123,21 +122,10 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // Ignored when WithEngine installs a custom engine.
 func WithReplayWorkers(n int) Option { return func(c *config) { c.replayWorkers = n } }
 
-// WithPeriodCache shares a steady-state period cache across calls:
-// replays with bit-identical dynamics (same platform identity, scheme,
-// ranks, deployment bytes and trace source) reuse each other's proven
-// fast-forward jumps instead of re-deriving them. Sweep already builds
-// a per-call cache when none is installed; installing one here extends
-// the warmth across independent Predict and Sweep calls — the shape a
-// long-running prediction server needs. The cache is stats-neutral by
-// construction: predictions are bit-identical whether it is cold, warm
-// or absent. Pair it with a shared *Predictor (WithPredictor) so
-// built-in platforms keep a stable identity across calls; without one,
-// each Predict resolves a fresh platform pointer and the cache cannot
-// hit.
-func WithPeriodCache(pc *PeriodCache) Option {
-	return func(c *config) { c.periods = pc }
-}
+// WithPeriodCache does nothing.
+//
+// Deprecated: the period cache is gone (see PeriodCache).
+func WithPeriodCache(*PeriodCache) Option { return func(*config) {} }
 
 // WithFFDebug streams the fast-forward engine's boundary-rejection and
 // jump diagnostics to w (nil: silent, the default). Observational

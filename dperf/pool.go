@@ -8,18 +8,19 @@ import (
 	"repro/internal/replay"
 )
 
-// SessionPool is a replay engine for long-running concurrent callers:
-// it keeps per-platform replay.Session instances hot and hands each
-// Replay an exclusive session, so the realized network, route caches
-// and mailboxes survive across independent requests instead of being
-// rebuilt per call. Install it with WithEngine, alongside a shared
-// *Predictor (for stable platform identity — the pool keys sessions by
-// *Platform) and usually a shared PeriodCache.
+// SessionPool is the in-process replay engine: it keeps per-platform
+// replay.Session instances hot and hands each Replay an exclusive
+// session, so the realized network, route caches and mailboxes survive
+// across replays instead of being rebuilt per call. DefaultEngine
+// returns a fresh pool; a long-running caller (a prediction server)
+// installs one with WithEngine so it serves every request, alongside a
+// shared *Predictor for stable platform identity (the pool keys
+// sessions by *Platform).
 //
 // Sessions self-heal: a failed replay marks its session dirty and the
 // next checkout rebuilds the environment, so a poisoned request never
-// contaminates a later one. Pooling is execution strategy only —
-// predictions are bit-identical to DefaultEngine for every input.
+// contaminates a later one. Pooling is execution strategy only — a
+// reused session predicts bit-identically to a fresh one.
 //
 // SessionPool is safe for concurrent use; concurrent replays against
 // one platform each get their own session, and all of them return to
@@ -34,11 +35,9 @@ func NewSessionPool() *SessionPool {
 	return &SessionPool{idle: make(map[*platform.Platform][]*replay.Session)}
 }
 
-// Name implements Engine. The pool reports the same label as
-// DefaultEngine: it IS the in-process replay engine, merely reusing
-// sessions across calls, and the label is serialized into predictions —
-// a distinct name would make pooled server responses differ from CLI
-// output for identical inputs, breaking the bit-identity contract.
+// Name implements Engine. The label is serialized into predictions,
+// and it stays "replay", the in-process engine's name since before
+// pooling, so predictions keep their bytes.
 func (p *SessionPool) Name() string { return "replay" }
 
 // checkout hands the caller an exclusive session for the platform,

@@ -93,13 +93,6 @@ func (cfg config) engineSpecOn(ts *TraceSet, plat *Platform, label string) (Engi
 		FastForward:  cfg.fastForward,
 		Debug:        cfg.ffDebug,
 	}
-	if cfg.periods != nil {
-		// A caller-installed period cache (WithPeriodCache) keys exactly
-		// like a sweep's per-call cache; Sweep overwrites both fields
-		// with its own cache when none was installed.
-		spec.Periods = cfg.periods
-		spec.PeriodKey = periodKey(&spec, ts)
-	}
 	return spec, label, nil
 }
 
@@ -142,8 +135,7 @@ func (ts *TraceSet) Predict(opts ...Option) (*Prediction, error) {
 	if cfg.predictMode != PredictDES || cfg.predictor != nil {
 		// Resolve the platform through the predictor so a shared
 		// predictor sees a stable *Platform identity across calls —
-		// certificate-cache, period-cache and session-pool hits all key
-		// on it. A caller-installed predictor provides that identity
+		// certificate-cache and session-pool hits both key on it. A caller-installed predictor provides that identity
 		// even in pure DES mode.
 		predictor = cfg.predictorOrNew()
 		if ts.Source().Ranks() == 0 {

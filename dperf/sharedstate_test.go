@@ -14,10 +14,10 @@ import (
 )
 
 // TestSharedServingStateConcurrent is the serving-stack shared-state
-// audit: one Predictor, one PeriodCache and one SessionPool serve a
-// mix of pooled DES predicts, partitioned-parallel predicts, auto-tier
-// predicts, sweeps, keyed scans and failing requests from many
-// goroutines, while an evictor goroutine keeps closing idle sessions
+// audit: one Predictor and one SessionPool serve a mix of pooled DES
+// predicts, partitioned-parallel predicts, auto-tier predicts, sweeps,
+// keyed scans and failing requests from many goroutines, while an
+// evictor goroutine keeps closing idle sessions
 // underneath them. Every successful result must be byte-identical to a
 // cold single-threaded baseline — the caches and the pool are
 // execution strategy, never observable state. Run under -race this is
@@ -81,7 +81,6 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 
 	// The shared serving state, exactly as dperfd wires it.
 	sp := dperf.NewPredictor()
-	periods := dperf.NewPeriodCache()
 	pool := dperf.NewSessionPool()
 	sharedFam := ghostFamily(t, famW, famN, famRounds, "shared-race")
 	sharedFam.Platform = coldFam.Platform // one platform identity for the keyed tapes
@@ -90,7 +89,6 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 		return append([]dperf.Option{
 			dperf.WithFastForward(true),
 			dperf.WithPredictor(sp),
-			dperf.WithPeriodCache(periods),
 		}, extra...)
 	}
 
@@ -202,13 +200,13 @@ func scaleCompute(ops []trace.Op, f float64) {
 	}
 }
 
-// TestSharedCachesPinTheirSources: the Predictor's certificates and the
-// PeriodCache key a trace source by its address. A long-lived pair of
-// caches serving a stream of short-lived sets — each dropped and
-// collected before the next arrives, so the allocator may hand the next
-// set a freed set's address — must never serve one set another's
-// cached answer: every auto prediction through the shared caches is
-// byte-equal to a cold Predictor's.
+// TestSharedCachesPinTheirSources: the Predictor's certificates key a
+// trace source by its address. A long-lived Predictor serving a stream
+// of short-lived sets — each dropped and collected before the next
+// arrives, so the allocator may hand the next set a freed set's address
+// — must never serve one set another's cached answer: every auto
+// prediction through the shared Predictor is byte-equal to a cold
+// Predictor's.
 func TestSharedCachesPinTheirSources(t *testing.T) {
 	a, err := dperf.New(ffObstacle(), dperf.WithRanks(2)).Analyze()
 	if err != nil {
@@ -222,7 +220,7 @@ func TestSharedCachesPinTheirSources(t *testing.T) {
 	if err := base.WriteBinary(&artifact); err != nil {
 		t.Fatal(err)
 	}
-	predictor, periods := dperf.NewPredictor(), dperf.NewPeriodCache()
+	predictor := dperf.NewPredictor()
 	render := func(ts *dperf.TraceSet, opts ...dperf.Option) string {
 		t.Helper()
 		pred, err := ts.Predict(append([]dperf.Option{dperf.WithPredictMode(dperf.PredictAuto),
@@ -247,7 +245,7 @@ func TestSharedCachesPinTheirSources(t *testing.T) {
 		if err := ts.Prepare(); err != nil {
 			t.Fatal(err)
 		}
-		shared := render(ts, dperf.WithPredictor(predictor), dperf.WithPeriodCache(periods))
+		shared := render(ts, dperf.WithPredictor(predictor))
 		if cold := render(ts); shared != cold {
 			t.Fatalf("variant %d: shared caches served\n%s\nwant the cold prediction\n%s", i, shared, cold)
 		}

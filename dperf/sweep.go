@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -16,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/platform"
-	"repro/internal/replay"
-	"repro/internal/trace"
 )
 
 // TraceSource supplies the platform-independent trace sets a sweep
@@ -368,35 +365,6 @@ func keyFor(kind Kind, ranks int) platKey {
 	return platKey{kind: kind, ranks: platform.SizeKey(kind, ranks)}
 }
 
-// periodKey identifies a replay's full dynamics for the shared
-// steady-state period cache: two specs with equal keys simulate
-// bit-identically, so one may replay the other's proven fast-forward
-// jumps. Platform and source are keyed by identity (sweeps share
-// resolved instances, so equal pointers mean the same object), the
-// rest by value.
-func periodKey(spec *EngineSpec, ts *TraceSet) string {
-	src := sourceID(spec.Source)
-	if src == "" {
-		return "" // unkeyable source: cache disabled for this spec
-	}
-	return fmt.Sprintf("%p|%d|%d|%016x|%016x|%s",
-		spec.Platform, spec.Scheme, ts.Ranks,
-		math.Float64bits(spec.ScatterBytes), math.Float64bits(spec.GatherBytes),
-		src)
-}
-
-// sourceID renders a trace source's identity. Only reference kinds
-// have one; anything else disables period caching rather than risk
-// keying two distinct sources alike.
-func sourceID(src trace.Source) string {
-	v := reflect.ValueOf(src)
-	switch v.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
-		return fmt.Sprintf("%s@%x", v.Type(), v.Pointer())
-	}
-	return ""
-}
-
 // sweepJob is one resolved configuration awaiting replay.
 type sweepJob struct {
 	cfg   config
@@ -436,19 +404,6 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 	// tier split never changes the predictions, only the wall clock.
 	if base.predictMode != PredictDES && base.predictor == nil {
 		base.predictor = NewPredictor()
-	}
-	// One steady-state period cache for the whole sweep, shared by all
-	// workers: configurations with bit-identical replay dynamics (the
-	// key covers platform, scheme, ranks, deployment bytes and source
-	// identity) replay each other's proven fast-forward jumps instead
-	// of re-deriving them. The cache is stats-neutral by construction,
-	// so results stay byte-identical regardless of worker count or
-	// which configuration warmed it. A caller-installed cache
-	// (SweepOptions(WithPeriodCache(...))) is reused instead, extending
-	// the warmth across independent sweeps.
-	periods := base.periods
-	if periods == nil {
-		periods = replay.NewPeriodCache()
 	}
 
 	// Serial resolution phase: trace sets once per distinct rank
@@ -554,8 +509,8 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 				if base.predictor != nil {
 					// A shared predictor owns platform identity: routing
 					// resolution through it lets its certificate cache —
-					// and any period cache or session pool keyed on
-					// *Platform — stay warm across independent sweeps.
+					// and any session pool keyed on *Platform — stay
+					// warm across independent sweeps.
 					cached, _, err = base.predictor.platformFor(&cfg, ts.Ranks)
 				} else {
 					cached, _, err = cfg.platformFor(ts.Ranks)
@@ -575,8 +530,6 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 			fail(err)
 			continue
 		}
-		spec.Periods = periods
-		spec.PeriodKey = periodKey(&spec, ts)
 		jobs[i].ts = ts
 		jobs[i].spec = spec
 		jobs[i].label = label

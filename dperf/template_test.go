@@ -428,11 +428,10 @@ func TestTemplateSetSaveLoad(t *testing.T) {
 
 // TestTemplateScaleSharedSweepRace runs a scale-shared sweep — one
 // template source, many rank counts, more workers than rank counts,
-// duplicated configurations so the shared steady-state period cache
-// takes hits — and asserts deterministic, index-ordered results. Its
-// real teeth are under `go test -race`: the shared TemplateSource
-// instantiation cache and the shared PeriodCache are both exercised
-// from every worker.
+// every configuration duplicated — and asserts deterministic,
+// index-ordered results. Its real teeth are under `go test -race`: the
+// shared TemplateSource instantiation cache and the sweep's shared
+// session pool are both exercised from every worker.
 func TestTemplateScaleSharedSweepRace(t *testing.T) {
 	shared, err := stripAnalysis(t).ScaleShared(8)
 	if err != nil {
@@ -443,8 +442,7 @@ func TestTemplateScaleSharedSweepRace(t *testing.T) {
 		Ranks:     []int{2, 4, 8},
 	}
 	// Duplicate the whole product as explicit configs: every point
-	// replays twice with identical dynamics, so the second replay can
-	// hit the period cache entry the first one stored.
+	// replays twice with identical dynamics, and the twins must agree.
 	space.Configs = append(space.Configs, space.Expand()...)
 	var outs [][]byte
 	for _, workers := range []int{1, 8, 16} {

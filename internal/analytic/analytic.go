@@ -11,7 +11,10 @@
 // identical prediction with one engine (gengine.go, gexec.go): the des
 // kernel, the netsim fluid network, the p2pdc scatter/compute/gather
 // protocol and the p2psap channel model re-expressed as plain state
-// machines driven by one (time, seq)-ordered event loop. Every
+// machines driven by one (time, seq)-ordered event loop. The
+// steady-state detection is not re-expressed: the engine implements
+// replay.FFKernel and drives the DES replay's own controller
+// (replay.FFController) at the managed loops' boundaries. Every
 // scheduling call, float operation and tie-break mirrors the DES stack
 // operation for operation, so the evaluation is bit-identical to
 // replay.RunSource with FastForward=FFOn — the differential tests here
@@ -215,9 +218,9 @@ func (m *Model) Evaluate(spec Spec) (*Result, error) {
 		ScatterSeconds:      res.scatter,
 		ComputeSeconds:      res.compute,
 		GatherSeconds:       res.gather,
-		RoundsSimulated:     res.roundsSimulated,
-		RoundsFastForwarded: res.roundsFastForwarded,
-		Jumps:               res.jumps,
+		RoundsSimulated:     res.ff.RoundsSimulated,
+		RoundsFastForwarded: res.ff.RoundsFastForwarded,
+		Jumps:               res.ff.Jumps,
 	}, nil
 }
 

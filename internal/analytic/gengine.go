@@ -272,9 +272,7 @@ type gresult[V comparable] struct {
 	compute   V
 	gather    V
 
-	roundsSimulated     int64
-	roundsFastForwarded int64
-	jumps               int64
+	ff replay.FFStats
 }
 
 // gprof mirrors p2psap.Profile in the value domain. The fields are
@@ -403,7 +401,7 @@ type gev[V comparable, A arith[V]] struct {
 	wdPhase   int // 0 not activated, 1 parked on cond, 2 signaled, 3 done
 	wdPending bool
 
-	ctl gctl[V, A]
+	ctl *replay.FFController[V]
 }
 
 // newGev validates the spec against the model and builds the
@@ -473,7 +471,7 @@ func newGev[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gev[V,
 	for i := range ev.workerTimes {
 		ev.workerTimes[i] = zero
 	}
-	ev.ctl = gctl[V, A]{ev: ev, n: n, reps: make(map[arepKey]*grepCtl[V, A])}
+	ev.ctl = replay.NewFFController[V](ev, n, true, nil)
 	for i := range ev.workers {
 		w := &ev.workers[i]
 		w.ev = ev
@@ -507,13 +505,11 @@ func (ev *gev[V, A]) run() (*gresult[V], error) {
 	ar := ev.ar
 	total := ev.absNow()
 	res := &gresult[V]{
-		predicted:           total,
-		scatter:             ev.scatterEnd,
-		compute:             ar.Sub(ev.computeEnd, ev.scatterEnd),
-		gather:              ar.Sub(total, ev.computeEnd),
-		roundsSimulated:     ev.ctl.roundsSim,
-		roundsFastForwarded: ev.ctl.roundsFF,
-		jumps:               ev.ctl.jumps,
+		predicted: total,
+		scatter:   ev.scatterEnd,
+		compute:   ar.Sub(ev.computeEnd, ev.scatterEnd),
+		gather:    ar.Sub(total, ev.computeEnd),
+		ff:        ev.ctl.Stats(),
 	}
 	if ar.Less(res.gather, ev.zero) {
 		res.gather = ev.zero
@@ -603,8 +599,19 @@ func (ev *gev[V, A]) scheduleAux(delay V, epoch uint64) {
 	ev.aux++
 }
 
-// pendingReal mirrors des.Simulation.PendingReal.
-func (ev *gev[V, A]) pendingReal() int { return len(ev.q) - ev.aux }
+// The evaluator is the fast-forward controller's kernel
+// (replay.FFKernel[V]): the counts mirror netsim.Network.ActiveFlows,
+// Post.PendingMessages and des.Simulation.PendingReal, and the
+// arithmetic runs through the arith, so the recording instantiation
+// puts the controller's wake shifts and signature compares on the
+// tape.
+
+func (ev *gev[V, A]) ActiveFlows() int     { return ev.flows }
+func (ev *gev[V, A]) PendingMessages() int { return ev.pendingMsgs }
+func (ev *gev[V, A]) PendingReal() int     { return len(ev.q) - ev.aux }
+func (ev *gev[V, A]) Sub(a, b V) V         { return ev.ar.Sub(a, b) }
+func (ev *gev[V, A]) BitsEq(a, b V) bool   { return ev.ar.BitsEq(a, b) }
+func (ev *gev[V, A]) Zero() V              { return ev.zero }
 
 // discardAux mirrors des.Simulation.DiscardAux: drop every pending
 // auxiliary event in place. The filter preserves the sorted order, so
@@ -630,9 +637,9 @@ func (ev *gev[V, A]) discardAux() {
 
 func (ev *gev[V, A]) absNow() V { return ev.ar.Add(ev.base, ev.now) }
 
-// rebase mirrors des.Simulation.Rebase plus the netsim rebase hook
+// Rebase mirrors des.Simulation.Rebase plus the netsim rebase hook
 // (the only hook the DES stack registers).
-func (ev *gev[V, A]) rebase() V {
+func (ev *gev[V, A]) Rebase() V {
 	ar := ev.ar
 	shift := ev.now
 	if ar.Eq(shift, ev.zero) {
@@ -653,10 +660,10 @@ func (ev *gev[V, A]) rebase() V {
 	return shift
 }
 
-// advanceBase mirrors des.Simulation.AdvanceBase: iterated addition,
+// AdvanceBase mirrors des.Simulation.AdvanceBase: iterated addition,
 // never multiplication, so a jump lands on the bit-identical base a
 // full simulation would reach.
-func (ev *gev[V, A]) advanceBase(delta V, rounds int) {
+func (ev *gev[V, A]) AdvanceBase(delta V, rounds int) {
 	for i := 0; i < rounds; i++ {
 		ev.base = ev.ar.Add(ev.base, delta)
 	}

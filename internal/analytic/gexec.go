@@ -1,11 +1,12 @@
 // The actor layer: the p2pdc submitter/worker/watchdog processes of
 // p2pdc.Environment.Run and the p2psap channel protocol re-expressed
-// as resumable state machines over gengine.go's event loop, plus
-// replay's fast-forward boundary protocol (ffController). Each DES
-// process becomes an actor id; each park point becomes a state-machine
-// phase; every scheduling call happens in the same order with the
-// same operands as the DES original, which keeps event sequence
-// numbers — and therefore tie-breaks and every float — in lockstep.
+// as resumable state machines over gengine.go's event loop, driving
+// replay's fast-forward controller (replay.FFController) at the
+// managed loops' boundaries. Each DES process becomes an actor id;
+// each park point becomes a state-machine phase; every scheduling call
+// happens in the same order with the same operands as the DES
+// original, which keeps event sequence numbers — and therefore
+// tie-breaks and every float — in lockstep.
 package analytic
 
 import (
@@ -99,11 +100,11 @@ const (
 // op list (`ops`: the current body, `rem` whole-list iterations left)
 // or, when mrc is set, runs one managed Repeat through the boundary
 // protocol (mop/done/mst).
-type gwframe[V comparable, A arith[V]] struct {
+type gwframe[V comparable] struct {
 	ops  []gop[V]
 	idx  int
 	rem  int
-	mrc  *grepCtl[V, A]
+	mrc  *replay.RepeatCtl[V]
 	mop  gop[V]
 	done int
 	mst  uint8 // 0 at boundary, 1 lead sleeping, 2 body rest running
@@ -118,7 +119,7 @@ type gworker[V comparable, A arith[V]] struct {
 	ops   []gop[V]
 	phase int
 
-	frames []gwframe[V, A]
+	frames []gwframe[V]
 
 	// Leaf execution state.
 	leafOn bool
@@ -203,14 +204,14 @@ func (w *gworker[V, A]) beginBody() {
 	if t := ev.absNow(); ev.ar.Less(ev.scatterEnd, t) {
 		ev.scatterEnd = t
 	}
-	w.frames = append(w.frames[:0], gwframe[V, A]{ops: w.ops, rem: 1})
+	w.frames = append(w.frames[:0], gwframe[V]{ops: w.ops, rem: 1})
 }
 
-func (w *gworker[V, A]) maybeJoin(op gop[V]) *grepCtl[V, A] {
+func (w *gworker[V, A]) maybeJoin(op gop[V]) *replay.RepeatCtl[V] {
 	if !gManageable(op) {
 		return nil
 	}
-	return w.ev.ctl.join(w.rank, arepKey{convs: w.convs, bars: w.bars, count: op.count})
+	return w.ev.ctl.Join(w.rank, w.convs, w.bars, op.count)
 }
 
 // computeDeadline is replay.ComputeDeadline in the value domain:
@@ -245,23 +246,23 @@ func (w *gworker[V, A]) walk() bool {
 		if f.mrc != nil {
 			switch f.mst {
 			case 0: // at an iteration boundary
-				f.done = f.mrc.boundary(w.rank, f.done)
+				f.done = f.mrc.Boundary(w.rank, f.done)
 				if f.done >= f.mop.count {
-					f.mrc.leave()
+					f.mrc.Leave()
 					w.frames = w.frames[:fi]
 					continue
 				}
 				lead := f.mop.body[0]
 				t := ev.computeDeadline(ev.now, lead.ns, lead.count)
-				f.mrc.parkUntil(w.rank, t)
+				f.mrc.ParkUntil(w.rank, t)
 				f.mst = 1
 				ev.scheduleResumeAt(t, w.rank)
 				return true
 			case 1: // lead compute finished
-				f.mrc.woke(w.rank)
+				f.mrc.Woke(w.rank)
 				f.mst = 2
 				body := f.mop.body
-				w.frames = append(w.frames, gwframe[V, A]{ops: body[1:], rem: 1})
+				w.frames = append(w.frames, gwframe[V]{ops: body[1:], rem: 1})
 				continue
 			default: // 2: body rest finished
 				f.done++
@@ -289,11 +290,11 @@ func (w *gworker[V, A]) walk() bool {
 		}
 		if fi == 0 {
 			if rc := w.maybeJoin(op); rc != nil {
-				w.frames = append(w.frames, gwframe[V, A]{mrc: rc, mop: op})
+				w.frames = append(w.frames, gwframe[V]{mrc: rc, mop: op})
 				continue
 			}
 		}
-		w.frames = append(w.frames, gwframe[V, A]{ops: op.body, rem: op.count})
+		w.frames = append(w.frames, gwframe[V]{ops: op.body, rem: op.count})
 	}
 }
 
@@ -514,239 +515,6 @@ func (w *gworker[V, A]) leafStep() bool {
 	}
 	w.finishLeaf()
 	return false
-}
-
-// ---------------------------------------------------------------------------
-// Fast-forward controller: replay's ffController with jumping always
-// enabled (the analytic tier is the FFOn path by definition), minus
-// the cross-replay period cache — certificates make it moot.
-
-// arepKey mirrors replay.ffRepKey.
-type arepKey struct {
-	convs, bars int64
-	count       int
-}
-
-// gSigEntry mirrors replay.ffSigEntry with the wake time kept in the
-// value domain; signature equality compares wake bits through
-// arith.BitsEq.
-type gSigEntry[V comparable] struct {
-	rank int
-	wake V
-}
-
-// gRankState mirrors replay.ffRankState.
-type gRankState[V comparable] struct {
-	joined   bool
-	done     int
-	seenSkip int
-	parked   bool
-	wake     V
-	parkSeq  uint64
-}
-
-// gBoundary mirrors replay.ffBoundary.
-type gBoundary[V comparable] struct {
-	sig   []gSigEntry[V]
-	shift V
-}
-
-// gctl mirrors replay.ffController.
-type gctl[V comparable, A arith[V]] struct {
-	ev                         *gev[V, A]
-	n                          int
-	reps                       map[arepKey]*grepCtl[V, A]
-	roundsSim, roundsFF, jumps int64
-}
-
-// grepCtl mirrors replay.repeatCtl.
-type grepCtl[V comparable, A arith[V]] struct {
-	ctl         *gctl[V, A]
-	key         arepKey
-	count       int
-	members     int
-	st          []gRankState[V]
-	parkCounter uint64
-	ring        []gBoundary[V]
-	sigBuf      []gSigEntry[V]
-	cumSkip     int
-	counted     bool
-}
-
-func (c *gctl[V, A]) join(rank int, key arepKey) *grepCtl[V, A] {
-	rc := c.reps[key]
-	if rc == nil {
-		rc = &grepCtl[V, A]{ctl: c, key: key, count: key.count, st: make([]gRankState[V], c.n)}
-		c.reps[key] = rc
-	}
-	if rc.st[rank].joined {
-		return nil
-	}
-	rc.st[rank].joined = true
-	rc.members++
-	return rc
-}
-
-func (rc *grepCtl[V, A]) parkUntil(rank int, t V) {
-	st := &rc.st[rank]
-	st.parked = true
-	st.wake = t
-	rc.parkCounter++
-	st.parkSeq = rc.parkCounter
-}
-
-func (rc *grepCtl[V, A]) woke(rank int) { rc.st[rank].parked = false }
-
-func (rc *grepCtl[V, A]) leave() {
-	if rc.counted {
-		return
-	}
-	rc.counted = true
-	rc.ctl.roundsSim += int64(rc.count - rc.cumSkip)
-	rc.ctl.roundsFF += int64(rc.cumSkip)
-}
-
-func (rc *grepCtl[V, A]) boundary(rank, done int) int {
-	st := &rc.st[rank]
-	done += rc.cumSkip - st.seenSkip
-	st.seenSkip = rc.cumSkip
-	st.done = done
-	if done >= rc.count {
-		return done
-	}
-	if rc.members != rc.ctl.n {
-		return done
-	}
-	for r := range rc.st {
-		if rc.st[r].done < done {
-			return done // not the last arrival
-		}
-		if rc.st[r].done > done {
-			rc.ring = rc.ring[:0]
-			return done
-		}
-		if r != rank && !rc.st[r].parked {
-			rc.ring = rc.ring[:0]
-			return done
-		}
-	}
-	ev := rc.ctl.ev
-	if ev.flows != 0 || ev.pendingMsgs != 0 || ev.pendingReal() != rc.ctl.n-1 {
-		rc.ring = rc.ring[:0]
-		return done
-	}
-
-	shift := ev.rebase()
-	for r := range rc.st {
-		if rc.st[r].parked {
-			rc.st[r].wake = ev.ar.Sub(rc.st[r].wake, shift)
-		}
-	}
-
-	sig := rc.sigBuf[:0]
-	for r := range rc.st {
-		if rc.st[r].parked {
-			sig = append(sig, gSigEntry[V]{rank: r, wake: rc.st[r].wake})
-		}
-	}
-	for i := 1; i < len(sig); i++ {
-		e := sig[i]
-		j := i - 1
-		for j >= 0 && rc.st[sig[j].rank].parkSeq > rc.st[e.rank].parkSeq {
-			sig[j+1] = sig[j]
-			j--
-		}
-		sig[j+1] = e
-	}
-	sig = append(sig, gSigEntry[V]{rank: rank, wake: ev.ar.Const(0)})
-	rc.sigBuf = sig
-	rc.push(sig, shift)
-
-	if p := rc.period(); p > 0 {
-		cycle := rc.ring[len(rc.ring)-p:]
-		shifts := make([]V, p)
-		for j := range cycle {
-			shifts[j] = cycle[j].shift
-		}
-		if jumped := rc.jumpRounds(st, done, p, shifts); jumped > done {
-			return jumped
-		}
-	}
-	return done
-}
-
-func (rc *grepCtl[V, A]) jumpRounds(st *gRankState[V], done, p int, shifts []V) int {
-	m := ((rc.count - 1 - done) / p) * p
-	if m <= 0 {
-		return done
-	}
-	ev := rc.ctl.ev
-	if p == 1 {
-		ev.advanceBase(shifts[0], m)
-	} else {
-		for j := 0; j < m; j++ {
-			ev.advanceBase(shifts[j%p], 1)
-		}
-	}
-	rc.cumSkip += m
-	st.seenSkip = rc.cumSkip
-	done += m
-	st.done = done
-	rc.ctl.jumps++
-	rc.ring = rc.ring[:0]
-	return done
-}
-
-func (rc *grepCtl[V, A]) push(sig []gSigEntry[V], shift V) {
-	var entry gBoundary[V]
-	if len(rc.ring) == 2*replay.FFMaxPeriod {
-		entry = rc.ring[0]
-		copy(rc.ring, rc.ring[1:])
-		rc.ring = rc.ring[:len(rc.ring)-1]
-	}
-	entry.sig = append(entry.sig[:0], sig...)
-	entry.shift = shift
-	rc.ring = append(rc.ring, entry)
-}
-
-func (rc *grepCtl[V, A]) period() int {
-	for p := 1; p <= replay.FFMaxPeriod; p++ {
-		if 2*p > len(rc.ring) {
-			return 0
-		}
-		last := len(rc.ring) - 1
-		match := true
-		for j := 0; j < p; j++ {
-			if !rc.gSigsEqual(rc.ring[last-j].sig, rc.ring[last-p-j].sig) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return p
-		}
-	}
-	return 0
-}
-
-// gSigsEqual mirrors replay.ffSigsEqual: rank identity, then wake-time
-// *bits* (replay stores math.Float64bits; BitsEq is that comparison
-// lifted into the value domain, and the guard a symbolic scan needs
-// before trusting a recorded steady-state period).
-func (rc *grepCtl[V, A]) gSigsEqual(a, b []gSigEntry[V]) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ar := rc.ctl.ev.ar
-	for i := range a {
-		if a[i].rank != b[i].rank {
-			return false
-		}
-		if !ar.BitsEq(a[i].wake, b[i].wake) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -974,6 +974,6 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 	}
 	return rec.finalize(
 		[4]sval{res.predicted, res.scatter, res.compute, res.gather},
-		res.roundsSimulated, res.roundsFastForwarded, res.jumps,
+		res.ff.RoundsSimulated, res.ff.RoundsFastForwarded, res.ff.Jumps,
 	), nil
 }

@@ -245,6 +245,12 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 	if replays == 0 {
 		t.Fatal("no point was served by tape replay")
 	}
+	// The recording is deterministic, so tape 0's shape is pinned
+	// exactly: a change to the arithmetic the engine or its fast-forward
+	// controller records shows up here before it reaches a prediction.
+	if got, want := [3]int{tapes[0].NumInstrs(), tapes[0].NumGuards(), tapes[0].NumConsts()}, [3]int{193, 211, 19}; got != want {
+		t.Fatalf("tape 0 has %v instrs/guards/consts, want %v", got, want)
+	}
 	t.Logf("%d points: %d replayed, %d fallbacks, %d regions (%d instrs, %d guards, %d consts on tape 0)",
 		points, replays, fallbacks, len(tapes), tapes[0].NumInstrs(), tapes[0].NumGuards(), tapes[0].NumConsts())
 }

@@ -2,9 +2,10 @@
 // paper's evaluation (§IV): Fig. 9 (Stage-1 reference times across
 // optimization levels), Fig. 10 (reference vs. dPerf prediction at
 // O3), Fig. 11 (reference vs. predictions for Grid5000, xDSL and LAN
-// at O0) and Table I (equivalent computing power), plus the ablation
-// studies DESIGN.md lists. Output is ASCII tables and gnuplot-style
-// series, deterministic across runs.
+// at O0) and Table I (equivalent computing power), plus a comparison
+// of the synchronous and asynchronous schemes (SchemeComparison); the
+// ablations are benchmarks in the module's root bench_test.go. Output
+// is ASCII tables and gnuplot-style series, deterministic across runs.
 package experiments
 
 import (

@@ -82,7 +82,8 @@ type Config struct {
 
 // DefaultConfig is the paper-scale calibration: a 1200² grid, 120
 // communication rounds of 15 sweeps each, sized so the O0 reference
-// on two peers lands near the paper's ≈ 40 s. See EXPERIMENTS.md.
+// on two peers lands near the paper's ≈ 40 s, as internal/experiments'
+// TestFig9Calibration checks.
 func DefaultConfig(level costmodel.Level) Config {
 	return Config{
 		Problem:   Problem{N: 1200, Force: 1e-4, ObstacleHeight: 0.05},

@@ -50,8 +50,9 @@ type Profile struct {
 	RecvOverhead float64
 }
 
-// The three context profiles. Thresholds and costs are calibrated in
-// internal/experiments; see EXPERIMENTS.md.
+// The three context profiles. Thresholds and costs are calibrated
+// against the paper's figures; internal/experiments' TestFig9Calibration
+// and TestFig10PredictionAccuracy check the result.
 var (
 	ClusterProfile = Profile{Name: "cluster", FrameBytes: 64, SendOverhead: 20e-6, RecvOverhead: 50e-6}
 	LANProfile     = Profile{Name: "lan", FrameBytes: 128, SendOverhead: 200e-6, RecvOverhead: 2.5e-3}

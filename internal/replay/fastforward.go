@@ -47,16 +47,18 @@
 // fails a check, breaks the signature chain, and the loop simply
 // keeps simulating: fallback is the default, the fast path is the
 // proven special case.
+//
+// The controller (FFController) sees the simulation only through
+// FFKernel, so the analytic tier (internal/analytic) drives this same
+// code over its own evaluator, and a fix to detection lands in both.
 package replay
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"repro/internal/p2pdc"
-	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
@@ -99,87 +101,6 @@ type FFStats struct {
 	RoundsFastForwarded int64
 	// Jumps counts steady-state detections that led to a skip.
 	Jumps int64
-	// PeriodCacheHits counts jumps replayed from a shared PeriodCache
-	// entry instead of re-derived from the boundary ring.
-	PeriodCacheHits int64
-}
-
-// PeriodCache shares detected steady-state periods across the replays
-// of a sweep. Entries are keyed by the full replay identity
-// (Spec.PeriodKey, built by the caller from platform, scheme, rank
-// count, deployment bytes and source identity) plus the managed
-// loop's alignment key, so a hit can only occur for a replay whose
-// simulation dynamics are bit-identical to the one that stored the
-// entry. A hit therefore replays the exact jump decision the original
-// replay proved — same boundary, same period, same epoch shifts — and
-// by construction never changes when a replay jumps or what it
-// predicts: results and round statistics are identical with a cold or
-// a warm cache. What a hit saves is the detector's work: the boundary
-// that jumped needs one signature comparison against the cached entry
-// instead of a period scan over the snapshot ring.
-//
-// The cache is safe for concurrent use; Sweep shares one across its
-// workers. The first writer wins, and because any two writers for the
-// same key computed the entry from identical dynamics, the content is
-// deterministic regardless of scheduling.
-type PeriodCache struct {
-	mu sync.Mutex
-	m  map[periodCacheKey]*periodCacheEntry
-}
-
-type periodCacheKey struct {
-	spec string
-	rep  ffRepKey
-}
-
-// periodCacheEntry is one proven jump decision: at canonical
-// iteration `done` with boundary signature `sig`, the loop jumped
-// with the given period and cycle shifts (in application order).
-type periodCacheEntry struct {
-	// src and plat pin the objects the key names by address: while the
-	// entry lives, no other source or platform can take those
-	// addresses and match it.
-	src    trace.Source
-	plat   *platform.Platform
-	done   int
-	period int
-	sig    []ffSigEntry
-	shifts []float64
-}
-
-// NewPeriodCache returns an empty shared period cache.
-func NewPeriodCache() *PeriodCache {
-	return &PeriodCache{m: make(map[periodCacheKey]*periodCacheEntry)}
-}
-
-// Len reports the number of cached loop entries.
-func (c *PeriodCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *PeriodCache) lookup(k periodCacheKey) *periodCacheEntry {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[k]
-}
-
-func (c *PeriodCache) store(k periodCacheKey, e *periodCacheEntry) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; !ok {
-		c.m[k] = e
-	}
 }
 
 // FFMinIterations is the smallest Repeat count worth managing: below
@@ -189,14 +110,13 @@ func (c *PeriodCache) store(k periodCacheKey, e *periodCacheEntry) {
 // on which loops are managed or their round accounting diverges.
 const FFMinIterations = 4
 
-// FFMaxPeriod bounds the steady-state period the detector looks for.
+// ffMaxPeriod bounds the steady-state period the detector looks for.
 // A fixed point is period 1, but the rebased round map can also
 // converge to a short exact limit cycle — the obstacle replay settles
 // into a period-3 orbit whose boundary offsets wobble by a couple of
 // ulps and then repeat bit-for-bit — so the detector matches cycles
 // up to this length (confirmed over two full periods before jumping).
-// Exported for the analytic tier, which runs the same detector.
-const FFMaxPeriod = 8
+const ffMaxPeriod = 8
 
 // Manageable reports whether a folded op is a Repeat the steady-state
 // engines manage when it appears at the top level of a rank's ops:
@@ -218,28 +138,76 @@ func Manageable(op trace.Op) bool {
 	return convs+bars > 0
 }
 
-// ffController coordinates fast-forward across the ranks of one
-// replay. It is driven synchronously from rank processes (the DES
-// kernel single-threads them), so it needs no locking.
-type ffController struct {
-	env   *p2pdc.Environment
-	jump  bool // FFOn: skipping allowed
-	n     int  // ranks in the replay
-	reps  map[ffRepKey]*repeatCtl
+// FFKernel is the simulation an FFController steers. The DES replay
+// implements it over p2pdc.Environment (desKernel, V = float64); the
+// analytic engine implements it over its evaluator, where V is the
+// engine's value type and every Sub and BitsEq may be recorded onto a
+// symbolic tape. The controller therefore performs all time arithmetic
+// through the kernel, in a fixed order: one Sub per parked rank in rank
+// order after a Rebase, one Zero closing each signature, and signature
+// compares that check the rank and then BitsEq, stopping at the first
+// mismatch.
+type FFKernel[V any] interface {
+	// ActiveFlows, PendingMessages and PendingReal report what is in
+	// flight: network flows, undelivered mailbox messages and pending
+	// non-auxiliary events.
+	ActiveFlows() int
+	PendingMessages() int
+	PendingReal() int
+	// Rebase folds the in-epoch clock into the epoch base, shifting
+	// every pending event by the same amount, and returns the shift
+	// (des.Simulation.Rebase).
+	Rebase() V
+	// AdvanceBase adds delta to the epoch base rounds times, by
+	// iterated addition (des.Simulation.AdvanceBase).
+	AdvanceBase(delta V, rounds int)
+	// Sub is a - b.
+	Sub(a, b V) V
+	// BitsEq is math.Float64bits(a) == math.Float64bits(b): signatures
+	// repeat bit for bit, and -0 differs from +0.
+	BitsEq(a, b V) bool
+	// Zero is the constant 0.
+	Zero() V
+}
+
+// desKernel is the DES replay's FFKernel: float64 time over the
+// session's environment.
+type desKernel struct{ env *p2pdc.Environment }
+
+func (k desKernel) ActiveFlows() int                 { return k.env.Net.ActiveFlows() }
+func (k desKernel) PendingMessages() int             { return k.env.Post.PendingMessages() }
+func (k desKernel) PendingReal() int                 { return k.env.Sim.PendingReal() }
+func (k desKernel) Rebase() float64                  { return k.env.Sim.Rebase() }
+func (k desKernel) AdvanceBase(delta float64, n int) { k.env.Sim.AdvanceBase(delta, n) }
+func (desKernel) Sub(a, b float64) float64           { return a - b }
+func (desKernel) BitsEq(a, b float64) bool           { return math.Float64bits(a) == math.Float64bits(b) }
+func (desKernel) Zero() float64                      { return 0 }
+
+// FFController coordinates fast-forward across the ranks of one run.
+// It is driven synchronously from the rank processes (the DES kernel,
+// like the analytic engine's event loop, single-threads them), so it
+// needs no locking.
+type FFController[V any] struct {
+	k     FFKernel[V]
+	jump  bool // skipping allowed (FFOn); false simulates every round
+	n     int  // ranks in the run
+	reps  map[ffRepKey]*RepeatCtl[V]
 	stats FFStats
-	// cache/specKey plug the shared cross-replay period cache in; a
-	// nil cache (or empty key) disables it. specKey names the source
-	// and platform by address, so the entries this replay stores pin
-	// both.
-	cache   *PeriodCache
-	specKey string
-	src     trace.Source
-	plat    *platform.Platform
 	// dbg receives boundary-rejection and jump diagnostics when
 	// non-nil (Spec.Debug). Observational only: it can never reach a
 	// prediction.
 	dbg io.Writer
 }
+
+// NewFFController returns a controller for a run of the given rank
+// count over kernel k. With jump false it runs the boundary protocol
+// but never skips (FFVerify); dbg may be nil.
+func NewFFController[V any](k FFKernel[V], ranks int, jump bool, dbg io.Writer) *FFController[V] {
+	return &FFController[V]{k: k, jump: jump, n: ranks, reps: make(map[ffRepKey]*RepeatCtl[V]), dbg: dbg}
+}
+
+// Stats reports the round accounting of the loops that have finished.
+func (c *FFController[V]) Stats() FFStats { return c.stats }
 
 // ffRepKey identifies "the same loop" across ranks: the collectives a
 // rank completed before entering it (collectives are globally
@@ -250,73 +218,56 @@ type ffRepKey struct {
 	count       int
 }
 
-func newFFController(env *p2pdc.Environment, spec Spec, src trace.Source) *ffController {
-	cache := spec.Periods
-	if spec.PeriodKey == "" {
-		cache = nil
-	}
-	return &ffController{
-		env:     env,
-		jump:    spec.FastForward == FFOn,
-		n:       src.Ranks(),
-		reps:    make(map[ffRepKey]*repeatCtl),
-		cache:   cache,
-		specKey: spec.PeriodKey,
-		src:     src,
-		plat:    spec.Platform,
-		dbg:     spec.Debug,
-	}
-}
-
 // ffSigEntry is one rank's contribution to a boundary signature.
-type ffSigEntry struct {
+type ffSigEntry[V any] struct {
 	rank int
-	wake uint64 // float64 bits of the parked wakeup's in-epoch offset
+	wake V // the parked wakeup's in-epoch offset
 }
 
 // ffRankState is one rank's controller-visible state within a managed
 // Repeat.
-type ffRankState struct {
+type ffRankState[V any] struct {
 	joined   bool
 	done     int // canonical iterations completed
 	seenSkip int // rc.cumSkip already folded into done
 	parked   bool
-	wake     float64 // in-epoch wakeup offset while parked
-	parkSeq  uint64  // global order of the park, for signature ordering
+	wake     V      // in-epoch wakeup offset while parked
+	parkSeq  uint64 // global order of the park, for signature ordering
 }
 
 // ffBoundary is one clean boundary snapshot: the signature plus the
 // epoch shift the preceding round produced.
-type ffBoundary struct {
-	sig   []ffSigEntry
-	shift float64
+type ffBoundary[V any] struct {
+	sig   []ffSigEntry[V]
+	shift V
 }
 
-// repeatCtl tracks one aligned Repeat loop.
-type repeatCtl struct {
-	ctl         *ffController
-	key         ffRepKey
+// RepeatCtl tracks one aligned Repeat loop.
+type RepeatCtl[V any] struct {
+	ctl         *FFController[V]
 	count       int
 	members     int
-	st          []ffRankState
+	st          []ffRankState[V]
 	parkCounter uint64
 	// ring holds the snapshots of consecutive clean boundaries,
-	// oldest first, capped at 2*FFMaxPeriod. Any boundary that fails
+	// oldest first, capped at 2*ffMaxPeriod. Any boundary that fails
 	// a snapshot condition clears it: period detection is only sound
 	// over an unbroken run of boundaries.
-	ring    []ffBoundary
-	sigBuf  []ffSigEntry // scratch for building the current signature
+	ring    []ffBoundary[V]
+	sigBuf  []ffSigEntry[V] // scratch for building the current signature
 	cumSkip int
 	counted bool
 }
 
-// join registers a rank entering a qualifying Repeat. It returns nil
-// when the rank cannot participate (it already ran a loop with this
-// key — an alignment anomaly better replayed plainly).
-func (c *ffController) join(rank int, key ffRepKey) *repeatCtl {
+// Join registers a rank entering a qualifying Repeat of count
+// iterations after completing convs convergences and bars barriers. It
+// returns nil when the rank cannot participate (it already ran a loop
+// with this key — an alignment anomaly better replayed plainly).
+func (c *FFController[V]) Join(rank int, convs, bars int64, count int) *RepeatCtl[V] {
+	key := ffRepKey{convs: convs, bars: bars, count: count}
 	rc := c.reps[key]
 	if rc == nil {
-		rc = &repeatCtl{ctl: c, key: key, count: key.count, st: make([]ffRankState, c.n)}
+		rc = &RepeatCtl[V]{ctl: c, count: count, st: make([]ffRankState[V], c.n)}
 		c.reps[key] = rc
 	}
 	if rc.st[rank].joined {
@@ -327,9 +278,9 @@ func (c *ffController) join(rank int, key ffRepKey) *repeatCtl {
 	return rc
 }
 
-// parkUntil records that a rank is about to sleep until the in-epoch
+// ParkUntil records that a rank is about to sleep until the in-epoch
 // time t (its round's leading compute).
-func (rc *repeatCtl) parkUntil(rank int, t float64) {
+func (rc *RepeatCtl[V]) ParkUntil(rank int, t V) {
 	st := &rc.st[rank]
 	st.parked = true
 	st.wake = t
@@ -337,12 +288,12 @@ func (rc *repeatCtl) parkUntil(rank int, t float64) {
 	st.parkSeq = rc.parkCounter
 }
 
-// woke records that the rank's leading compute finished.
-func (rc *repeatCtl) woke(rank int) { rc.st[rank].parked = false }
+// Woke records that the rank's leading compute finished.
+func (rc *RepeatCtl[V]) Woke(rank int) { rc.st[rank].parked = false }
 
-// leave records a rank finishing the loop; the first leaver commits
+// Leave records a rank finishing the loop; the first leaver commits
 // the loop's round accounting to the controller stats.
-func (rc *repeatCtl) leave() {
+func (rc *RepeatCtl[V]) Leave() {
 	if rc.counted {
 		return
 	}
@@ -351,14 +302,14 @@ func (rc *repeatCtl) leave() {
 	rc.ctl.stats.RoundsFastForwarded += int64(rc.cumSkip)
 }
 
-// boundary is called by a rank that has completed `done` iterations
+// Boundary is called by a rank that has completed `done` iterations
 // and is about to start the next one. It folds any skip the rank has
 // not yet observed into the canonical count, and — when this rank is
 // the last to reach the boundary — attempts a steady-state snapshot:
 // rebase the kernel epoch, fingerprint the boundary, and on a repeat
 // fingerprint jump the remaining rounds. The returned value is the
 // rank's canonical completed-iteration count.
-func (rc *repeatCtl) boundary(rank, done int) int {
+func (rc *RepeatCtl[V]) Boundary(rank, done int) int {
 	st := &rc.st[rank]
 	done += rc.cumSkip - st.seenSkip
 	st.seenSkip = rc.cumSkip
@@ -372,10 +323,10 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 	// means this caller is not the last arrival: return without
 	// touching the signature chain — exactly one call per boundary
 	// (the last) decides whether the chain extends or breaks, keeping
-	// the invariant that a valid prevSig is always the immediately
-	// preceding boundary's snapshot (a period-1 comparison; anything
-	// else would make the jump unsound).
-	if rc.members != rc.ctl.n {
+	// the invariant that the ring holds consecutive boundaries only
+	// (anything else would make the jump unsound).
+	c := rc.ctl
+	if rc.members != c.n {
 		return done
 	}
 	for r := range rc.st {
@@ -383,31 +334,29 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 			return done // not the last arrival
 		}
 		if rc.st[r].done > done {
-			if dbg := rc.ctl.dbg; dbg != nil {
-				fmt.Fprintf(dbg, "ff: boundary %d: rank %d ran ahead (%d)\n", done, r, rc.st[r].done)
+			if c.dbg != nil {
+				fmt.Fprintf(c.dbg, "ff: boundary %d: rank %d ran ahead (%d)\n", done, r, rc.st[r].done)
 			}
 			rc.ring = rc.ring[:0] // a rank ran ahead: no clean boundary
 			return done
 		}
 		if r != rank && !rc.st[r].parked {
-			if dbg := rc.ctl.dbg; dbg != nil {
-				fmt.Fprintf(dbg, "ff: boundary %d: rank %d not parked\n", done, r)
+			if c.dbg != nil {
+				fmt.Fprintf(c.dbg, "ff: boundary %d: rank %d not parked\n", done, r)
 			}
 			rc.ring = rc.ring[:0] // a leading compute already finished
 			return done
 		}
 	}
-	env := rc.ctl.env
+	k := c.k
 	// Quiescence: the parked wakeups must be the complete simulation
 	// state. Anything else in flight — active flows, undelivered
 	// mailbox messages, pending non-auxiliary events beyond the n-1
 	// wakeups — makes this boundary unfit as a period snapshot.
-	if env.Net.ActiveFlows() != 0 ||
-		env.Post.PendingMessages() != 0 ||
-		env.Sim.PendingReal() != rc.ctl.n-1 {
-		if dbg := rc.ctl.dbg; dbg != nil {
-			fmt.Fprintf(dbg, "ff: boundary %d: not quiescent: flows=%d msgs=%d pendingReal=%d want %d\n",
-				done, env.Net.ActiveFlows(), env.Post.PendingMessages(), env.Sim.PendingReal(), rc.ctl.n-1)
+	if k.ActiveFlows() != 0 || k.PendingMessages() != 0 || k.PendingReal() != c.n-1 {
+		if c.dbg != nil {
+			fmt.Fprintf(c.dbg, "ff: boundary %d: not quiescent: flows=%d msgs=%d pendingReal=%d want %d\n",
+				done, k.ActiveFlows(), k.PendingMessages(), k.PendingReal(), c.n-1)
 		}
 		rc.ring = rc.ring[:0]
 		return done
@@ -417,10 +366,10 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 	// Pending wakeup offsets shift by the same amount; mirror that in
 	// the tracked wake times (same operands, same float op — the bits
 	// stay in lockstep with the queue).
-	shift := env.Sim.Rebase()
+	shift := k.Rebase()
 	for r := range rc.st {
 		if rc.st[r].parked {
-			rc.st[r].wake -= shift
+			rc.st[r].wake = k.Sub(rc.st[r].wake, shift)
 		}
 	}
 
@@ -430,7 +379,7 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 	sig := rc.sigBuf[:0]
 	for r := range rc.st {
 		if rc.st[r].parked {
-			sig = append(sig, ffSigEntry{rank: r, wake: math.Float64bits(rc.st[r].wake)})
+			sig = append(sig, ffSigEntry[V]{rank: r, wake: rc.st[r].wake})
 		}
 	}
 	for i := 1; i < len(sig); i++ {
@@ -442,7 +391,7 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 		}
 		sig[j+1] = e
 	}
-	sig = append(sig, ffSigEntry{rank: rank, wake: 0})
+	sig = append(sig, ffSigEntry[V]{rank: rank, wake: k.Zero()})
 	rc.sigBuf = sig
 	rc.push(sig, shift)
 
@@ -452,87 +401,54 @@ func (rc *repeatCtl) boundary(rank, done int) int {
 	// base by the cycle's j-th shift and returns to the next cycle
 	// state. Skipping a multiple of p rounds therefore lands on this
 	// exact boundary state with the base advanced by the same iterated
-	// additions the simulated rounds would have performed. The last
-	// iteration is always simulated so the loop exits through ordinary
-	// control flow.
-	//
-	// The shared period cache is consulted first: an entry can only
-	// match a replay with bit-identical dynamics (the key covers the
-	// full replay identity), at the exact boundary the original replay
-	// jumped from, with the exact signature it jumped on — so a hit
-	// replays the proven decision the ring scan below would re-derive,
-	// and results are identical either way.
-	if rc.ctl.jump {
-		if e := rc.ctl.cache.lookup(rc.cacheKey()); e != nil && e.done == done && ffSigsEqual(e.sig, sig) {
-			if jumped := rc.jumpRounds(st, done, e.period, e.shifts); jumped > done {
-				rc.ctl.stats.PeriodCacheHits++
-				return jumped
-			}
-		}
+	// additions the simulated rounds would have performed.
+	if c.jump {
 		if p := rc.period(); p > 0 {
-			cycle := rc.ring[len(rc.ring)-p:]
-			shifts := make([]float64, p)
-			for j := range cycle {
-				shifts[j] = cycle[j].shift
-			}
-			if jumped := rc.jumpRounds(st, done, p, shifts); jumped > done {
-				rc.ctl.cache.store(rc.cacheKey(), &periodCacheEntry{
-					src:    rc.ctl.src,
-					plat:   rc.ctl.plat,
-					done:   done,
-					period: p,
-					sig:    append([]ffSigEntry(nil), sig...),
-					shifts: shifts,
-				})
-				return jumped
-			}
+			return rc.jumpRounds(st, done, p)
 		}
 	}
 	return done
 }
 
-// cacheKey identifies this loop in the shared period cache.
-func (rc *repeatCtl) cacheKey() periodCacheKey {
-	return periodCacheKey{spec: rc.ctl.specKey, rep: rc.key}
-}
-
-// jumpRounds skips the largest multiple of the period that leaves the
-// final iteration simulated, advancing the epoch base by the cycle's
-// shifts in chronological order. It returns the new canonical done
-// count (unchanged if no whole period fits).
-func (rc *repeatCtl) jumpRounds(st *ffRankState, done, p int, shifts []float64) int {
+// jumpRounds skips the largest multiple of the period p that leaves
+// the final iteration simulated (so the loop exits through ordinary
+// control flow), advancing the epoch base by the shifts of the ring's
+// last p boundaries in chronological order. It returns the new
+// canonical done count (unchanged if no whole period fits).
+func (rc *RepeatCtl[V]) jumpRounds(st *ffRankState[V], done, p int) int {
 	m := ((rc.count - 1 - done) / p) * p
 	if m <= 0 {
 		return done
 	}
-	env := rc.ctl.env
+	c := rc.ctl
+	cycle := rc.ring[len(rc.ring)-p:]
 	if p == 1 {
-		env.Sim.AdvanceBase(shifts[0], m)
+		c.k.AdvanceBase(cycle[0].shift, m)
 	} else {
 		// The cycle's shifts must accumulate in chronological order —
 		// float64 addition does not commute across different addends.
 		for j := 0; j < m; j++ {
-			env.Sim.AdvanceBase(shifts[j%p], 1)
+			c.k.AdvanceBase(cycle[j%p].shift, 1)
 		}
 	}
 	rc.cumSkip += m
 	st.seenSkip = rc.cumSkip
 	done += m
 	st.done = done
-	rc.ctl.stats.Jumps++
+	c.stats.Jumps++
 	rc.ring = rc.ring[:0]
-	if dbg := rc.ctl.dbg; dbg != nil {
-		fmt.Fprintf(dbg, "ff: boundary %d: jumped %d rounds (period %d)\n", done-m, m, p)
+	if c.dbg != nil {
+		fmt.Fprintf(c.dbg, "ff: boundary %d: jumped %d rounds (period %d)\n", done-m, m, p)
 	}
 	return done
 }
 
 // push appends a clean boundary snapshot to the ring, evicting the
-// oldest entry beyond 2*FFMaxPeriod. The signature is copied into the
+// oldest entry beyond 2*ffMaxPeriod. The signature is copied into the
 // entry's retained buffer.
-func (rc *repeatCtl) push(sig []ffSigEntry, shift float64) {
-	var entry ffBoundary
-	if len(rc.ring) == 2*FFMaxPeriod {
+func (rc *RepeatCtl[V]) push(sig []ffSigEntry[V], shift V) {
+	var entry ffBoundary[V]
+	if len(rc.ring) == 2*ffMaxPeriod {
 		entry = rc.ring[0]
 		copy(rc.ring, rc.ring[1:])
 		rc.ring = rc.ring[:len(rc.ring)-1]
@@ -545,15 +461,15 @@ func (rc *repeatCtl) push(sig []ffSigEntry, shift float64) {
 // period returns the smallest cycle length p such that the last 2p
 // boundary signatures consist of the same p-signature cycle twice, or
 // 0 if no such cycle is confirmed yet.
-func (rc *repeatCtl) period() int {
-	for p := 1; p <= FFMaxPeriod; p++ {
+func (rc *RepeatCtl[V]) period() int {
+	for p := 1; p <= ffMaxPeriod; p++ {
 		if 2*p > len(rc.ring) {
 			return 0
 		}
 		last := len(rc.ring) - 1
 		match := true
 		for j := 0; j < p; j++ {
-			if !ffSigsEqual(rc.ring[last-j].sig, rc.ring[last-p-j].sig) {
+			if !rc.sigsEqual(rc.ring[last-j].sig, rc.ring[last-p-j].sig) {
 				match = false
 				break
 			}
@@ -563,6 +479,22 @@ func (rc *repeatCtl) period() int {
 		}
 	}
 	return 0
+}
+
+// sigsEqual compares two signatures entry by entry: the rank, then the
+// wake time's bits through the kernel (under tape recording, the guard
+// a symbolic scan needs before trusting a recorded period).
+func (rc *RepeatCtl[V]) sigsEqual(a, b []ffSigEntry[V]) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	k := rc.ctl.k
+	for i := range a {
+		if a[i].rank != b[i].rank || !k.BitsEq(a[i].wake, b[i].wake) {
+			return false
+		}
+	}
+	return true
 }
 
 // ComputeDeadline accumulates the wakeup instant of n identical
@@ -580,18 +512,6 @@ func ComputeDeadline(now, ns float64, n int) float64 {
 	return t
 }
 
-func ffSigsEqual(a, b []ffSigEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // Op-structured executor
 
@@ -601,7 +521,7 @@ func ffSigsEqual(a, b []ffSigEntry) bool {
 // of the same simulation.
 type opsExec struct {
 	w           *p2pdc.Worker
-	ctl         *ffController
+	ctl         *FFController[float64]
 	convs, bars int64 // collectives completed by this rank so far
 }
 
@@ -637,19 +557,19 @@ func (ex *opsExec) run(ops []trace.Op, top bool) error {
 // maybeJoin checks whether a top-level Repeat qualifies for
 // fast-forward management (the shared Manageable rule) and registers
 // this rank with its controller.
-func (ex *opsExec) maybeJoin(op trace.Op) *repeatCtl {
+func (ex *opsExec) maybeJoin(op trace.Op) *RepeatCtl[float64] {
 	if ex.ctl == nil || !Manageable(op) {
 		return nil
 	}
-	return ex.ctl.join(ex.w.Rank(), ffRepKey{convs: ex.convs, bars: ex.bars, count: op.Count})
+	return ex.ctl.Join(ex.w.Rank(), ex.convs, ex.bars, op.Count)
 }
 
 // repeat replays a managed Repeat through the boundary protocol.
-func (ex *opsExec) repeat(rc *repeatCtl, op trace.Op) error {
+func (ex *opsExec) repeat(rc *RepeatCtl[float64], op trace.Op) error {
 	rank := ex.w.Rank()
 	done := 0
 	for done < op.Count {
-		done = rc.boundary(rank, done)
+		done = rc.Boundary(rank, done)
 		if done >= op.Count {
 			break
 		}
@@ -658,7 +578,7 @@ func (ex *opsExec) repeat(rc *repeatCtl, op trace.Op) error {
 		}
 		done++
 	}
-	rc.leave()
+	rc.Leave()
 	return nil
 }
 
@@ -666,12 +586,12 @@ func (ex *opsExec) repeat(rc *repeatCtl, op trace.Op) error {
 // leading compute run becomes a single tracked wakeup (so the
 // controller knows the rank's complete state while it sleeps), the
 // rest replays normally.
-func (ex *opsExec) runBody(rc *repeatCtl, rank int, body []trace.Op) error {
+func (ex *opsExec) runBody(rc *RepeatCtl[float64], rank int, body []trace.Op) error {
 	lead := body[0]
 	t := ComputeDeadline(ex.w.Now(), lead.Rec.NS, lead.Count)
-	rc.parkUntil(rank, t)
+	rc.ParkUntil(rank, t)
 	ex.w.SleepUntil(t)
-	rc.woke(rank)
+	rc.Woke(rank)
 	return ex.run(body[1:], false)
 }
 

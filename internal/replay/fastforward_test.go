@@ -202,62 +202,6 @@ func TestFastForwardFallback(t *testing.T) {
 	}
 }
 
-// TestPeriodCacheSharedReplay: identical replays sharing a
-// PeriodCache must produce bit-identical results and round stats with
-// a cold or a warm cache, and the warm run must record a hit. A replay
-// under a different key must not hit.
-func TestPeriodCacheSharedReplay(t *testing.T) {
-	src := trace.FoldedSource(steadyFixture(40))
-	spec := clusterSpec(t, 2)
-	spec.FastForward = FFOn
-
-	cold := runMode(t, spec, src, FFOn)
-
-	cache := NewPeriodCache()
-	spec.Periods = cache
-	spec.PeriodKey = "fixture|sync|2"
-	first, err := RunSource(spec, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.FF.PeriodCacheHits != 0 {
-		t.Fatalf("cold cache recorded %d hits", first.FF.PeriodCacheHits)
-	}
-	if cache.Len() == 0 {
-		t.Fatal("jump did not populate the period cache")
-	}
-	second, err := RunSource(spec, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.FF.PeriodCacheHits == 0 {
-		t.Fatal("warm cache recorded no hits")
-	}
-	// The cache must be invisible in results and round accounting.
-	if timings(cold) != timings(first) || timings(first) != timings(second) {
-		t.Fatalf("period cache changed timings:\ncold  %+v\nfirst %+v\nwarm  %+v", cold, first, second)
-	}
-	if first.FF.RoundsSimulated != second.FF.RoundsSimulated ||
-		first.FF.RoundsFastForwarded != second.FF.RoundsFastForwarded ||
-		first.FF.Jumps != second.FF.Jumps {
-		t.Fatalf("period cache changed round stats:\nfirst %+v\nwarm  %+v", first.FF, second.FF)
-	}
-	if cold.FF.RoundsSimulated != first.FF.RoundsSimulated ||
-		cold.FF.RoundsFastForwarded != first.FF.RoundsFastForwarded {
-		t.Fatalf("enabling the cache changed round stats:\nno-cache %+v\ncached   %+v", cold.FF, first.FF)
-	}
-
-	// A different key must not see the entry.
-	spec.PeriodKey = "other|sync|2"
-	other, err := RunSource(spec, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.FF.PeriodCacheHits != 0 {
-		t.Fatalf("mismatched key hit the cache: %+v", other.FF)
-	}
-}
-
 // TestFastForwardSessionReuse: fast-forwarded replays on a reused
 // session stay bit-identical run over run (epoch base reset included).
 func TestFastForwardSessionReuse(t *testing.T) {

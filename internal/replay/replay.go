@@ -38,13 +38,6 @@ type Spec struct {
 	// steady-state rounds of op-structured sources in closed form,
 	// bit-identical to FFVerify (the rebased per-iteration reference).
 	FastForward FFMode
-	// Periods optionally shares detected steady-state periods across
-	// replays (see PeriodCache). PeriodKey must then identify the full
-	// replay — platform, scheme, ranks, deployment bytes and trace
-	// source — so that equal keys imply bit-identical dynamics; an
-	// empty key disables the cache for this replay.
-	Periods   *PeriodCache
-	PeriodKey string
 	// Debug, when non-nil, receives the fast-forward engine's boundary
 	// and jump diagnostics for this replay. It replaces the old
 	// init-time FF_DEBUG environment gate, which was frozen at process
@@ -220,7 +213,7 @@ func (s *Session) RunSource(spec Spec, src trace.Source) (*Result, error) {
 
 // run executes one replay on the (reset) environment.
 func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
-	var ctl *ffController
+	var ctl *FFController[float64]
 	var app p2pdc.App
 	if spec.FastForward != FFOff {
 		if ops, ok := src.(trace.OpsSource); ok {
@@ -228,7 +221,7 @@ func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
 			// boundaries and runs the steady-state protocol. Sources
 			// without op structure fall through to the cursor path
 			// (nothing to fast-forward over).
-			ctl = newFFController(s.env, spec, src)
+			ctl = NewFFController[float64](desKernel{s.env}, src.Ranks(), spec.FastForward == FFOn, spec.Debug)
 			app = func(w *p2pdc.Worker) error {
 				ex := &opsExec{w: w, ctl: ctl}
 				return ex.run(ops.RankOps(w.Rank()), true)
@@ -259,7 +252,7 @@ func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
 		GatherSeconds:    res.GatherTime,
 	}
 	if ctl != nil {
-		out.FF = ctl.stats
+		out.FF = ctl.Stats()
 	}
 	return out, nil
 }
