@@ -263,14 +263,15 @@ func TestPredictorScanConcurrent(t *testing.T) {
 	}
 }
 
-// TestSymbolicScanSpeedup is the acceptance gate for the symbolic
-// scan path: a warm capacity scan (tapes compiled, every point served
-// by guarded replay) must be ≥10× faster per point than the full
-// analytic evaluator measured in the same process — and, when the
-// race detector is off, sustain at least 290k points/s on a single
-// core, 10× the BENCH_analytic.json capacity-scan baseline of ~29k
-// points/s — while staying bit-identical to the full analytic
-// evaluator at every grid point.
+// TestSymbolicScanSpeedup pins the work of the symbolic scan path on
+// a dense capacity cell. The cold pass records 18 tape regions: 6382
+// of its 6400 points are served by guarded replay and 18 by a fresh
+// recording evaluation, and every one is checked bit for bit against
+// the full analytic evaluator. Each warm pass then serves all 6400
+// points by replay, with no fallback and no new region. The counts are
+// deterministic, so they are pinned exactly; the throughput against
+// the full evaluator is logged, not gated, because wall-clock ratios
+// belong to the bench harness.
 func TestSymbolicScanSpeedup(t *testing.T) {
 	const w, n, rounds = 2, 256, 40
 	p := dperf.NewPredictor()
@@ -286,14 +287,15 @@ func TestSymbolicScanSpeedup(t *testing.T) {
 	)
 	npts := len(pts) / 3
 
-	// Cold pass: discovers the cell's regions (and, below, pins every
-	// point to the full evaluator bit for bit).
-	verifyScan(t, p, f, w, n, rounds, pts)
+	// Cold pass: discovers the cell's regions and pins every point to
+	// the full evaluator bit for bit.
+	cold := verifyScan(t, p, f, w, n, rounds, pts)
+	if want := (dperf.ScanStats{Points: 6400, Replayed: 6382, Fallbacks: 18, Regions: 18}); *cold != want {
+		t.Fatalf("cold scan work %+v, want %+v", *cold, want)
+	}
 
-	// The in-process baseline: full closed-form evaluations of the same
-	// family, timed on the same host under the same build flags — the
-	// relative gate stays meaningful on slow CI hosts and under the
-	// race detector's instrumentation.
+	// The full closed-form evaluation rate of the same family, for the
+	// log line only.
 	const evalPts = 64
 	evalStart := time.Now()
 	var evalSink float64
@@ -307,8 +309,7 @@ func TestSymbolicScanSpeedup(t *testing.T) {
 	}
 	evalRate := evalPts / time.Since(evalStart).Seconds()
 
-	// Warm passes: pure guarded replay. Best of several runs guards
-	// against scheduler noise on shared CI hosts.
+	// Warm passes: pure guarded replay over the cached regions.
 	var sink float64
 	best := time.Duration(math.MaxInt64)
 	for run := 0; run < 5; run++ {
@@ -319,31 +320,16 @@ func TestSymbolicScanSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Fallbacks != 0 {
-			t.Fatalf("warm scan still falls back (%d of %d points)", stats.Fallbacks, stats.Points)
-		}
 		if d := time.Since(start); d < best {
 			best = d
+		}
+		if want := (dperf.ScanStats{Points: 6400, Replayed: 6400, Fallbacks: 0, Regions: 18}); *stats != want {
+			t.Fatalf("warm scan %d work %+v, want %+v", run, *stats, want)
 		}
 	}
 	rate := float64(npts) / best.Seconds()
 	t.Logf("symbolic scan: %d points in %v — %.0f points/s vs %.0f points/s full evaluation, %.1fx (sink %g, evalSink %g)",
 		npts, best, rate, evalRate, rate/evalRate, sink, evalSink)
-	if raceEnabled {
-		// The race detector instruments every slice access, and replay
-		// is almost nothing but slice accesses — under it the numbers
-		// measure the instrumentation, not the scan. The bit-identity
-		// checks above are the -race payload; the throughput floors
-		// only bind without it.
-		t.Logf("race detector enabled; skipping the throughput gates")
-		return
-	}
-	if rate < 10*evalRate {
-		t.Fatalf("symbolic scan sustained %.0f points/s, want >= 10x the %.0f points/s full-evaluation rate measured in-process", rate, evalRate)
-	}
-	if rate < 290_000 {
-		t.Fatalf("symbolic scan sustained %.0f points/s, want >= 290000 (10x the 29k points/s BENCH_analytic.json baseline)", rate)
-	}
 }
 
 // BenchmarkSymbolicScan measures the warm scan path end to end

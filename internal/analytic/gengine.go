@@ -137,11 +137,13 @@ func gHasCollective[V comparable](ops []gop[V]) bool {
 }
 
 // galink mirrors netsim.Link: capacity plus a stable index into the
-// per-evaluation rate-assignment scratch.
+// per-evaluation rate-assignment scratch and the link's rank, its
+// position in name order.
 type galink[V comparable] struct {
 	name      string
 	bandwidth V
 	idx       int
+	rank      int
 }
 
 // garoute mirrors netsim.Route: the link sequence and the path latency
@@ -202,6 +204,14 @@ func newGModel[V comparable, A arith[V]](ar A, plat *platform.Platform, bwOver, 
 		}
 		m.links[e.LinkName] = &galink[V]{name: e.LinkName, bandwidth: bw, idx: m.nlink}
 		m.nlink++
+	}
+	byName := make([]*galink[V], 0, m.nlink)
+	for _, e := range m.edges {
+		byName = append(byName, m.links[e.LinkName])
+	}
+	sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
+	for r, l := range byName {
+		l.rank = r
 	}
 	for name := range bwOver {
 		if _, ok := m.links[name]; !ok {
@@ -963,8 +973,8 @@ func (ev *gev[V, A]) recompute() {
 }
 
 // assignRates mirrors netsim.Network.assignRates' progressive filling:
-// flow order for assignment, link states sorted by name for
-// bottleneck selection.
+// flow order for assignment, link states in name order for bottleneck
+// selection, sorted by the links' integer ranks as netsim sorts them.
 func (ev *gev[V, A]) assignRates() {
 	ar := ev.ar
 	ev.rateMark++
@@ -990,13 +1000,13 @@ func (ev *gev[V, A]) assignRates() {
 			st.nflows++
 		}
 	}
-	// Sort by link name. Link names are unique, so this insertion sort
+	// Sort by link rank. Ranks are unique, so this insertion sort
 	// realizes the same strict total order as netsim's slices.SortFunc
-	// — and performs no float comparisons.
+	// — and compares only integers, never a value a tape records.
 	for i := 1; i < len(active); i++ {
 		e := active[i]
 		j := i - 1
-		for j >= 0 && active[j].link.name > e.link.name {
+		for j >= 0 && active[j].link.rank > e.link.rank {
 			active[j+1] = active[j]
 			j--
 		}

@@ -96,8 +96,9 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkKernelSleepChain measures the process wakeup path (the
-// closure-free activation events): one process sleeping b.N times.
+// BenchmarkKernelSleepChain measures the direct-resume path: one
+// process sleeping b.N times. Each wakeup is earlier than any queued
+// event (there is none), so the sleeper never switches to the driver.
 func BenchmarkKernelSleepChain(b *testing.B) {
 	s := New()
 	b.ReportAllocs()
@@ -110,11 +111,33 @@ func BenchmarkKernelSleepChain(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkKernelSleepAlternate measures the parked wakeup path (the
+// closure-free activation events): two processes sleeping in
+// alternation, half a period apart, so each wakeup finds the other
+// process's wakeup at the queue head, parks, and costs a push, a pop
+// and a coroutine switch each way. One op is one wakeup.
+func BenchmarkKernelSleepAlternate(b *testing.B) {
+	s := New()
+	sleeper := func(p *Process) {
+		for i := 0; i < b.N/2; i++ {
+			p.Sleep(1)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Spawn("even", 0, sleeper)
+	s.Spawn("odd", 0.5, sleeper)
+	s.Run()
+	if s.DirectResumes() != 0 {
+		b.Fatalf("%d of %d wakeups resumed directly", s.DirectResumes(), s.Events())
+	}
+}
+
 // BenchmarkKernelQueuePingPong measures the message wakeup path that
 // Send/Recv rides on: two processes bounce a value through two Queues,
-// so every op is two Puts that each wake a parked Get. With the sleep
-// chain it shows the process switch cost, and it must stay at 0
-// allocs/op once the queues have warmed up.
+// so every op is two Puts that each wake a parked Get. With the
+// alternating sleepers it shows the process switch cost, and it must
+// stay at 0 allocs/op once the queues have warmed up.
 func BenchmarkKernelQueuePingPong(b *testing.B) {
 	s := New()
 	ping, pong := s.NewQueue(), s.NewQueue()

@@ -10,6 +10,18 @@
 // regardless of GOMAXPROCS. A panic in a process body is re-raised on
 // the driver, the goroutine running the kernel.
 //
+// # Direct resume
+//
+// A process that sleeps until a time strictly earlier than every
+// queued event, and within the bound of the running loop, would be the
+// very next event the driver pops. Sleep and SleepUntil then skip the
+// round trip: the process takes the activation's sequence number,
+// moves the clock and carries on, saving a push, a pop and two
+// coroutine switches. Nothing else can run in between, so the event
+// order, every timestamp and the sequence numbers are exactly those of
+// the parked path. Step and a non-nil Trace hook always park, so they
+// still see every event. Events and DirectResumes count the work.
+//
 // # Virtual time and epochs
 //
 // The clock is split into an epoch base and an in-epoch offset:
@@ -32,29 +44,26 @@ import (
 	"math"
 )
 
-// Event kinds. Activation events carry the process to hand the token
-// to directly instead of a closure, which keeps the hot Sleep/wakeup
-// path allocation-free. Auxiliary events are callbacks whose creator
-// guarantees they are no-ops once its own state has moved on (e.g.
-// superseded flow-completion estimates guarded by an epoch counter);
-// they are excluded from PendingReal so quiescence checks can ignore
-// them.
-const (
-	evFn byte = iota
-	evActivate
-	evAux
-)
-
 // event is a scheduled occurrence. Events are stored by value in the
 // queue slice: pushing never allocates once the slice has warmed up,
 // unlike the previous container/heap queue which boxed a *event per
 // Schedule call.
+//
+// Exactly one of proc, fn and aux is set. An activation carries the
+// process to hand the token to instead of a closure, which keeps the
+// hot Sleep/wakeup path allocation-free. An auxiliary event is a
+// callback its creator guarantees is a no-op once its own state has
+// moved on (e.g. a superseded flow-completion estimate); it is called
+// with its own sequence number, by which a callback bound once tells
+// the live event from superseded ones, and it is excluded from
+// PendingReal so quiescence checks can ignore it. The layout stays at
+// five words: sift-downs move whole events.
 type event struct {
 	time float64
 	seq  uint64
-	kind byte
-	proc *Process // evActivate
-	fn   func()   // evFn, evAux
+	proc *Process     // activation
+	fn   func()       // plain callback
+	aux  func(uint64) // auxiliary callback, called with seq
 }
 
 // eventQueue is a slice-backed 4-ary min-heap ordered by (time, seq).
@@ -165,8 +174,16 @@ type Simulation struct {
 	base    float64 // accumulated epoch base; AbsNow = base + now
 	seq     uint64
 	queue   eventQueue
-	aux     int // pending evAux events
+	aux     int // pending auxiliary events
 	running bool
+	// resumeMax is the latest wakeup a sleeping process may take by
+	// direct resume: the running loop's bound (RunUntil's limit, or
+	// the largest float64 below RunWindow's). Outside a loop it is
+	// unused: direct resume also requires running.
+	resumeMax float64
+	// events counts the events executed since the last Reset, popped
+	// or directly resumed; direct counts the direct resumes.
+	events, direct int64
 	// live counts processes that have been started and not yet finished.
 	live  int
 	procs []*Process // every spawned process, for Shutdown teardown
@@ -199,7 +216,7 @@ func (s *Simulation) Schedule(delay float64, fn func()) {
 		panic(fmt.Sprintf("des: Schedule with invalid delay %v at t=%v", delay, s.now))
 	}
 	s.seq++
-	s.queue.push(event{time: s.now + delay, seq: s.seq, kind: evFn, fn: fn})
+	s.queue.push(event{time: s.now + delay, seq: s.seq, fn: fn})
 }
 
 // ScheduleAt registers fn to run at the absolute in-epoch time t
@@ -212,22 +229,26 @@ func (s *Simulation) ScheduleAt(t float64, fn func()) {
 		panic(fmt.Sprintf("des: ScheduleAt %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.queue.push(event{time: t, seq: s.seq, kind: evFn, fn: fn})
+	s.queue.push(event{time: t, seq: s.seq, fn: fn})
 }
 
 // ScheduleAux registers an auxiliary callback at Now()+delay: one the
 // caller guarantees is a no-op whenever its creator's state has been
-// superseded by the time it fires (flow-completion estimates guarded
-// by an epoch counter are the canonical case). Aux events execute
-// normally but are excluded from PendingReal, so quiescence checks
-// can ignore stale ones still queued.
-func (s *Simulation) ScheduleAux(delay float64, fn func()) {
+// superseded by the time it fires (flow-completion estimates are the
+// canonical case). It returns the event's sequence number, and fn
+// receives that number when the event fires, so a creator that keeps
+// rescheduling one callback, bound once, can tell its live event from
+// superseded ones without allocating a closure per event. Aux events
+// execute normally but are excluded from PendingReal, so quiescence
+// checks can ignore stale ones still queued.
+func (s *Simulation) ScheduleAux(delay float64, fn func(seq uint64)) uint64 {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("des: ScheduleAux with invalid delay %v at t=%v", delay, s.now))
 	}
 	s.seq++
-	s.queue.push(event{time: s.now + delay, seq: s.seq, kind: evAux, fn: fn})
+	s.queue.push(event{time: s.now + delay, seq: s.seq, aux: fn})
 	s.aux++
+	return s.seq
 }
 
 // DiscardAux removes every pending auxiliary event without running
@@ -246,7 +267,7 @@ func (s *Simulation) DiscardAux() int {
 	a := s.queue.a
 	keep := a[:0]
 	for _, e := range a {
-		if e.kind == evAux {
+		if e.aux != nil {
 			continue
 		}
 		keep = append(keep, e)
@@ -269,16 +290,7 @@ func (s *Simulation) scheduleActivate(delay float64, p *Process) {
 		panic(fmt.Sprintf("des: activation with invalid delay %v at t=%v", delay, s.now))
 	}
 	s.seq++
-	s.queue.push(event{time: s.now + delay, seq: s.seq, kind: evActivate, proc: p})
-}
-
-// scheduleActivateAt is scheduleActivate at an exact in-epoch time.
-func (s *Simulation) scheduleActivateAt(t float64, p *Process) {
-	if t < s.now || math.IsNaN(t) {
-		panic(fmt.Sprintf("des: activation at %v before now %v", t, s.now))
-	}
-	s.seq++
-	s.queue.push(event{time: t, seq: s.seq, kind: evActivate, proc: p})
+	s.queue.push(event{time: s.now + delay, seq: s.seq, proc: p})
 }
 
 // Pending reports the number of queued events, auxiliary ones
@@ -292,11 +304,36 @@ func (s *Simulation) PendingReal() int { return s.queue.len() - s.aux }
 // Live reports the number of started-but-unfinished processes.
 func (s *Simulation) Live() int { return s.live }
 
+// Events reports the events executed since New or the last Reset:
+// every popped event, auxiliary ones included, plus every direct
+// resume. Direct resume replaces exactly one pop, so the count is the
+// same with or without it.
+func (s *Simulation) Events() int64 { return s.events }
+
+// DirectResumes reports how many of Events were direct resumes.
+func (s *Simulation) DirectResumes() int64 { return s.direct }
+
+// next pops the head event and accounts for it.
+func (s *Simulation) next() event {
+	e := s.queue.pop()
+	if e.aux != nil {
+		s.aux--
+	}
+	if e.time < s.now {
+		panic("des: time went backwards")
+	}
+	s.now = e.time
+	s.events++
+	return e
+}
+
 // dispatch executes one popped event.
 func (s *Simulation) dispatch(e event) {
-	switch e.kind {
-	case evActivate:
+	switch {
+	case e.proc != nil:
 		s.activate(e.proc)
+	case e.aux != nil:
+		e.aux(e.seq)
 	default:
 		e.fn()
 	}
@@ -317,20 +354,14 @@ func (s *Simulation) RunUntil(limit float64) float64 {
 		panic("des: nested Run")
 	}
 	s.running = true
+	s.resumeMax = limit
 	defer func() { s.running = false }()
 	for s.queue.len() > 0 {
 		if s.queue.a[0].time > limit {
 			s.now = limit
 			return s.now
 		}
-		e := s.queue.pop()
-		if e.kind == evAux {
-			s.aux--
-		}
-		if e.time < s.now {
-			panic("des: time went backwards")
-		}
-		s.now = e.time
+		e := s.next()
 		if s.Trace != nil {
 			s.Trace(s.now, "event")
 		}
@@ -343,41 +374,31 @@ func (s *Simulation) RunUntil(limit float64) float64 {
 }
 
 // RunWindow executes events with time strictly below limit and
-// returns the number dispatched. It is the driving primitive of
-// partitioned (multi-kernel) simulation: unlike Run, an empty queue
-// with live processes is not a deadlock — the missing wakeups arrive
-// later as cross-partition injections scheduled at or after the
-// window boundary (conservative synchronization guarantees no
-// injection ever lands inside a window already simulated). The clock
-// is left at the last dispatched event, never advanced to the limit,
-// so the final Now() of a partitioned run is the time of its last
-// real event, exactly as in a monolithic run.
+// returns the number executed, direct resumes included. It is the
+// driving primitive of partitioned (multi-kernel) simulation: unlike
+// Run, an empty queue with live processes is not a deadlock — the
+// missing wakeups arrive later as cross-partition injections scheduled
+// at or after the window boundary (conservative synchronization
+// guarantees no injection ever lands inside a window already
+// simulated). The clock is left at the last executed event, never
+// advanced to the limit, so the final Now() of a partitioned run is
+// the time of its last real event, exactly as in a monolithic run.
 func (s *Simulation) RunWindow(limit float64) int {
 	if s.running {
 		panic("des: nested Run")
 	}
 	s.running = true
+	s.resumeMax = math.Nextafter(limit, math.Inf(-1))
 	defer func() { s.running = false }()
-	dispatched := 0
-	for s.queue.len() > 0 {
-		if s.queue.a[0].time >= limit {
-			return dispatched
-		}
-		e := s.queue.pop()
-		if e.kind == evAux {
-			s.aux--
-		}
-		if e.time < s.now {
-			panic("des: time went backwards")
-		}
-		s.now = e.time
+	start := s.events
+	for s.queue.len() > 0 && s.queue.a[0].time < limit {
+		e := s.next()
 		if s.Trace != nil {
 			s.Trace(s.now, "event")
 		}
 		s.dispatch(e)
-		dispatched++
 	}
-	return dispatched
+	return int(s.events - start)
 }
 
 // PeekTime returns the time of the earliest pending event, if any.
@@ -391,12 +412,13 @@ func (s *Simulation) PeekTime() (float64, bool) {
 	return s.queue.a[0].time, true
 }
 
-// Reset rewinds the clock, epoch base and event sequence to zero so
-// the simulation can host another run whose timings are bit-identical
-// to a fresh kernel's (replaying at a large clock offset changes
-// float64 rounding). It refuses to reset a busy kernel: all events
-// must have drained and all processes finished. Rebase hooks survive
-// a reset; finished process handles are released.
+// Reset rewinds the clock, epoch base, event sequence and work
+// counters to zero so the simulation can host another run whose
+// timings are bit-identical to a fresh kernel's (replaying at a large
+// clock offset changes float64 rounding). It refuses to reset a busy
+// kernel: all events must have drained and all processes finished.
+// Rebase hooks survive a reset; finished process handles are
+// released.
 func (s *Simulation) Reset() error {
 	if s.running {
 		return fmt.Errorf("des: Reset during Run")
@@ -410,21 +432,19 @@ func (s *Simulation) Reset() error {
 	s.now = 0
 	s.base = 0
 	s.seq = 0
+	s.events, s.direct = 0, 0
 	s.procs = s.procs[:0]
 	return nil
 }
 
 // Step executes exactly one event, if any, and reports whether one ran.
+// A process never resumes directly under Step: each of its wakeups is
+// a step of its own.
 func (s *Simulation) Step() bool {
 	if s.queue.len() == 0 {
 		return false
 	}
-	e := s.queue.pop()
-	if e.kind == evAux {
-		s.aux--
-	}
-	s.now = e.time
-	s.dispatch(e)
+	s.dispatch(s.next())
 	return true
 }
 
@@ -508,9 +528,10 @@ func (s *Simulation) AdvanceBase(delta float64, rounds int) {
 // blocking primitive (Sleep, Cond.Wait, Queue.Get, Barrier.Arrive)
 // parks the body and switches straight back to the driver, and the
 // next activation switches straight back in, without a trip through
-// the goroutine scheduler. Exactly one of the driver and the
-// simulation's processes runs at any moment, so bodies share kernel
-// state without locks.
+// the goroutine scheduler. A sleep whose wakeup is the driver's next
+// event does not switch at all (see "Direct resume" above). Exactly
+// one of the driver and the simulation's processes runs at any moment,
+// so bodies share kernel state without locks.
 type Process struct {
 	sim   *Simulation
 	name  string
@@ -605,9 +626,7 @@ func (p *Process) Sleep(d float64) {
 	if d < 0 || math.IsNaN(d) {
 		panic(fmt.Sprintf("des: Sleep with invalid duration %v", d))
 	}
-	s := p.sim
-	s.scheduleActivate(d, p)
-	p.park()
+	p.sleepUntil(p.sim.now + d)
 }
 
 // SleepUntil suspends the process until the absolute virtual time t
@@ -619,8 +638,25 @@ func (p *Process) SleepUntil(t float64) {
 	if t < p.sim.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("des: SleepUntil %v before now %v", t, p.sim.now))
 	}
+	p.sleepUntil(t)
+}
+
+// sleepUntil wakes the process at t, by direct resume when the wakeup
+// would be the driver's very next event (see the package comment), by
+// a queued activation otherwise. A wakeup tied with the queue head
+// parks: the queued event was scheduled first and runs first.
+func (p *Process) sleepUntil(t float64) {
 	s := p.sim
-	s.scheduleActivateAt(t, p)
+	if s.running && s.Trace == nil && t <= s.resumeMax &&
+		(s.queue.len() == 0 || t < s.queue.a[0].time) {
+		s.seq++
+		s.now = t
+		s.events++
+		s.direct++
+		return
+	}
+	s.seq++
+	s.queue.push(event{time: t, seq: s.seq, proc: p})
 	p.park()
 }
 

@@ -146,11 +146,13 @@ func TestAdvanceBaseIteratedAddition(t *testing.T) {
 }
 
 // TestScheduleAuxPendingReal: auxiliary events run like any other but
-// are excluded from PendingReal.
+// are excluded from PendingReal, and each is called with the sequence
+// number ScheduleAux returned for it.
 func TestScheduleAuxPendingReal(t *testing.T) {
 	s := New()
 	ran := 0
-	s.ScheduleAux(2, func() { ran++ })
+	var got uint64
+	want := s.ScheduleAux(2, func(seq uint64) { ran++; got = seq })
 	s.Schedule(1, func() { ran++ })
 	if s.Pending() != 2 || s.PendingReal() != 1 {
 		t.Fatalf("Pending=%d PendingReal=%d, want 2/1", s.Pending(), s.PendingReal())
@@ -158,6 +160,9 @@ func TestScheduleAuxPendingReal(t *testing.T) {
 	s.Run()
 	if ran != 2 {
 		t.Fatalf("ran %d events, want 2", ran)
+	}
+	if want != 1 || got != want {
+		t.Fatalf("aux event got sequence number %d, ScheduleAux returned %d; want 1", got, want)
 	}
 	if s.Pending() != 0 || s.PendingReal() != 0 {
 		t.Fatalf("queue not drained: Pending=%d PendingReal=%d", s.Pending(), s.PendingReal())

@@ -164,9 +164,9 @@ func TestDiscardAuxKeepsRealEvents(t *testing.T) {
 	sim := des.New()
 	var fired []string
 	sim.Schedule(2, func() { fired = append(fired, "real2") })
-	sim.ScheduleAux(1, func() { fired = append(fired, "aux1") })
+	sim.ScheduleAux(1, func(uint64) { fired = append(fired, "aux1") })
 	sim.Schedule(1, func() { fired = append(fired, "real1") })
-	sim.ScheduleAux(3, func() { fired = append(fired, "aux3") })
+	sim.ScheduleAux(3, func(uint64) { fired = append(fired, "aux3") })
 	if got := sim.DiscardAux(); got != 2 {
 		t.Fatalf("discarded %d aux events, want 2", got)
 	}

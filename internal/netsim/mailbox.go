@@ -7,7 +7,9 @@ import (
 )
 
 // Message is a payload delivered through a mailbox once its simulated
-// transfer completes.
+// transfer completes. Receives return it by value: the record that
+// carried it is recycled for a later send as soon as it is read, and
+// the copy the receiver holds never changes.
 type Message struct {
 	From    string
 	To      string
@@ -19,14 +21,19 @@ type Message struct {
 	DeliveredAt float64
 }
 
-// mailbox is a per-(host,tag) queue of delivered messages.
-type mailbox struct {
-	q *des.Queue
+// Mailbox is the per-(host, tag) queue of delivered messages, resolved
+// once by name (Post.Mailbox) and then used as a handle: SendAsyncTo
+// and SendTo deliver into it, Recv and TryRecv read from it.
+type Mailbox struct {
+	post *Post
+	host *Host  // nil for a box a receive opened on an unknown host name
+	at   string // the host name
+	tag  string
+	q    *des.Queue // of *Message records from the post's pool
 }
 
-// boxKey addresses a mailbox. A struct key keeps the per-message
-// lookup allocation-free (a concatenated string key would allocate on
-// every send and receive).
+// boxKey addresses a mailbox by name. A struct key keeps the lookup
+// allocation-free (a concatenated string key would allocate).
 type boxKey struct {
 	host, tag string
 }
@@ -55,7 +62,11 @@ type FlowStart struct {
 // bound to one Network; mailboxes are created on demand.
 type Post struct {
 	net   *Network
-	boxes map[boxKey]*mailbox
+	boxes map[boxKey]*Mailbox
+	// free is the Message record pool; pending counts the messages
+	// delivered and not yet read, across all mailboxes.
+	free    []*Message
+	pending int
 
 	// Partition mode (see SetPartition): local filters delivery to the
 	// hosts this kernel owns, onStart observes every non-loopback send
@@ -67,7 +78,7 @@ type Post struct {
 
 // NewPost creates the message layer for a network.
 func NewPost(n *Network) *Post {
-	return &Post{net: n, boxes: make(map[boxKey]*mailbox)}
+	return &Post{net: n, boxes: make(map[boxKey]*Mailbox)}
 }
 
 // SetPartition switches the message layer into (or out of) partition
@@ -85,13 +96,39 @@ func (po *Post) SetPartition(local func(host string) bool, onStart func(FlowStar
 	po.sendSeq = 0
 }
 
-// deliver places a completed message in its destination mailbox,
-// unless partition mode routes that delivery to another kernel.
-func (po *Post) deliver(msg *Message) {
-	if po.local != nil && !po.local(msg.To) {
-		return
+// newMessage takes a Message record from the pool, or allocates one.
+func (po *Post) newMessage() *Message {
+	if k := len(po.free); k > 0 {
+		m := po.free[k-1]
+		po.free[k-1] = nil
+		po.free = po.free[:k-1]
+		return m
 	}
-	po.box(msg.To, msg.Tag).q.Put(msg)
+	return &Message{}
+}
+
+// delivers reports whether this kernel delivers to the host: always,
+// unless partition mode leaves the host to another kernel.
+func (po *Post) delivers(host string) bool {
+	return po.local == nil || po.local(host)
+}
+
+// deliver places a completed transfer's message in the mailbox.
+func (b *Mailbox) deliver(m *Message) {
+	m.DeliveredAt = b.post.net.sim.Now()
+	b.post.pending++
+	b.q.Put(m)
+}
+
+// take copies a read record out and recycles it.
+func (b *Mailbox) take(v interface{}) Message {
+	m := v.(*Message)
+	out := *m
+	*m = Message{}
+	po := b.post
+	po.pending--
+	po.free = append(po.free, m)
+	return out
 }
 
 // record reports a send to the boundary exchange. Loopback transfers
@@ -113,75 +150,138 @@ func (po *Post) record(src, dst, tag string, bytes float64, payload interface{})
 // remote activation instant, and — when this partition owns the
 // destination host — delivers the message on completion.
 func (po *Post) InjectRemote(rec FlowStart) error {
+	if !po.delivers(rec.Dst) {
+		return po.net.InjectArrival(rec.Src, rec.Dst, rec.Bytes, rec.StartedAt, nil)
+	}
+	box := po.box(rec.Dst, rec.Tag)
 	msg := &Message{From: rec.Src, To: rec.Dst, Tag: rec.Tag, Bytes: rec.Bytes, Payload: rec.Payload, SentAt: rec.StartedAt}
-	return po.net.InjectArrival(rec.Src, rec.Dst, rec.Bytes, rec.StartedAt, func() {
-		msg.DeliveredAt = po.net.sim.Now()
-		po.deliver(msg)
-	})
+	return po.net.InjectArrival(rec.Src, rec.Dst, rec.Bytes, rec.StartedAt, func() { box.deliver(msg) })
 }
 
 // Net returns the underlying network.
 func (po *Post) Net() *Network { return po.net }
 
-func (po *Post) box(host, tag string) *mailbox {
+// box returns the (host, tag) mailbox, creating it on first use. A box
+// on an unknown host can be waited on but never receives anything.
+func (po *Post) box(host, tag string) *Mailbox {
 	key := boxKey{host: host, tag: tag}
 	b, ok := po.boxes[key]
 	if !ok {
-		b = &mailbox{q: po.net.sim.NewQueue()}
+		b = &Mailbox{post: po, host: po.net.hosts[host], at: host, tag: tag, q: po.net.sim.NewQueue()}
 		po.boxes[key] = b
 	}
 	return b
 }
 
-// SendAsync starts the transfer and returns immediately; the message
-// appears in the destination mailbox when the flow completes. The
-// flow record is transient: it is recycled once delivery completes.
-func (po *Post) SendAsync(src, dst, tag string, bytes float64, payload interface{}) error {
-	msg := &Message{From: src, To: dst, Tag: tag, Bytes: bytes, Payload: payload, SentAt: po.net.sim.Now()}
-	_, err := po.net.StartFlowTransient(src, dst, bytes, func() {
-		msg.DeliveredAt = po.net.sim.Now()
-		po.deliver(msg)
-	})
-	if err == nil {
-		po.record(src, dst, tag, bytes, payload)
+// Mailbox resolves the (host, tag) mailbox once, creating it on first
+// use; the handle then serves every send and receive.
+func (po *Post) Mailbox(host, tag string) (*Mailbox, error) {
+	if po.net.hosts[host] == nil {
+		return nil, fmt.Errorf("netsim: mailbox on unknown host %q", host)
 	}
-	return err
+	return po.box(host, tag), nil
 }
 
-// Send transfers synchronously: the calling process blocks until the
-// message has been fully delivered into the destination mailbox.
-func (po *Post) Send(p *des.Process, src, dst, tag string, bytes float64, payload interface{}) error {
-	c := po.net.sim.NewCond()
-	msg := &Message{From: src, To: dst, Tag: tag, Bytes: bytes, Payload: payload, SentAt: po.net.sim.Now()}
-	_, err := po.net.StartFlowTransient(src, dst, bytes, func() {
-		msg.DeliveredAt = po.net.sim.Now()
-		po.deliver(msg)
-		c.Signal()
-	})
+// resolve looks up a send's endpoints by name.
+func (po *Post) resolve(src, dst, tag string) (*Host, *Mailbox, error) {
+	hs, hd := po.net.hosts[src], po.net.hosts[dst]
+	if hs == nil || hd == nil {
+		return nil, nil, fmt.Errorf("netsim: unknown host in flow %s -> %s", src, dst)
+	}
+	return hs, po.box(dst, tag), nil
+}
+
+// SendAsync starts the transfer and returns immediately; the message
+// appears in the destination mailbox when the flow completes. It
+// resolves the names and delegates to SendAsyncTo.
+func (po *Post) SendAsync(src, dst, tag string, bytes float64, payload interface{}) error {
+	hs, box, err := po.resolve(src, dst, tag)
 	if err != nil {
 		return err
 	}
-	po.record(src, dst, tag, bytes, payload)
+	return po.SendAsyncTo(hs, box, bytes, payload)
+}
+
+// Send transfers synchronously: the calling process blocks until the
+// message has been fully delivered into the destination mailbox. It
+// resolves the names and delegates to SendTo.
+func (po *Post) Send(p *des.Process, src, dst, tag string, bytes float64, payload interface{}) error {
+	hs, box, err := po.resolve(src, dst, tag)
+	if err != nil {
+		return err
+	}
+	return po.SendTo(p, hs, box, bytes, payload)
+}
+
+// SendAsyncTo is SendAsync on resolved handles: the transfer from src
+// to the mailbox's host starts and the call returns; the message
+// appears in the mailbox when the flow completes. The flow and message
+// records are pooled, so a steady-state send allocates nothing.
+func (po *Post) SendAsyncTo(src *Host, to *Mailbox, bytes float64, payload interface{}) error {
+	return po.send(src, to, bytes, payload, nil)
+}
+
+// SendTo is Send on resolved handles: the calling process blocks until
+// the message has been delivered into the mailbox.
+func (po *Post) SendTo(p *des.Process, src *Host, to *Mailbox, bytes float64, payload interface{}) error {
+	c := po.net.sim.NewCond()
+	if err := po.send(src, to, bytes, payload, c); err != nil {
+		return err
+	}
 	c.Wait(p)
 	return nil
 }
 
+// send starts a message transfer whose flow delivers into the mailbox
+// and then signals wake, if set.
+func (po *Post) send(src *Host, to *Mailbox, bytes float64, payload interface{}, wake *des.Cond) error {
+	n := po.net
+	route, err := n.routeFor(src, to.host, bytes)
+	if err != nil {
+		return err
+	}
+	f := n.newFlow()
+	f.pooled, f.wake = true, wake
+	if po.delivers(to.at) {
+		m := po.newMessage()
+		*m = Message{From: src.Name, To: to.at, Tag: to.tag, Bytes: bytes, Payload: payload, SentAt: n.sim.Now()}
+		f.msg, f.box = m, to
+	}
+	n.launch(f, src, to.host, bytes, route)
+	po.record(src.Name, to.at, to.tag, bytes, payload)
+	return nil
+}
+
 // Recv blocks the process until a message is available in the mailbox
-// (host, tag) and returns it.
-func (po *Post) Recv(p *des.Process, host, tag string) *Message {
-	return po.box(host, tag).q.Get(p).(*Message)
+// (host, tag) and returns it. It resolves the names and delegates to
+// Mailbox.Recv.
+func (po *Post) Recv(p *des.Process, host, tag string) Message {
+	return po.box(host, tag).Recv(p)
 }
 
 // TryRecv returns a queued message without blocking; ok reports whether
 // one was available. This is the primitive behind asynchronous
 // iterative schemes: a peer polls for fresher boundary data and keeps
-// computing when none has arrived.
-func (po *Post) TryRecv(host, tag string) (*Message, bool) {
-	v, ok := po.box(host, tag).q.TryGet()
+// computing when none has arrived. It resolves the names and delegates
+// to Mailbox.TryRecv.
+func (po *Post) TryRecv(host, tag string) (Message, bool) {
+	return po.box(host, tag).TryRecv()
+}
+
+// Recv blocks the process until a message is available and returns
+// it by value.
+func (b *Mailbox) Recv(p *des.Process) Message {
+	return b.take(b.q.Get(p))
+}
+
+// TryRecv returns a queued message by value without blocking; ok
+// reports whether one was available.
+func (b *Mailbox) TryRecv() (Message, bool) {
+	v, ok := b.q.TryGet()
 	if !ok {
-		return nil, false
+		return Message{}, false
 	}
-	return v.(*Message), true
+	return b.take(v), true
 }
 
 // Pending reports queued (already delivered) messages for a mailbox.
@@ -193,13 +293,7 @@ func (po *Post) Pending(host, tag string) int {
 // messages across all mailboxes. The replay fast-forward engine uses
 // it as part of its quiescence check: a round boundary with a message
 // still parked in a mailbox is not a clean steady-state snapshot.
-func (po *Post) PendingMessages() int {
-	total := 0
-	for _, b := range po.boxes {
-		total += b.q.Len()
-	}
-	return total
-}
+func (po *Post) PendingMessages() int { return po.pending }
 
 // Compute blocks the process for the time the host needs to execute the
 // given amount of work (flops / host speed).

@@ -4,14 +4,30 @@
 // bandwidth; each route additionally imposes a fixed propagation
 // latency paid once per flow. The simulator runs on top of the
 // deterministic event kernel in internal/des.
+//
+// Names are resolved once. Hosts, links and mailboxes are looked up by
+// name when a caller first asks for them; after that the hot paths
+// work on handles: routes are cached by host handle, the Post's
+// handle-based calls (SendAsyncTo, SendTo, Mailbox.Recv) carry the
+// whole message path, and its name-based calls only resolve names
+// before delegating to them. Bandwidth sharing orders links by an
+// integer rank, the link's position in name order.
+//
+// The message path allocates nothing in steady state. Flow records
+// and Message records are pooled, a flow carries its message and
+// destination mailbox instead of a delivery closure, each flow record
+// binds its activation callback once, completion estimates are
+// auxiliary kernel events identified by their sequence number, and
+// receives return messages by value, so a record is recycled as soon
+// as it is read.
 package netsim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/des"
 )
@@ -36,6 +52,10 @@ type Link struct {
 	// idx addresses this link's slot in the network's rate-assignment
 	// scratch, so the bandwidth-sharing epoch needs no map lookups.
 	idx int
+	// rank is the link's position among the network's links in name
+	// order: bandwidth sharing breaks ties by it, comparing integers
+	// instead of names.
+	rank int
 }
 
 // Route is an ordered list of links between two hosts plus the total
@@ -57,12 +77,20 @@ type Flow struct {
 	Bytes     float64
 	remaining float64
 	rate      float64
-	route     *Route
-	started   bool // latency phase done, participating in sharing
+	route     *Route // nil for a loopback
+	started   bool   // latency phase done, participating in sharing
 	done      bool
 	pooled    bool // recycle into the network's free list at completion
 	assigned  bool // scratch flag of assignRates
 	onDone    func()
+	// A message send's delivery: at completion msg goes into box, and
+	// then wake, if set, is signalled (the sender of a blocking Send).
+	msg  *Message
+	box  *Mailbox
+	wake *des.Cond
+	// arrive ends the latency phase; bound once per record, it
+	// survives recycling.
+	arrive func()
 }
 
 // Remaining returns the bytes not yet transferred (for introspection).
@@ -85,12 +113,18 @@ type Network struct {
 	hosts      map[string]*Host
 	links      map[string]*Link
 	provider   RouteProvider
-	routeCache map[[2]string]*Route
+	routeCache map[[2]*Host]*Route
+	ranked     bool // every link's rank is current (AddLink clears it)
 
-	flows      map[*Flow]struct{}
+	active     int     // flows sharing bandwidth
 	flowOrder  []*Flow // deterministic iteration order
 	lastUpdate float64
-	epoch      uint64 // invalidates stale completion events
+	// estimate is the kernel sequence number of the live completion
+	// estimate, zero when none is live (as whenever no flow is
+	// active); every recompute supersedes the previous one.
+	// onEstimate is its callback, bound once.
+	estimate   uint64
+	onEstimate func(seq uint64)
 
 	// Reused per-epoch scratch: bandwidth sharing runs once per flow
 	// arrival/departure, and on large platforms the per-call map and
@@ -103,10 +137,10 @@ type Network struct {
 
 	// idleSkip (default on) discards the kernel's pending auxiliary
 	// events whenever the last flow completes: at that moment every
-	// queued completion estimate is stale (recompute bumped the epoch
-	// past the one each captured), so instead of popping them one by
-	// one as no-ops — and shifting each on every intervening Rebase —
-	// the network drops them wholesale. auxDiscarded counts the drops.
+	// queued completion estimate is stale (no estimate is live), so
+	// instead of popping them one by one as no-ops — and shifting each
+	// on every intervening Rebase — the network drops them wholesale.
+	// auxDiscarded counts the drops.
 	idleSkip     bool
 	auxDiscarded int64
 }
@@ -120,12 +154,12 @@ func New(sim *des.Simulation, provider RouteProvider) *Network {
 		hosts:      make(map[string]*Host),
 		links:      make(map[string]*Link),
 		provider:   provider,
-		routeCache: make(map[[2]string]*Route),
-		flows:      make(map[*Flow]struct{}),
+		routeCache: make(map[[2]*Host]*Route),
 		idleSkip:   true,
 	}
+	n.onEstimate = n.fireEstimate
 	sim.OnRebase(func(shift float64) {
-		if len(n.flows) == 0 {
+		if n.active == 0 {
 			// Quiescent: the mark only matters as the origin of the
 			// next advance() delta, which resets it anyway.
 			n.lastUpdate = 0
@@ -176,7 +210,22 @@ func (n *Network) AddLink(name string, bandwidth, latency float64) (*Link, error
 	l := &Link{Name: name, Bandwidth: bandwidth, Latency: latency, idx: len(n.linkStates)}
 	n.links[name] = l
 	n.linkStates = append(n.linkStates, linkState{link: l})
+	n.ranked = false
 	return l, nil
+}
+
+// rankLinks numbers the links in name order. Names are unique, so the
+// ranks are a strict total order equal to the names'.
+func (n *Network) rankLinks() {
+	byName := make([]*Link, len(n.linkStates))
+	for i := range n.linkStates {
+		byName[i] = n.linkStates[i].link
+	}
+	slices.SortFunc(byName, func(a, b *Link) int { return strings.Compare(a.Name, b.Name) })
+	for r, l := range byName {
+		l.rank = r
+	}
+	n.ranked = true
 }
 
 // Link returns a registered link or nil.
@@ -184,7 +233,7 @@ func (n *Network) Link(name string) *Link { return n.links[name] }
 
 // routeBetween resolves and caches the route between two hosts.
 func (n *Network) routeBetween(src, dst *Host) (*Route, error) {
-	key := [2]string{src.Name, dst.Name}
+	key := [2]*Host{src, dst}
 	if r, ok := n.routeCache[key]; ok {
 		return r, nil
 	}
@@ -196,7 +245,8 @@ func (n *Network) routeBetween(src, dst *Host) (*Route, error) {
 	return r, nil
 }
 
-// newFlow takes a flow record from the free list, or allocates one.
+// newFlow takes a flow record from the free list, or allocates one
+// and binds its activation callback.
 func (n *Network) newFlow() *Flow {
 	if k := len(n.flowPool); k > 0 {
 		f := n.flowPool[k-1]
@@ -204,12 +254,15 @@ func (n *Network) newFlow() *Flow {
 		n.flowPool = n.flowPool[:k-1]
 		return f
 	}
-	return &Flow{}
+	f := &Flow{}
+	f.arrive = func() { n.arrive(f) }
+	return f
 }
 
-// releaseFlow zeroes a pooled flow and returns it to the free list.
+// releaseFlow zeroes a pooled flow, keeping its bound callback, and
+// returns it to the free list.
 func (n *Network) releaseFlow(f *Flow) {
-	*f = Flow{}
+	*f = Flow{arrive: f.arrive}
 	n.flowPool = append(n.flowPool, f)
 }
 
@@ -235,36 +288,40 @@ func (n *Network) startFlow(src, dst string, bytes float64, onDone func(), poole
 	if hs == nil || hd == nil {
 		return nil, fmt.Errorf("netsim: unknown host in flow %s -> %s", src, dst)
 	}
+	route, err := n.routeFor(hs, hd, bytes)
+	if err != nil {
+		return nil, err
+	}
+	f := n.newFlow()
+	f.onDone, f.pooled = onDone, pooled
+	n.launch(f, hs, hd, bytes, route)
+	return f, nil
+}
+
+// routeFor validates a transfer's size and resolves its route: nil
+// for a loopback.
+func (n *Network) routeFor(hs, hd *Host, bytes float64) (*Route, error) {
 	if bytes < 0 || math.IsNaN(bytes) {
 		return nil, fmt.Errorf("netsim: invalid flow size %v", bytes)
 	}
-	f := n.newFlow()
-	f.Src, f.Dst, f.Bytes, f.remaining, f.onDone, f.pooled = hs, hd, bytes, bytes, onDone, pooled
-	if src == dst {
+	if hs == hd {
+		return nil, nil
+	}
+	return n.routeBetween(hs, hd)
+}
+
+// launch starts a validated transfer on a prepared flow record.
+func (n *Network) launch(f *Flow, hs, hd *Host, bytes float64, route *Route) {
+	f.Src, f.Dst, f.Bytes, f.remaining, f.route = hs, hd, bytes, bytes, route
+	if route == nil {
 		// Loopback: modelled as instantaneous plus a tiny fixed cost.
 		f.done = true
-		n.sim.Schedule(LoopbackLatency, func() {
-			if f.onDone != nil {
-				f.onDone()
-			}
-			if f.pooled {
-				n.releaseFlow(f)
-			}
-		})
-		return f, nil
+		n.sim.Schedule(LoopbackLatency, f.arrive)
+		return
 	}
-	route, err := n.routeBetween(hs, hd)
-	if err != nil {
-		if pooled {
-			n.releaseFlow(f)
-		}
-		return nil, err
-	}
-	f.route = route
 	// Latency phase: the flow joins bandwidth sharing only after the
 	// path propagation delay, as in SimGrid's fluid model.
-	n.sim.Schedule(route.Latency, func() { n.activateFlow(f) })
-	return f, nil
+	n.sim.Schedule(route.Latency, f.arrive)
 }
 
 // InjectArrival schedules a flow that was started elsewhere — by
@@ -299,7 +356,7 @@ func (n *Network) InjectArrival(src, dst string, bytes, startedAt float64, onDon
 	f.route = route
 	// Same arithmetic as the local path: Schedule(route.Latency) at
 	// now = startedAt enqueues at fl(startedAt + Latency).
-	n.sim.ScheduleAt(startedAt+route.Latency, func() { n.activateFlow(f) })
+	n.sim.ScheduleAt(startedAt+route.Latency, f.arrive)
 	return nil
 }
 
@@ -311,23 +368,42 @@ const LoopbackLatency = 1e-6
 // flow a few ulps short of completion.
 const RemainingEpsilon = 1e-9
 
-func (n *Network) activateFlow(f *Flow) {
+// arrive ends a flow's latency phase: a loopback completes, any other
+// flow joins bandwidth sharing.
+func (n *Network) arrive(f *Flow) {
+	if f.route == nil {
+		n.complete(f)
+		return
+	}
 	n.advance()
 	if f.remaining <= 0 {
 		// Zero-byte message: completes as soon as latency elapses.
 		f.done = true
-		if f.onDone != nil {
-			f.onDone()
-		}
-		if f.pooled {
-			n.releaseFlow(f)
-		}
+		n.complete(f)
 		return
 	}
 	f.started = true
-	n.flows[f] = struct{}{}
+	n.active++
 	n.flowOrder = append(n.flowOrder, f)
 	n.recompute()
+}
+
+// complete runs a finished flow's delivery — the message into its
+// mailbox, then the blocked sender's wakeup or the caller's callback —
+// and recycles a pooled record.
+func (n *Network) complete(f *Flow) {
+	if f.box != nil {
+		f.box.deliver(f.msg)
+	}
+	if f.wake != nil {
+		f.wake.Signal()
+	}
+	if f.onDone != nil {
+		f.onDone()
+	}
+	if f.pooled {
+		n.releaseFlow(f)
+	}
 }
 
 // advance progresses all active flows to the current time.
@@ -354,19 +430,14 @@ func (n *Network) finishCompleted() {
 		if !f.done && f.remaining <= 0 {
 			f.done = true
 			finished = append(finished, f)
-			delete(n.flows, f)
+			n.active--
 		}
 	}
 	if len(finished) > 0 {
 		n.compactOrder()
 	}
 	for _, f := range finished {
-		if f.onDone != nil {
-			f.onDone()
-		}
-		if f.pooled {
-			n.releaseFlow(f)
-		}
+		n.complete(f)
 	}
 	// Drop the recycled pointers from the scratch before the next epoch.
 	for i := range finished {
@@ -407,8 +478,8 @@ func (n *Network) recompute() {
 			}
 		}
 		if math.IsInf(next, 1) {
-			n.epoch++
-			if n.idleSkip && len(n.flows) == 0 {
+			n.estimate = 0
+			if n.idleSkip && n.active == 0 {
 				n.auxDiscarded += int64(n.sim.DiscardAux())
 			}
 			return
@@ -422,20 +493,21 @@ func (n *Network) recompute() {
 			}
 			continue
 		}
-		n.epoch++
-		epoch := n.epoch
 		// The completion estimate is auxiliary: a later recompute
-		// supersedes it (epoch mismatch) and the stale event fires as
-		// a no-op, so quiescence checks may ignore it.
-		n.sim.ScheduleAux(next, func() {
-			if n.epoch != epoch {
-				return // a newer recompute superseded this event
-			}
-			n.advance()
-			n.recompute()
-		})
+		// supersedes it and the stale event fires as a no-op, so
+		// quiescence checks may ignore it.
+		n.estimate = n.sim.ScheduleAux(next, n.onEstimate)
 		return
 	}
+}
+
+// fireEstimate runs the completion estimate with sequence number seq.
+func (n *Network) fireEstimate(seq uint64) {
+	if seq != n.estimate {
+		return // a newer recompute superseded this event
+	}
+	n.advance()
+	n.recompute()
 }
 
 // assignRates implements progressive filling (max–min fairness) over
@@ -444,6 +516,9 @@ func (n *Network) recompute() {
 // assigned rates are bit-identical; only the per-epoch allocations
 // are gone.
 func (n *Network) assignRates() {
+	if !n.ranked {
+		n.rankLinks()
+	}
 	n.rateMark++
 	mark := n.rateMark
 	active := n.activeLinks[:0]
@@ -466,11 +541,18 @@ func (n *Network) assignRates() {
 			st.nflows++
 		}
 	}
-	// Deterministic link ordering for tie-breaks: names are unique,
-	// so the unstable allocation-free sort is a strict total order.
-	slices.SortFunc(active, func(a, b *linkState) int {
-		return cmp.Compare(a.link.Name, b.link.Name)
-	})
+	// Deterministic link ordering for tie-breaks: name order, by rank.
+	// The active set is small and ranks are unique, so an insertion
+	// sort on the integers is a strict total order.
+	for i := 1; i < len(active); i++ {
+		st := active[i]
+		j := i - 1
+		for j >= 0 && active[j].link.rank > st.link.rank {
+			active[j+1] = active[j]
+			j--
+		}
+		active[j+1] = st
+	}
 	n.activeLinks = active
 
 	for unassigned > 0 {
@@ -541,7 +623,7 @@ func (n *Network) RouteLatency(src, dst string) (float64, error) {
 }
 
 // ActiveFlows reports the number of flows currently sharing bandwidth.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
+func (n *Network) ActiveFlows() int { return n.active }
 
 // SetIdleSkip toggles idle aux discarding (default on). Turning it
 // off is the verification escape hatch: every stale completion
@@ -561,8 +643,8 @@ func (n *Network) AuxDiscarded() int64 { return n.auxDiscarded }
 // Hosts, links and the route cache — the expensive structures — are
 // kept. It refuses to reset while transfers are in flight.
 func (n *Network) Reset() error {
-	if len(n.flows) > 0 {
-		return fmt.Errorf("netsim: Reset with %d active flow(s)", len(n.flows))
+	if n.active > 0 {
+		return fmt.Errorf("netsim: Reset with %d active flow(s)", n.active)
 	}
 	n.lastUpdate = 0
 	return nil

@@ -288,7 +288,7 @@ func TestPostSendRecv(t *testing.T) {
 	sim, n := pair(t, 1e6, 0.01)
 	po := NewPost(n)
 	var recvAt float64 = -1
-	var got *Message
+	var got Message
 	sim.Spawn("recv", 0, func(p *des.Process) {
 		got = po.Recv(p, "b", "data")
 		recvAt = p.Now()

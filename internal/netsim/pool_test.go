@@ -107,3 +107,78 @@ func TestPendingMessages(t *testing.T) {
 		t.Fatalf("PendingMessages = %d after one read, want 1", got)
 	}
 }
+
+// TestRecycledMessageKeepsReceivedValue: Recv returns the message by
+// value and recycles its record at once, so later sends that reuse the
+// record never change what was already received.
+func TestRecycledMessageKeepsReceivedValue(t *testing.T) {
+	sim, n := poolNet(t)
+	po := NewPost(n)
+	var first Message
+	sim.Spawn("recv", 0, func(p *des.Process) {
+		first = po.Recv(p, "b", "x")
+		if len(po.free) != 1 {
+			t.Errorf("pool holds %d records after the read, want 1", len(po.free))
+		}
+		for i := 1; i <= 3; i++ {
+			if err := po.SendAsync("a", "b", "x", 100, i); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 1; i <= 3; i++ {
+			if m := po.Recv(p, "b", "x"); m.Payload != i {
+				t.Errorf("message %d carried %v", i, m.Payload)
+			}
+		}
+	})
+	if err := po.SendAsync("a", "b", "x", 100, "first"); err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	want := Message{From: "a", To: "b", Tag: "x", Bytes: 100, Payload: "first", SentAt: 0, DeliveredAt: first.DeliveredAt}
+	if first != want || first.DeliveredAt <= 0 {
+		t.Fatalf("received %+v, want %+v", first, want)
+	}
+	if len(po.free) != 3 || po.PendingMessages() != 0 {
+		t.Fatalf("pool %d records, %d pending; want 3, 0", len(po.free), po.PendingMessages())
+	}
+}
+
+// TestRecycledMessageAfterDrainingStale: draining a mailbox for its
+// latest message, as TryRecvLatest does, recycles every dropped record;
+// refilling the mailbox from those records leaves the kept value as it
+// was.
+func TestRecycledMessageAfterDrainingStale(t *testing.T) {
+	sim, n := poolNet(t)
+	po := NewPost(n)
+	send := func(payloads ...string) {
+		t.Helper()
+		for _, v := range payloads {
+			if err := po.SendAsync("a", "b", "x", 100, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim.Run()
+	}
+	send("stale1", "stale2", "latest")
+	var last Message
+	dropped := -1
+	for {
+		m, ok := po.TryRecv("b", "x")
+		if !ok {
+			break
+		}
+		last = m
+		dropped++
+	}
+	if last.Payload != "latest" || dropped != 2 || len(po.free) != 3 {
+		t.Fatalf("kept %v after dropping %d (pool %d), want latest after 2 (pool 3)", last.Payload, dropped, len(po.free))
+	}
+	send("next1", "next2", "next3")
+	if len(po.free) != 0 || po.Pending("b", "x") != 3 {
+		t.Fatalf("refill left pool %d, pending %d; want 0, 3", len(po.free), po.Pending("b", "x"))
+	}
+	if last.Payload != "latest" || last.Tag != "x" || last.Bytes != 100 {
+		t.Fatalf("kept message changed to %+v", last)
+	}
+}

@@ -15,6 +15,7 @@ package p2pdc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/des"
 	"repro/internal/netsim"
@@ -156,7 +157,7 @@ func (e *Environment) Run(spec RunSpec, app App) (*RunResult, error) {
 	e.Sim.Spawn("submitter", 0, func(p *des.Process) {
 		if spec.ScatterBytes > 0 {
 			for i, h := range spec.Hosts {
-				tag := fmt.Sprintf("p2pdc:scatter:%d", i)
+				tag := scatterTag(i)
 				if err := e.Post.SendAsync(spec.Submitter, h, tag, spec.ScatterBytes, nil); err != nil {
 					res.Errors[i] = err
 				}
@@ -174,9 +175,9 @@ func (e *Environment) Run(spec RunSpec, app App) (*RunResult, error) {
 	// Worker processes.
 	for i, h := range spec.Hosts {
 		i, h := i, h
-		e.Sim.Spawn(fmt.Sprintf("rank%d", i), 0, func(p *des.Process) {
+		e.Sim.Spawn("rank"+strconv.Itoa(i), 0, func(p *des.Process) {
 			if spec.ScatterBytes > 0 {
-				e.Post.Recv(p, h, fmt.Sprintf("p2pdc:scatter:%d", i))
+				e.Post.Recv(p, h, scatterTag(i))
 			}
 			scatterDone[i] = true
 			if t := e.Sim.AbsNow() - start; t > scatterEnd {
@@ -240,6 +241,11 @@ func (e *Environment) Run(spec RunSpec, app App) (*RunResult, error) {
 	return res, nil
 }
 
+// scatterTag is the mailbox tag of rank i's scatter input. Per-run
+// names are built with strconv, not fmt: fmt's buffer pool makes the
+// allocation count of a run vary under the race detector.
+func scatterTag(i int) string { return "p2pdc:scatter:" + strconv.Itoa(i) }
+
 // FirstError returns the first non-nil application error, or nil.
 func (r *RunResult) FirstError() error {
 	for _, err := range r.Errors {
@@ -257,6 +263,7 @@ type Worker struct {
 	rank  int
 	hosts []string
 	spec  *RunSpec
+	host  *netsim.Host // this rank's host, resolved on first Compute
 	// dataCh/ctlCh cache the per-peer channel handles so the
 	// per-message path neither formats a tag nor hits the protocol's
 	// channel map (both allocate).
@@ -281,7 +288,10 @@ func (w *Worker) Compute(cycles float64) {
 	if cycles <= 0 {
 		return
 	}
-	w.proc.Sleep(cycles / w.env.Net.Host(w.Host()).Speed)
+	if w.host == nil {
+		w.host = w.env.Net.Host(w.Host())
+	}
+	w.proc.Sleep(cycles / w.host.Speed)
 }
 
 // Sleep blocks for d virtual seconds (protocol modelling).
@@ -316,7 +326,7 @@ func (w *Worker) channel(peer int, class string) (*p2psap.Channel, error) {
 	if a > b {
 		a, b = b, a
 	}
-	tag := fmt.Sprintf("r%d-r%d:%s", a, b, class)
+	tag := "r" + strconv.Itoa(a) + "-r" + strconv.Itoa(b) + ":" + class
 	ch, err := w.env.Proto.Channel(w.hosts[a], w.hosts[b], tag, w.spec.Scheme)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package p2pdc
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/des"
 )
@@ -70,7 +71,7 @@ func (e *Environment) LaunchPartition(spec RunSpec, app App, ranks []int, withSu
 			defer func() { pt.exited++ }()
 			if spec.ScatterBytes > 0 {
 				for i, h := range spec.Hosts {
-					tag := fmt.Sprintf("p2pdc:scatter:%d", i)
+					tag := scatterTag(i)
 					if err := e.Post.SendAsync(spec.Submitter, h, tag, spec.ScatterBytes, nil); err != nil {
 						pt.errors[i] = err
 					}
@@ -88,10 +89,10 @@ func (e *Environment) LaunchPartition(spec RunSpec, app App, ranks []int, withSu
 		r := r
 		h := spec.Hosts[r]
 		pt.procs++
-		e.Sim.Spawn(fmt.Sprintf("rank%d", r), 0, func(p *des.Process) {
+		e.Sim.Spawn("rank"+strconv.Itoa(r), 0, func(p *des.Process) {
 			defer func() { pt.exited++ }()
 			if spec.ScatterBytes > 0 {
-				e.Post.Recv(p, h, fmt.Sprintf("p2pdc:scatter:%d", r))
+				e.Post.Recv(p, h, scatterTag(r))
 			}
 			if t := e.Sim.AbsNow() - pt.start; t > pt.scatterEnd {
 				pt.scatterEnd = t

@@ -7,6 +7,10 @@
 // detected from path latency). Profiles differ in framing overhead and
 // in per-message send/receive processing cost — the protocol-stack
 // work that dominates small-message behaviour on consumer links.
+//
+// A channel resolves its names once, when it is opened: it holds both
+// endpoint hosts and the mailbox at each end, and its per-message
+// calls use netsim's handle-based message path directly.
 package p2psap
 
 import (
@@ -118,7 +122,8 @@ func (pr *Protocol) Channel(a, b, tag string, scheme Scheme) (*Channel, error) {
 		}
 		return ch, nil
 	}
-	lat, err := pr.post.Net().TransferTime(a, b, 0)
+	net := pr.post.Net()
+	lat, err := net.TransferTime(a, b, 0)
 	if err != nil {
 		return nil, fmt.Errorf("p2psap: cannot probe %s<->%s: %w", a, b, err)
 	}
@@ -126,14 +131,19 @@ func (pr *Protocol) Channel(a, b, tag string, scheme Scheme) (*Channel, error) {
 		proto:   pr,
 		a:       a,
 		b:       b,
+		hostA:   net.Host(a),
+		hostB:   net.Host(b),
 		tag:     tag,
 		profile: AdaptProfile(lat),
 		scheme:  scheme,
 	}
-	// Mailbox tags are fixed per direction; building them once keeps
-	// the per-message path allocation-free.
-	ch.tagAtA = "p2psap:" + tag + ":" + a
-	ch.tagAtB = "p2psap:" + tag + ":" + b
+	// Each direction has its own mailbox, resolved once here.
+	if ch.boxA, err = pr.post.Mailbox(a, "p2psap:"+tag+":"+a); err != nil {
+		return nil, err
+	}
+	if ch.boxB, err = pr.post.Mailbox(b, "p2psap:"+tag+":"+b); err != nil {
+		return nil, err
+	}
 	pr.channels[key] = ch
 	pr.Adaptations++
 	return ch, nil
@@ -141,14 +151,15 @@ func (pr *Protocol) Channel(a, b, tag string, scheme Scheme) (*Channel, error) {
 
 // Channel is a configured point-to-point session.
 type Channel struct {
-	proto   *Protocol
-	a, b    string
-	tag     string
-	profile Profile
-	scheme  Scheme
-	// tagAtA/tagAtB are the precomputed mailbox tags for messages
-	// arriving at endpoint a and b respectively.
-	tagAtA, tagAtB string
+	proto        *Protocol
+	a, b         string
+	hostA, hostB *netsim.Host
+	tag          string
+	profile      Profile
+	scheme       Scheme
+	// boxA/boxB are the mailboxes of messages arriving at endpoint a
+	// and b respectively.
+	boxA, boxB *netsim.Mailbox
 
 	// Traffic counters.
 	Sent, Received int
@@ -164,21 +175,31 @@ func (c *Channel) Profile() Profile { return c.profile }
 // Scheme returns the configured application scheme.
 func (c *Channel) Scheme() Scheme { return c.scheme }
 
-func (c *Channel) other(host string) (string, error) {
-	switch host {
+// route returns the sending endpoint's host and the mailbox at the
+// other end.
+func (c *Channel) route(from string) (*netsim.Host, *netsim.Mailbox, error) {
+	switch from {
 	case c.a:
-		return c.b, nil
+		return c.hostA, c.boxB, nil
 	case c.b:
-		return c.a, nil
+		return c.hostB, c.boxA, nil
 	}
-	return "", fmt.Errorf("p2psap: host %q not an endpoint of channel %s<->%s", host, c.a, c.b)
+	return nil, nil, c.notEndpoint(from)
 }
 
-func (c *Channel) mailTag(at string) string {
-	if at == c.a {
-		return c.tagAtA
+// inbox returns the mailbox of messages arriving at the endpoint.
+func (c *Channel) inbox(at string) (*netsim.Mailbox, error) {
+	switch at {
+	case c.a:
+		return c.boxA, nil
+	case c.b:
+		return c.boxB, nil
 	}
-	return c.tagAtB
+	return nil, c.notEndpoint(at)
+}
+
+func (c *Channel) notEndpoint(host string) error {
+	return fmt.Errorf("p2psap: host %q not an endpoint of channel %s<->%s", host, c.a, c.b)
 }
 
 // Send transmits payload from the given endpoint. Sends are eager
@@ -189,7 +210,7 @@ func (c *Channel) mailTag(at string) string {
 // which is how P2PSAP's synchronous iterative mode synchronizes
 // computations (per-iteration sync, not per-message rendezvous).
 func (c *Channel) Send(p *des.Process, from string, bytes float64, payload interface{}) error {
-	dst, err := c.other(from)
+	src, to, err := c.route(from)
 	if err != nil {
 		return err
 	}
@@ -203,14 +224,14 @@ func (c *Channel) Send(p *des.Process, from string, bytes float64, payload inter
 	wire := bytes + c.profile.FrameBytes
 	c.Sent++
 	c.BytesOnWire += wire
-	return c.proto.post.SendAsync(from, dst, c.mailTag(dst), wire, payload)
+	return c.proto.post.SendAsyncTo(src, to, wire, payload)
 }
 
 // SendBlocking is the rendezvous variant: the caller blocks until the
 // message is fully delivered. P2PSAP uses it for control traffic that
 // must be acknowledged before proceeding.
 func (c *Channel) SendBlocking(p *des.Process, from string, bytes float64, payload interface{}) error {
-	dst, err := c.other(from)
+	src, to, err := c.route(from)
 	if err != nil {
 		return err
 	}
@@ -223,16 +244,17 @@ func (c *Channel) SendBlocking(p *des.Process, from string, bytes float64, paylo
 	wire := bytes + c.profile.FrameBytes
 	c.Sent++
 	c.BytesOnWire += wire
-	return c.proto.post.Send(p, from, dst, c.mailTag(dst), wire, payload)
+	return c.proto.post.SendTo(p, src, to, wire, payload)
 }
 
 // Recv blocks until a message for this endpoint arrives, then charges
 // the receiver-side processing overhead and returns the payload.
 func (c *Channel) Recv(p *des.Process, at string) (interface{}, error) {
-	if _, err := c.other(at); err != nil {
+	box, err := c.inbox(at)
+	if err != nil {
 		return nil, err
 	}
-	m := c.proto.post.Recv(p, at, c.mailTag(at))
+	m := box.Recv(p)
 	if c.profile.RecvOverhead > 0 {
 		p.Sleep(c.profile.RecvOverhead)
 	}
@@ -245,22 +267,23 @@ func (c *Channel) Recv(p *des.Process, at string) (interface{}, error) {
 // asynchronous iterative schemes want (stale boundary values are
 // useless once a fresher one exists).
 func (c *Channel) TryRecvLatest(p *des.Process, at string) (interface{}, bool, error) {
-	if _, err := c.other(at); err != nil {
+	box, err := c.inbox(at)
+	if err != nil {
 		return nil, false, err
 	}
-	tag := c.mailTag(at)
-	var last *netsim.Message
+	var last netsim.Message
+	got := false
 	for {
-		m, ok := c.proto.post.TryRecv(at, tag)
+		m, ok := box.TryRecv()
 		if !ok {
 			break
 		}
-		if last != nil {
+		if got {
 			c.Dropped++
 		}
-		last = m
+		last, got = m, true
 	}
-	if last == nil {
+	if !got {
 		return nil, false, nil
 	}
 	if c.profile.RecvOverhead > 0 {

@@ -183,6 +183,43 @@ func TestTryRecvLatestDropsStale(t *testing.T) {
 	}
 }
 
+// TestTryRecvLatestSurvivesRecycling: the payload TryRecvLatest
+// returns stays as it was after later messages reuse the records of
+// the ones it dropped.
+func TestTryRecvLatestSurvivesRecycling(t *testing.T) {
+	sim, post := lanPair(t, 1e9, 1e-4)
+	pr := New(post)
+	ch, _ := pr.Channel("a", "b", "bnd", Asynchronous)
+	burst := func(p *des.Process, from, to int) {
+		for i := from; i < to; i++ {
+			if err := ch.Send(p, "a", 8, []int{i}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	var first, second interface{}
+	sim.Spawn("sender", 0, func(p *des.Process) {
+		burst(p, 0, 4)
+		p.Sleep(1)
+		burst(p, 4, 8)
+	})
+	sim.Spawn("receiver", 0.5, func(p *des.Process) {
+		first, _, _ = ch.TryRecvLatest(p, "b")
+		p.Sleep(1)
+		second, _, _ = ch.TryRecvLatest(p, "b")
+	})
+	sim.Run()
+	if got, ok := first.([]int); !ok || len(got) != 1 || got[0] != 3 {
+		t.Fatalf("first latest = %v, want [3]", first)
+	}
+	if got, ok := second.([]int); !ok || len(got) != 1 || got[0] != 7 {
+		t.Fatalf("second latest = %v, want [7]", second)
+	}
+	if ch.Dropped != 6 || ch.Received != 2 {
+		t.Fatalf("dropped %d, received %d; want 6, 2", ch.Dropped, ch.Received)
+	}
+}
+
 func TestTryRecvLatestEmpty(t *testing.T) {
 	sim, post := lanPair(t, 1e9, 1e-4)
 	pr := New(post)

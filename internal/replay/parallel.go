@@ -411,10 +411,13 @@ func (e *ParallelEngine) runPartitioned(spec Spec, src trace.Source, p int, look
 	// scatter/compute end maxima in the two phase fields.
 	scatterEnd, computeEnd := res.ScatterTime, res.ComputeTime
 	total := 0.0
+	var events, direct int64
 	for i, pt := range parts {
 		if t := envs[i].Sim.AbsNow() - pt.Start(); t > total {
 			total = t
 		}
+		events += envs[i].Sim.Events()
+		direct += envs[i].Sim.DirectResumes()
 	}
 	out := &Result{
 		PredictedSeconds: total,
@@ -422,6 +425,8 @@ func (e *ParallelEngine) runPartitioned(spec Spec, src trace.Source, p int, look
 		ComputeSeconds:   computeEnd - scatterEnd,
 		GatherSeconds:    total - computeEnd,
 		Par:              stats,
+		KernelEvents:     events,
+		DirectResumes:    direct,
 	}
 	if out.GatherSeconds < 0 {
 		out.GatherSeconds = 0

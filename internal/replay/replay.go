@@ -64,6 +64,11 @@ type Result struct {
 	// Execution-strategy metadata only: every timing above is
 	// bit-identical at any worker count.
 	Par ParStats
+	// KernelEvents counts the DES events the replay executed, summed
+	// over the kernels of a partitioned run; DirectResumes counts how
+	// many of them were direct resumes (see package des). Both are
+	// deterministic work counters and never serialized.
+	KernelEvents, DirectResumes int64
 }
 
 // Run replays the traces once and returns the predicted time. It is
@@ -250,6 +255,8 @@ func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
 		ScatterSeconds:   res.ScatterTime,
 		ComputeSeconds:   res.ComputeTime,
 		GatherSeconds:    res.GatherTime,
+		KernelEvents:     s.env.Sim.Events(),
+		DirectResumes:    s.env.Sim.DirectResumes(),
 	}
 	if ctl != nil {
 		out.FF = ctl.Stats()
