@@ -15,6 +15,7 @@ import (
 	"repro/internal/capfamily"
 	"repro/internal/p2psap"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 var (
@@ -80,7 +81,13 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 // upload puts the fixture artifact and returns its digest.
 func upload(t *testing.T, hs *httptest.Server) string {
 	t.Helper()
-	resp, err := http.Post(hs.URL+"/v1/tracesets", "application/octet-stream", bytes.NewReader(fixtureBytes(t)))
+	return uploadData(t, hs, fixtureBytes(t))
+}
+
+// uploadData puts an artifact and returns its digest.
+func uploadData(t *testing.T, hs *httptest.Server, data []byte) string {
+	t.Helper()
+	resp, err := http.Post(hs.URL+"/v1/tracesets", "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +100,8 @@ func upload(t *testing.T, hs *httptest.Server) string {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Digest != store.Digest(fixtureBytes(t)) {
-		t.Fatalf("upload digest %s, want %s", info.Digest, store.Digest(fixtureBytes(t)))
+	if info.Digest != store.Digest(data) {
+		t.Fatalf("upload digest %s, want %s", info.Digest, store.Digest(data))
 	}
 	return info.Digest
 }
@@ -176,6 +183,69 @@ func TestPredictDifferential(t *testing.T) {
 	}
 	if s.pool.Idle() == 0 {
 		t.Fatal("pool kept no session hot after serial predicts")
+	}
+}
+
+// ringJSON is a 4-rank ring trace set in the JSON format whose folded
+// records hold a loop the analytic tier accepts: 40 rounds per rank of
+// a compute, a 4096 B send to the next rank, a receive from the
+// previous one and a convergence test, with 1000 B scatter and gather.
+func ringJSON(t *testing.T) []byte {
+	t.Helper()
+	const ranks, rounds = 4, 40
+	ts := &dperf.TraceSet{Ranks: ranks, ScatterBytes: 1000, GatherBytes: 1000}
+	for r := 0; r < ranks; r++ {
+		tr := &trace.Trace{Rank: r, Of: ranks}
+		for i := 0; i < rounds; i++ {
+			tr.Records = append(tr.Records,
+				trace.Record{Kind: trace.KindCompute, NS: 1e6 + 1e3*float64(r)},
+				trace.Record{Kind: trace.KindSend, Peer: (r + 1) % ranks, Bytes: 4096},
+				trace.Record{Kind: trace.KindRecv, Peer: (r + ranks - 1) % ranks, Bytes: 4096},
+				trace.Record{Kind: trace.KindConv})
+		}
+		ts.Traces = append(ts.Traces, tr)
+	}
+	var buf bytes.Buffer
+	if err := ts.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPredictJSONDifferential: an uploaded JSON set is served exactly
+// as the CLI predicts from the same bytes, in auto mode on grid5000,
+// cold and warm — admission (Prepare, Stats) must not change which
+// view replays.
+func TestPredictJSONDifferential(t *testing.T) {
+	_, hs := newTestServer(t)
+	data := ringJSON(t)
+	digest := uploadData(t, hs, data)
+
+	ts, err := dperf.ReadTraceSetData("ring.json", data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := ts.Predict(
+		dperf.WithPlatform(dperf.KindCluster),
+		dperf.WithFastForward(true),
+		dperf.WithPredictMode(dperf.PredictAuto),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := pred.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	req := predictRequest{Digest: digest, Platform: "grid5000", PredictMode: "auto"}
+	for round := 0; round < 2; round++ { // round 1 hits the result cache
+		code, got := postJSON(t, hs.URL+"/v1/predict", req)
+		if code != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, code, got)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("round %d: response diverged from the CLI path:\n got: %s\nwant: %s", round, got, want.Bytes())
+		}
 	}
 }
 

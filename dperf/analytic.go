@@ -158,13 +158,6 @@ func (p *Predictor) platformFor(cfg *config, ranks int) (*Platform, string, erro
 	return plat, label, nil
 }
 
-// Predict serves the spec from the analytic tier: certificate-cache
-// hit, or closed-form evaluation on miss. It never runs the DES
-// engine; ineligible specs fail.
-func (p *Predictor) Predict(spec EngineSpec) (*EngineResult, error) {
-	return p.tryAnalytic(&spec, false)
-}
-
 func (p *Predictor) model(plat *platform.Platform) (*analytic.Model, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -61,7 +61,7 @@ func TestAnalyticMatchesFastForward(t *testing.T) {
 
 // TestPredictModeRouting pins the tier-selection rules: auto serves
 // eligible workloads analytically after certification, falls back to
-// DES for ineligible (flat) sources, and the forced analytic mode
+// DES for ineligible (refolded JSON) sets, and the forced analytic mode
 // errors instead of falling back.
 func TestPredictModeRouting(t *testing.T) {
 	a, err := dperf.New(ffObstacle(), dperf.WithRanks(4)).Analyze()
@@ -88,8 +88,9 @@ func TestPredictModeRouting(t *testing.T) {
 		t.Fatalf("auto-tier prediction diverged from fast-forward replay:\nDES      %+v\nanalytic %+v", ff, auto)
 	}
 
-	// The flat JSON round trip erases op structure, which makes the
-	// source ineligible for the analytic tier.
+	// The JSON round trip refolds the records, and trace.Fold does not
+	// recover this workload's rounds as a manageable loop, which makes
+	// the set ineligible for the analytic tier.
 	var js bytes.Buffer
 	if err := ts.WriteJSON(&js); err != nil {
 		t.Fatal(err)
@@ -103,10 +104,10 @@ func TestPredictModeRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fauto.Tier != dperf.TierDES {
-		t.Fatalf("auto mode on a flat source served tier %q, want DES fallback", fauto.Tier)
+		t.Fatalf("auto mode on the refolded set served tier %q, want DES fallback", fauto.Tier)
 	}
 	if _, err := flat.Predict(dperf.WithPredictMode(dperf.PredictAnalytic)); err == nil {
-		t.Fatal("forced analytic mode on a flat source did not error")
+		t.Fatal("forced analytic mode on the refolded set did not error")
 	}
 
 	if _, err := dperf.ParsePredictMode("nonsense"); err == nil {
@@ -170,93 +171,79 @@ func TestSweepAnalyticTier(t *testing.T) {
 	}
 }
 
-// TestAnalyticPaperScaleSpeedup is the acceptance gate: on the
-// paper-scale obstacle, a warm analytic-tier prediction (certificate
-// serving through the public Predict path) must be at least 100×
-// faster than a warm fast-forward DES replay of the same spec.
+// analyticPredictAllocs bounds the allocations of one warm
+// analytic-tier Predict on the paper-scale set, served from a cached
+// certificate: option and config assembly, the engine spec and the
+// prediction.
+const analyticPredictAllocs = 14
+
+// TestAnalyticPaperScaleSpeedup is the analytic tier's acceptance gate
+// on the paper-scale obstacle, in work counters: once a configuration
+// is certified, a prediction in analytic or auto mode is served from
+// the certificate — bit-identical to the fast-forward DES replay —
+// with no engine replay and at most analyticPredictAllocs allocations.
+// The wall-clock ratio against that replay is logged, not gated.
 func TestAnalyticPaperScaleSpeedup(t *testing.T) {
-	a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithPlatform(dperf.KindCluster), dperf.WithRanks(8)).Analyze()
+	ts := paperSet(t)
+	desOpts := []dperf.Option{dperf.WithPlatform(dperf.KindCluster), dperf.WithFastForward(true)}
+	ff, err := ts.Predict(desOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := a.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := dperf.NewPredictor()
-	opts := []dperf.Option{
-		dperf.WithPlatform(dperf.KindCluster),
-		dperf.WithPredictMode(dperf.PredictAnalytic),
-		dperf.WithPredictor(p),
-	}
-	warm, err := ts.Predict(opts...) // certify once
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Tier != dperf.TierAnalytic {
-		t.Fatalf("tier %q, want analytic", warm.Tier)
-	}
-	ff, err := ts.Predict(dperf.WithPlatform(dperf.KindCluster), dperf.WithFastForward(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !predEqual(ff, warm) {
-		t.Fatalf("analytic tier diverged from fast-forward replay:\nDES      %+v\nanalytic %+v", ff, warm)
-	}
-
-	// Warm wall-clock per prediction: best of several batches on each
-	// side (the DES side reuses the engine's warmed replay session).
-	analyticCost := func() time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for b := 0; b < 5; b++ {
-			const k = 50
-			start := time.Now()
-			for i := 0; i < k; i++ {
-				if _, err := ts.Predict(opts...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if d := time.Since(start) / k; d < best {
-				best = d
-			}
+	for _, mode := range []dperf.PredictMode{dperf.PredictAnalytic, dperf.PredictAuto} {
+		replays := 0
+		eng := countingEngine{inner: dperf.DefaultEngine(), calls: &replays}
+		opts := append(desOpts,
+			dperf.WithPredictMode(mode),
+			dperf.WithPredictor(dperf.NewPredictor()),
+			dperf.WithEngine(eng))
+		warm, err := ts.Predict(opts...) // certify (and, in auto mode, verify) once
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best
-	}
-	desCost := func() time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for b := 0; b < 3; b++ {
-			start := time.Now()
-			if _, err := ts.Predict(dperf.WithPlatform(dperf.KindCluster), dperf.WithFastForward(true)); err != nil {
+		if warm.Tier != dperf.TierAnalytic {
+			t.Fatalf("%v: tier %q, want analytic", mode, warm.Tier)
+		}
+		if !predEqual(ff, warm) {
+			t.Fatalf("%v: analytic tier diverged from fast-forward replay:\nDES      %+v\nanalytic %+v", mode, ff, warm)
+		}
+		replays = 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ts.Predict(opts...); err != nil {
 				t.Fatal(err)
 			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+		})
+		if replays != 0 {
+			t.Fatalf("%v: warm predictions ran %d engine replays, want 0", mode, replays)
 		}
-		return best
+		// The race detector's instrumentation allocates on its own.
+		if !raceEnabled && allocs > analyticPredictAllocs {
+			t.Fatalf("%v: warm prediction allocates %v times, want <= %d", mode, allocs, analyticPredictAllocs)
+		}
+		t.Logf("%v: %v allocations per warm prediction", mode, allocs)
 	}
-	des := desCost()
-	ana := analyticCost()
-	if ana*100 > des {
-		t.Fatalf("analytic tier %.0fx faster than fast-forward replay, want >= 100x (DES %v, analytic %v)",
-			float64(des)/float64(ana), des, ana)
+
+	// Wall clock, for the log only: best of a few warm predictions each.
+	best := func(reps int, opts []dperf.Option) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for i := 0; i < reps; i++ {
+			start := time.Now()
+			if _, err := ts.Predict(opts...); err != nil {
+				t.Fatal(err)
+			}
+			d = min(d, time.Since(start))
+		}
+		return d
 	}
-	t.Logf("paper-scale prediction: DES fast-forward %v, analytic %v (%.0fx)",
-		des, ana, float64(des)/float64(ana))
+	anaOpts := append(desOpts, dperf.WithPredictMode(dperf.PredictAnalytic), dperf.WithPredictor(dperf.NewPredictor()))
+	des, ana := best(3, desOpts), best(50, anaOpts)
+	t.Logf("paper-scale prediction: DES fast-forward %v, analytic %v (%.0fx)", des, ana, float64(des)/float64(ana))
 }
 
 // BenchmarkAnalyticPredict measures a warm analytic-tier prediction
 // (certificate serving) on the paper-scale obstacle at 8 ranks.
 func BenchmarkAnalyticPredict(b *testing.B) {
-	a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithPlatform(dperf.KindCluster), dperf.WithRanks(8)).Analyze()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := a.Traces()
-	if err != nil {
-		b.Fatal(err)
-	}
+	ts := paperSet(b)
 	p := dperf.NewPredictor()
 	opts := []dperf.Option{
 		dperf.WithPlatform(dperf.KindCluster),
@@ -278,14 +265,7 @@ func BenchmarkAnalyticPredict(b *testing.B) {
 // BenchmarkAnalyticCertify measures a cold analytic evaluation (fresh
 // predictor per iteration) of the same paper-scale spec.
 func BenchmarkAnalyticCertify(b *testing.B) {
-	a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithPlatform(dperf.KindCluster), dperf.WithRanks(8)).Analyze()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := a.Traces()
-	if err != nil {
-		b.Fatal(err)
-	}
+	ts := paperSet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,8 +20,8 @@ func smallObstacle() dperf.ObstacleWorkload {
 }
 
 // TestGoldenFacadeMatchesLegacy asserts the façade pipeline is
-// numerically identical to the pre-façade wiring: explicit trace
-// generation plus a hand-built replay.Spec.
+// numerically identical to the pre-façade wiring: explicit flat trace
+// generation, folded back for replay, plus a hand-built replay.Spec.
 func TestGoldenFacadeMatchesLegacy(t *testing.T) {
 	w := smallObstacle()
 	const peers = 4
@@ -47,14 +47,18 @@ func TestGoldenFacadeMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	hosts := plat.Hosts()[:peers]
-	legacy, err := replay.Run(replay.Spec{
+	src := make(trace.FoldedSource, len(traces))
+	for i, tr := range traces {
+		src[i] = trace.Fold(tr)
+	}
+	legacy, err := replay.RunSource(replay.Spec{
 		Platform:     plat,
 		Hosts:        hosts,
 		Submitter:    plat.Frontend,
 		Scheme:       p2psap.Synchronous,
 		ScatterBytes: 2 * 8 * float64(w.N) * float64(w.N) / peers,
 		GatherBytes:  8 * float64(w.N) * float64(w.N) / peers,
-	}, traces)
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}

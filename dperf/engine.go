@@ -34,9 +34,9 @@ type EngineSpec struct {
 	// ScatterBytes/GatherBytes are the per-peer deployment payloads.
 	ScatterBytes float64
 	GatherBytes  float64
-	// Source streams the per-rank traces. Folded sources replay in
+	// Source supplies each rank's folded ops. They replay in
 	// O(compressed) memory and may be shared across concurrent
-	// replays (cursors are independent).
+	// replays (a replay only reads them).
 	Source trace.Source
 	// FastForward enables steady-state fast-forward replay: once the
 	// rounds of a folded Repeat loop settle into an exactly periodic
@@ -169,8 +169,8 @@ func engineResult(res *replay.Result) *EngineResult {
 // network replica, synchronized in conservative time windows (see
 // replay.ParallelEngine). Predictions are bit-identical to
 // DefaultEngine at every worker count; replays the partitioning
-// cannot help (fewer than two effective workers, fast-forwardable
-// op-structured sources, duplicate hosts) silently run serially.
+// cannot help (fewer than two effective workers, fast-forward on,
+// duplicate hosts) silently run serially.
 // Like the default engine it is safe for concurrent Replay calls; its
 // engine state is created per call, and per batch in ReplayAll.
 func ParallelReplayEngine(workers int) Engine {

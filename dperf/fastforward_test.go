@@ -1,7 +1,10 @@
 package dperf_test
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/dperf"
@@ -9,24 +12,39 @@ import (
 	"repro/internal/p2psap"
 	"repro/internal/platform"
 	"repro/internal/replay"
-	"repro/internal/trace"
 )
 
-// paperTraces runs the pipeline's analysis+trace stages for the
-// paper-scale obstacle workload (N=1200, 120 rounds × 15 sweeps) at 8
-// ranks and returns the folded source plus the replay spec pieces.
-func paperTraces(t *testing.T) (trace.FoldedSource, *platform.Platform, replay.Spec) {
+// paper holds the paper-scale obstacle trace set (N=1200, 120 rounds
+// × 15 sweeps, 8 ranks, O0). Generating it interprets the workload for
+// seconds, so the tests share one copy.
+var paper struct {
+	once sync.Once
+	ts   *dperf.TraceSet
+	err  error
+}
+
+// paperSet returns the shared paper-scale set; callers must not change
+// it.
+func paperSet(tb testing.TB) *dperf.TraceSet {
+	tb.Helper()
+	paper.once.Do(func() {
+		a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithPlatform(dperf.KindCluster), dperf.WithRanks(8)).Analyze()
+		if err != nil {
+			paper.err = err
+			return
+		}
+		paper.ts, paper.err = a.Traces()
+	})
+	if paper.err != nil {
+		tb.Fatal(paper.err)
+	}
+	return paper.ts
+}
+
+// paperSpec returns the 8-rank cluster platform and the sync-scheme
+// replay spec the paper-scale tests replay ts under.
+func paperSpec(t *testing.T, ts *dperf.TraceSet) (*platform.Platform, replay.Spec) {
 	t.Helper()
-	w := dperf.DefaultObstacleWorkload()
-	pipe := dperf.New(w, dperf.WithPlatform(dperf.KindCluster), dperf.WithRanks(8))
-	a, err := pipe.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := a.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
 	plat, err := platform.ForKind(platform.Kind(dperf.KindCluster), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +56,7 @@ func paperTraces(t *testing.T) (trace.FoldedSource, *platform.Platform, replay.S
 		ScatterBytes: ts.ScatterBytes,
 		GatherBytes:  ts.GatherBytes,
 	}
-	return trace.FoldedSource(ts.Folded()), plat, spec
+	return plat, spec
 }
 
 // TestFastForwardPaperScale is the acceptance gate of the steady-state
@@ -51,7 +69,9 @@ func paperTraces(t *testing.T) (trace.FoldedSource, *platform.Platform, replay.S
 // 20,603 events in verify mode and 1,622 with fast-forward on, of
 // which 6,241 and 469 are direct resumes.
 func TestFastForwardPaperScale(t *testing.T) {
-	src, plat, spec := paperTraces(t)
+	ts := paperSet(t)
+	src := ts.Source()
+	plat, spec := paperSpec(t, ts)
 	session, err := replay.NewSession(plat)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +143,78 @@ func TestFastForwardPaperScale(t *testing.T) {
 	off := run(replay.FFOff)
 	if rel := math.Abs(on.PredictedSeconds-off.PredictedSeconds) / off.PredictedSeconds; rel > 1e-9 {
 		t.Fatalf("fast-forward drifted from legacy replay: rel %g", rel)
+	}
+}
+
+// TestFastForwardPaperScaleFormats pins that every format replays the
+// paper-scale set with the same kernel work: the generated set, its
+// JSON round trip and its v2 template round trip each execute 20,603
+// events (6,241 direct resumes) with fast-forward off, to the same
+// prediction bits, and the v2 set fast-forwards exactly like the
+// generated one (1,622 events, 469 direct resumes, 8/111/1 rounds
+// simulated/fast-forwarded/jumps).
+func TestFastForwardPaperScaleFormats(t *testing.T) {
+	ts := paperSet(t)
+	plat, spec := paperSpec(t, ts)
+	session, err := replay.NewSession(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(name string, write func(io.Writer) error) (*dperf.TraceSet, []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ld, err := dperf.ReadTraceSetData(name, buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ld, buf.Bytes()
+	}
+	// Both round trips start from a v1 copy, leaving the shared set
+	// untouched.
+	v1, _ := load("paper-v1.bin", ts.WriteBinary)
+	fromJSON, _ := load("paper.json", v1.WriteJSON)
+	if _, err := v1.Template(); err != nil {
+		t.Fatal(err)
+	}
+	fromV2, data := load("paper-v2.bin", v1.WriteBinary)
+	if data[4] != 2 {
+		t.Fatalf("templated set wrote container version %d, want 2", data[4])
+	}
+
+	run := func(set *dperf.TraceSet, mode replay.FFMode) *replay.Result {
+		t.Helper()
+		s := spec
+		s.FastForward = mode
+		res, err := session.RunSource(s, set.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		name string
+		set  *dperf.TraceSet
+	}{{"generated", ts}, {"json", fromJSON}, {"v2", fromV2}} {
+		off := run(c.set, replay.FFOff)
+		if off.KernelEvents != 20603 || off.DirectResumes != 6241 {
+			t.Errorf("%s: fast-forward-off kernel work %d events / %d direct resumes, want 20603 / 6241",
+				c.name, off.KernelEvents, off.DirectResumes)
+		}
+		if bits := math.Float64bits(off.PredictedSeconds); bits != 0x4023f873f93db563 {
+			t.Errorf("%s: fast-forward-off prediction %v (bits %#x), want bits 0x4023f873f93db563",
+				c.name, off.PredictedSeconds, bits)
+		}
+	}
+	on := run(fromV2, replay.FFOn)
+	if on.KernelEvents != 1622 || on.DirectResumes != 469 {
+		t.Errorf("v2: fast-forward kernel work %d events / %d direct resumes, want 1622 / 469",
+			on.KernelEvents, on.DirectResumes)
+	}
+	if want := (replay.FFStats{RoundsSimulated: 8, RoundsFastForwarded: 111, Jumps: 1}); on.FF != want {
+		t.Errorf("v2: fast-forward work %+v, want %+v", on.FF, want)
 	}
 }
 

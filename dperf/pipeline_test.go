@@ -160,7 +160,11 @@ func TestGenerateTracesStructure(t *testing.T) {
 	if len(traces) != p {
 		t.Fatalf("traces = %d", len(traces))
 	}
-	if err := trace.Validate(traces); err != nil {
+	folded := make([]*trace.Folded, p)
+	for i, tr := range traces {
+		folded[i] = trace.Fold(tr)
+	}
+	if err := trace.ValidateFolded(folded); err != nil {
 		t.Fatal(err)
 	}
 	// Middle ranks exchange with both neighbours every round: 2 sends,

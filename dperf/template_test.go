@@ -47,10 +47,10 @@ func timingsEqual(a, b *dperf.Prediction) bool {
 }
 
 // predEqual additionally compares the fast-forward round accounting;
-// it applies between op-structured representations (folded and
-// template), which must make identical fast-forward decisions. Flat
-// record sources have no op structure for the fast-forward engine, so
-// for them only timings are comparable.
+// it applies between the generated and template forms of a set, which
+// replay the same folded ops. A JSON round trip refolds the records,
+// and trace.Fold need not recover the generator's loops, so against
+// it only timings are comparable.
 func predEqual(a, b *dperf.Prediction) bool {
 	return timingsEqual(a, b) &&
 		a.RoundsSimulated == b.RoundsSimulated &&
@@ -60,8 +60,8 @@ func predEqual(a, b *dperf.Prediction) bool {
 // TestTemplatePredictionsBitIdentical is the differential harness of
 // the template layer: for sampled (rank count, optimization level)
 // points of the obstacle and strip workloads, predictions replayed
-// from the folded source, from the flat JSON round trip and from the
-// v2 template round trip must be bit-identical — representation must
+// from the generated set, from its JSON round trip and from its v2
+// template round trip must be bit-identical — representation must
 // never leak into results. Fast-forward on and off are both covered.
 func TestTemplatePredictionsBitIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -88,7 +88,7 @@ func TestTemplatePredictionsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Flat representation via the JSON round trip.
+			// The records refolded by the JSON round trip.
 			var js bytes.Buffer
 			if err := ts.WriteJSON(&js); err != nil {
 				t.Fatal(err)
@@ -430,8 +430,8 @@ func TestTemplateSetSaveLoad(t *testing.T) {
 // template source, many rank counts, more workers than rank counts,
 // every configuration duplicated — and asserts deterministic,
 // index-ordered results. Its real teeth are under `go test -race`: the
-// shared TemplateSource instantiation cache and the sweep's shared
-// session pool are both exercised from every worker.
+// scale-shared source's derived sets and the sweep's shared session
+// pool are both exercised from every worker.
 func TestTemplateScaleSharedSweepRace(t *testing.T) {
 	shared, err := stripAnalysis(t).ScaleShared(8)
 	if err != nil {

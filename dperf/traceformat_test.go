@@ -208,7 +208,7 @@ func checkStatsSizes(t *testing.T, ts *dperf.TraceSet) *dperf.TraceStats {
 	}
 	var text, js bytes.Buffer
 	for _, f := range ts.Folded() {
-		if err := trace.WriteText(&text, f.Rank, f.Of, f.Cursor()); err != nil {
+		if err := trace.WriteText(&text, f.Rank, f.Of, f.Ops); err != nil {
 			t.Fatal(err)
 		}
 	}

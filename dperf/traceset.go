@@ -183,17 +183,23 @@ func unfoldAll(folded []*trace.Folded) ([]*trace.Trace, error) {
 // in this process or, via SaveJSON/SaveBinary and LoadTraceSet, in
 // another one.
 //
-// The set holds each rank's trace in the loop-folded IR, the flat
-// record slice, a rank-parameterized template (Template), or any
-// combination: generation emits folded traces, JSON files load flat,
-// binary files load folded (v1) or templated (v2). Source picks the
-// best available form for replay; Flat, Folded and Template convert
-// (and cache) on demand. The conversions are exact, so predictions
-// are bit-identical regardless of representation.
+// Every set replays its per-rank folded ops (Source), resolved when the
+// set is built: generation and binary v1 files produce them directly,
+// JSON and text files fold their records at load, and template sets (a
+// v2 file, a bare template, a scale-shared rank count) instantiate each
+// rank once. Flat and Template convert (and cache) on demand for
+// writing and inspection; they never change what replays.
+// Instantiation is exact, so a template set predicts the bits of the
+// set it was factored from. A JSON or text set replays trace.Fold's
+// view of its records, whose loops need not be the ones the generator
+// recorded: with fast-forward off that never changes a prediction's
+// bits, with it on it can change the round accounting and the last
+// ulps.
 //
-// A TraceSet's lazy conversions are not synchronized: share a set
-// across goroutines only after the representation you need exists
-// (Sweep resolves sources serially before fanning out).
+// A struct-literal set holding only Traces folds them on first Source
+// or Prepare. A TraceSet's lazy conversions are not synchronized: share
+// a set across goroutines only after the representation you need
+// exists (Sweep resolves sources serially before fanning out).
 type TraceSet struct {
 	Workload string `json:"workload,omitempty"`
 	Ranks    int    `json:"ranks"`
@@ -208,7 +214,6 @@ type TraceSet struct {
 
 	folded []*trace.Folded
 	tpl    *trace.Template
-	tplSrc *trace.TemplateSource
 	cfg    config
 }
 
@@ -239,34 +244,21 @@ func (a *Analysis) Traces(opts ...Option) (*TraceSet, error) {
 	}, nil
 }
 
-// Source returns the replay view of the set: the folded traces when
-// present (shared, O(compressed) memory), the template source for
-// template-only sets (per-rank streams instantiated lazily from role
-// bodies), the flat slice otherwise.
-func (ts *TraceSet) Source() trace.Source {
-	if ts.folded != nil {
-		return trace.FoldedSource(ts.folded)
-	}
-	if ts.tplSrc != nil {
-		return ts.tplSrc
-	}
-	return trace.SliceSource(ts.Traces)
-}
+// Source returns the replay view of the set: each rank's folded ops,
+// shared, in O(compressed) memory. It is empty only for an empty set.
+func (ts *TraceSet) Source() trace.Source { return trace.FoldedSource(ts.Folded()) }
 
 // Prepare finalizes the set for concurrent sharing: it resolves the
-// replay representation Source will hand out, so later Source calls
-// are read-only. It never unfolds records. A TraceSet's lazy
-// conversions (Flat, Folded, Template) are unsynchronized, and Stats
-// folds a flat or templated set on first use; a server admitting a set
-// must call Prepare — and perform any inspection such as Stats — once,
-// before the set is shared across concurrent Predict/Sweep calls.
-// After that the set is effectively immutable and replays freely:
-// source cursors are independent. It also rejects empty sets at
-// admission rather than at first prediction.
+// folded ops Source hands out (folding a struct-literal set's records),
+// so later Source calls are read-only. It never unfolds records. A
+// TraceSet's lazy conversions (Flat, Folded, Template) are
+// unsynchronized, and Stats factors a template on first use; a server
+// admitting a set must call Prepare — and perform any inspection such
+// as Stats — once, before the set is shared across concurrent
+// Predict/Sweep calls. After that the set is effectively immutable and
+// replays freely. It also rejects empty sets at admission rather than
+// at first prediction.
 func (ts *TraceSet) Prepare() error {
-	if ts.folded != nil || ts.tplSrc != nil || ts.Traces != nil {
-		return nil
-	}
 	_, err := ts.foldedOrErr()
 	return err
 }
@@ -288,55 +280,51 @@ func (ts *TraceSet) Flat() ([]*trace.Trace, error) {
 	return ts.Traces, nil
 }
 
-// Folded returns the per-rank folded traces, folding the flat records
-// or instantiating the template (and caching either) if needed. It
-// returns nil only for an empty set.
+// Folded returns the per-rank folded traces, folding a struct-literal
+// set's records (and caching them) if needed. It returns nil only for
+// an empty set.
 func (ts *TraceSet) Folded() []*trace.Folded {
 	fs, _ := ts.foldedOrErr()
 	return fs
 }
 
 func (ts *TraceSet) foldedOrErr() ([]*trace.Folded, error) {
-	if ts.folded != nil {
-		return ts.folded, nil
-	}
-	switch {
-	case ts.Traces != nil:
-		folded := make([]*trace.Folded, len(ts.Traces))
-		for i, t := range ts.Traces {
-			folded[i] = trace.Fold(t)
+	if ts.folded == nil {
+		if ts.Traces == nil {
+			return nil, fmt.Errorf("dperf: empty trace set")
 		}
-		ts.folded = folded
-	case ts.tpl != nil:
-		folded, err := ts.tpl.Instantiate()
-		if err != nil {
-			return nil, err
-		}
-		ts.folded = folded
-	default:
-		return nil, fmt.Errorf("dperf: empty trace set")
+		ts.folded = foldAll(ts.Traces)
 	}
 	return ts.folded, nil
 }
 
+func foldAll(traces []*trace.Trace) []*trace.Folded {
+	folded := make([]*trace.Folded, len(traces))
+	for i, t := range traces {
+		folded[i] = trace.Fold(t)
+	}
+	return folded
+}
+
 // Template returns the rank-parameterized template of the set,
 // factoring the folded traces (and caching the result) on first use.
-// Factoring is exact: replaying the template source is bit-identical
-// to replaying the folded traces it was factored from.
+// Factoring is exact: the template instantiates to the folded traces
+// it was factored from.
 //
 // Calling Template is the opt-in that makes SaveBinary/WriteBinary
 // emit the v2 template container instead of the v1 per-rank one;
 // read-only inspection (Stats) measures the template without
-// installing it, so it never changes what a later save writes.
+// installing it, so it never changes what a later save writes. It
+// never changes what replays.
 func (ts *TraceSet) Template() (*trace.Template, error) {
-	if ts.tpl != nil {
-		return ts.tpl, nil
+	if ts.tpl == nil {
+		tpl, err := ts.templateNoCache()
+		if err != nil {
+			return nil, err
+		}
+		ts.tpl = tpl
 	}
-	tpl, err := ts.templateNoCache()
-	if err != nil {
-		return nil, err
-	}
-	return tpl, ts.setTemplate(tpl)
+	return ts.tpl, nil
 }
 
 // templateNoCache returns the cached template or factors one without
@@ -352,13 +340,14 @@ func (ts *TraceSet) templateNoCache() (*trace.Template, error) {
 	return trace.Factor(folded)
 }
 
-// setTemplate installs a template (and its validated replay source).
+// setTemplate installs a template and the per-rank folded ops it
+// instantiates, which are what the set replays.
 func (ts *TraceSet) setTemplate(tpl *trace.Template) error {
-	src, err := tpl.Source()
+	folded, err := tpl.Instantiate()
 	if err != nil {
 		return err
 	}
-	ts.tpl, ts.tplSrc = tpl, src
+	ts.tpl, ts.folded = tpl, folded
 	return nil
 }
 
@@ -389,9 +378,10 @@ func (ts *TraceSet) encodeJSON(w io.Writer) error {
 	return enc.Encode(traceSetJSON{Version: traceSetVersion, TraceSet: *ts})
 }
 
-// ReadTraceSetJSON loads a trace set written by WriteJSON and
-// validates cross-rank consistency, so a corrupted file fails here
-// rather than deadlocking replay.
+// ReadTraceSetJSON loads a trace set written by WriteJSON, folds each
+// rank's records (as trace.LoadFile does for text files) and validates
+// cross-rank consistency, so a corrupted file fails here rather than
+// deadlocking replay.
 func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
 	var tj traceSetJSON
 	dec := json.NewDecoder(r)
@@ -423,9 +413,11 @@ func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
 			return nil, fmt.Errorf("dperf: trace set entry %d is null", i)
 		}
 	}
-	if err := trace.Validate(ts.Traces); err != nil {
+	folded := foldAll(ts.Traces)
+	if err := trace.ValidateFolded(folded); err != nil {
 		return nil, err
 	}
+	ts.folded = folded
 	return &ts, nil
 }
 
@@ -693,9 +685,9 @@ func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 		if err := ts.setTemplate(tpl); err != nil {
 			return nil, err
 		}
-		// Cross-rank consistency, streamed off the template — a
-		// corrupted file fails here rather than deadlocking replay.
-		if err := trace.ValidateSource(ts.tplSrc); err != nil {
+		// Cross-rank consistency — a corrupted file fails here rather
+		// than deadlocking replay.
+		if err := trace.ValidateFolded(ts.folded); err != nil {
 			return nil, err
 		}
 		return ts, nil
@@ -808,9 +800,9 @@ func readBareTraceData(name string, data []byte) (*TraceSet, error) {
 	}
 	ts := &TraceSet{Ranks: tpl.World}
 	if err := ts.setTemplate(tpl); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if err := trace.ValidateSource(ts.tplSrc); err != nil {
+	if err := trace.ValidateFolded(ts.folded); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return ts, nil

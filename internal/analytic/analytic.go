@@ -68,8 +68,8 @@ type Spec struct {
 	// ScatterBytes/GatherBytes model the P2PDC deployment phases.
 	ScatterBytes float64
 	GatherBytes  float64
-	// Source must be op-structured (trace.OpsSource): the steady-state
-	// engine needs Repeat boundaries, exactly like the DES fast-forward
+	// Source supplies each rank's folded ops; the steady-state engine
+	// needs their Repeat boundaries, exactly like the DES fast-forward
 	// executor.
 	Source trace.Source
 }
@@ -105,21 +105,17 @@ type Certificate struct {
 func (c *Certificate) Result() Result { return c.Res }
 
 // Eligible reports whether a trace source qualifies for the analytic
-// tier: it must expose op structure and every rank must contain at
-// least one top-level manageable Repeat (replay.Manageable — the same
-// rule the DES fast-forward executor applies), since a workload with
-// no steady-state candidate gains nothing over plain DES replay.
+// tier: every rank must contain at least one top-level manageable
+// Repeat (replay.Manageable — the same rule the DES fast-forward
+// executor applies), since a workload with no steady-state candidate
+// gains nothing over plain DES replay.
 func Eligible(src trace.Source) error {
 	if src == nil {
 		return fmt.Errorf("analytic: nil source")
 	}
-	ops, ok := src.(trace.OpsSource)
-	if !ok {
-		return fmt.Errorf("analytic: source is not op-structured (does not implement trace.OpsSource)")
-	}
 	for r := 0; r < src.Ranks(); r++ {
 		found := false
-		for _, op := range ops.RankOps(r) {
+		for _, op := range src.RankOps(r) {
 			if replay.Manageable(op) {
 				found = true
 				break
@@ -190,17 +186,13 @@ func (m *Model) Evaluate(spec Spec) (*Result, error) {
 	if spec.Source == nil || spec.Source.Ranks() == 0 {
 		return nil, fmt.Errorf("analytic: no traces")
 	}
-	src, ok := spec.Source.(trace.OpsSource)
-	if !ok {
-		return nil, fmt.Errorf("analytic: source is not op-structured (does not implement trace.OpsSource)")
-	}
 	if err := trace.ValidateSource(spec.Source); err != nil {
 		return nil, err
 	}
 	var ar f64
 	ranks := make([][]gop[float64], spec.Source.Ranks())
 	for r := range ranks {
-		ranks[r] = convOps[float64](ar, src.RankOps(r))
+		ranks[r] = convOps[float64](ar, spec.Source.RankOps(r))
 	}
 	res, err := runGeneric[float64, f64](ar, m.gm, &gspec[float64]{
 		hosts:        spec.Hosts,

@@ -243,21 +243,14 @@ func TestModelReuse(t *testing.T) {
 	}
 }
 
-// TestEligible: op structure and a manageable top-level Repeat on
-// every rank are required.
+// TestEligible: a manageable top-level Repeat on every rank is
+// required.
 func TestEligible(t *testing.T) {
 	if err := Eligible(steadySrc(4, 24)); err != nil {
 		t.Fatalf("steady source rejected: %v", err)
 	}
 	if err := Eligible(nil); err == nil {
 		t.Fatal("nil source accepted")
-	}
-	// Flat slice sources carry no op structure.
-	flat := trace.SliceSource([]*trace.Trace{
-		{Rank: 0, Of: 1, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e6}}},
-	})
-	if err := Eligible(flat); err == nil {
-		t.Fatal("non-op source accepted")
 	}
 	// A rank without a manageable Repeat is ineligible.
 	noLoop := trace.FoldedSource([]*trace.Folded{
@@ -294,13 +287,13 @@ func TestSpecValidation(t *testing.T) {
 		t.Fatal("negative scatter bytes accepted")
 	}
 
-	flat := base
-	flat.Source = trace.SliceSource([]*trace.Trace{
-		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e6}}},
-		{Rank: 1, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e6}}},
-	})
-	if _, err := Evaluate(flat); err == nil {
-		t.Fatal("non-op source accepted")
+	unbalanced := base
+	unbalanced.Source = trace.FoldedSource{
+		{Rank: 0, Of: 2, Ops: []trace.Op{trace.Lit(trace.Record{Kind: trace.KindSend, Peer: 1, Bytes: 8})}},
+		{Rank: 1, Of: 2},
+	}
+	if _, err := Evaluate(unbalanced); err == nil {
+		t.Fatal("unbalanced source accepted")
 	}
 
 	other, err := platform.Cluster(2)

@@ -111,7 +111,7 @@ type gwframe[V comparable] struct {
 }
 
 // gworker is one rank's actor: the p2pdc worker process plus replay's
-// op-structured executor (opsExec), flattened into resumable state.
+// op executor (opsExec), flattened into resumable state.
 type gworker[V comparable, A arith[V]] struct {
 	ev    *gev[V, A]
 	rank  int

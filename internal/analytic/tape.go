@@ -912,9 +912,9 @@ func convSymOps(ops []SymOp) []gop[sval] {
 // the provided Symbolic; len(point) fixes the parameter count.
 //
 // The spec must satisfy the analytic tier's structural preconditions
-// (op-structured ranks, each with a manageable top-level Repeat,
-// pairwise-distinct hosts); cross-rank op mismatches surface as a
-// stall error from the recording evaluation.
+// (every rank with a manageable top-level Repeat, pairwise-distinct
+// hosts); cross-rank op mismatches surface as a stall error from the
+// recording evaluation.
 func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic) (*SymSpec, error)) (*Tape, error) {
 	if plat == nil {
 		return nil, fmt.Errorf("analytic: nil platform")

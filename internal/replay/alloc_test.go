@@ -35,7 +35,7 @@ func ringFixture(n, count int) trace.FoldedSource {
 // the per-run set-up (processes, workers, result), while every
 // message, flow, activation and completion estimate reuses a pooled
 // record or a callback bound once.
-const sessionRunAllocs = 297
+const sessionRunAllocs = 281
 
 // TestSessionRunAllocs: a warm Session.RunSource allocates no more than
 // sessionRunAllocs times, and simulating four times the rounds

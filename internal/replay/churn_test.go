@@ -19,7 +19,7 @@ import (
 // from its cross partner before Sending, so all ranks park forever.
 // With n divisible by 2 the partner spans partitions at any worker
 // count that splits the rank range contiguously.
-func cyclicStall(n int) []*trace.Trace {
+func cyclicStall(n int) trace.FoldedSource {
 	bad := make([]*trace.Trace, n)
 	for r := 0; r < n; r++ {
 		peer := (r + n/2) % n
@@ -28,7 +28,7 @@ func cyclicStall(n int) []*trace.Trace {
 			{Kind: trace.KindSend, Peer: peer, Bytes: 8},
 		}}
 	}
-	return bad
+	return fold(bad)
 }
 
 // waitGoroutines polls until the goroutine count drops to the budget
@@ -55,22 +55,22 @@ func TestSessionChurnGoroutineStability(t *testing.T) {
 	good := sessionTraces()
 	bad := cyclicStall(2)
 
-	ref, err := Run(spec, good)
+	ref, err := RunSource(spec, good)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the session once before the baseline so the first rebuild's
 	// allocations are not counted against the churn loop.
-	if _, err := s.Run(spec, good); err != nil {
+	if _, err := s.RunSource(spec, good); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 
 	for i := 0; i < cycles; i++ {
-		if _, err := s.Run(spec, bad); err == nil {
+		if _, err := s.RunSource(spec, bad); err == nil {
 			t.Fatalf("cycle %d: stalled replay reported no error", i)
 		}
-		got, err := s.Run(spec, good)
+		got, err := s.RunSource(spec, good)
 		if err != nil {
 			t.Fatalf("cycle %d: session unusable after failed run: %v", i, err)
 		}
@@ -90,14 +90,14 @@ func TestSessionCloseThenReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := s.Run(spec, sessionTraces())
+	ref, err := s.RunSource(spec, sessionTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		s.Close()
-		got, err := s.Run(spec, sessionTraces())
+		got, err := s.RunSource(spec, sessionTraces())
 		if err != nil {
 			t.Fatalf("cycle %d: closed session did not rebuild: %v", i, err)
 		}
@@ -120,20 +120,20 @@ func TestParallelEngineChurnGoroutineStability(t *testing.T) {
 	good := heteroTraces(4, 1, 5)
 	bad := cyclicStall(4)
 
-	ref, err := Run(spec, good)
+	ref, err := RunSource(spec, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(spec, good); err != nil {
+	if _, err := eng.RunSource(spec, good); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
 
 	for i := 0; i < cycles; i++ {
-		if _, err := eng.Run(spec, bad); err == nil {
+		if _, err := eng.RunSource(spec, bad); err == nil {
 			t.Fatalf("cycle %d: stalled partitioned replay reported no error", i)
 		}
-		got, err := eng.Run(spec, good)
+		got, err := eng.RunSource(spec, good)
 		if err != nil {
 			t.Fatalf("cycle %d: engine unusable after failed run: %v", i, err)
 		}

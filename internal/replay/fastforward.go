@@ -66,8 +66,8 @@ import (
 type FFMode int
 
 const (
-	// FFOff replays every record through the legacy path: no epoch
-	// rebasing, timings bit-identical to prior releases.
+	// FFOff replays every round of every loop with no epoch rebasing:
+	// timings bit-identical to prior releases.
 	FFOff FFMode = iota
 	// FFVerify runs the epoch-rebased round protocol but simulates
 	// every iteration. It is the per-iteration reference that FFOn
@@ -501,8 +501,8 @@ func (rc *RepeatCtl[V]) sigsEqual(a, b []ffSigEntry[V]) bool {
 // compute records of ns nanoseconds starting at now — by iterated
 // addition, exactly as n individual sleeps would move the clock, so
 // the single aggregated wakeup lands on the bit-identical instant.
-// It is the one source of truth shared by the cursor path, the op
-// executor and the managed-loop leading compute.
+// It is the one source of truth shared by the op executor's compute
+// runs and the managed-loop leading compute.
 func ComputeDeadline(now, ns float64, n int) float64 {
 	t := now
 	d := ns / 1e9
@@ -513,12 +513,20 @@ func ComputeDeadline(now, ns float64, n int) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Op-structured executor
+// Op executor
 
-// opsExec replays one rank's folded ops. Leaf execution mirrors the
-// cursor-based path exactly (same primitives in the same order), so
-// with the controller disengaged the op walk is just another spelling
-// of the same simulation.
+// opsApp replays each rank's folded ops from src; ctl, when non-nil,
+// steers the managed loops (FFVerify, FFOn).
+func opsApp(src trace.Source, ctl *FFController[float64]) p2pdc.App {
+	return func(w *p2pdc.Worker) error {
+		ex := &opsExec{w: w, ctl: ctl}
+		return ex.run(src.RankOps(w.Rank()), true)
+	}
+}
+
+// opsExec replays one rank's folded ops: the one replay loop of every
+// engine and mode. With no controller it walks the ops plainly, every
+// Repeat iterated in full.
 type opsExec struct {
 	w           *p2pdc.Worker
 	ctl         *FFController[float64]
@@ -595,8 +603,7 @@ func (ex *opsExec) runBody(rc *RepeatCtl[float64], rank int, body []trace.Op) er
 	return ex.run(body[1:], false)
 }
 
-// leaf replays one run-length op; the switch mirrors the cursor-based
-// replay loop primitive for primitive.
+// leaf replays one run-length op.
 func (ex *opsExec) leaf(op trace.Op) error {
 	r := op.Rec
 	n := op.Count

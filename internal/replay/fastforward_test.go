@@ -248,7 +248,7 @@ func TestFailedRunReapsProcessGoroutines(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		if _, err := s.Run(spec, deadlocked); err == nil {
+		if _, err := s.RunSource(spec, fold(deadlocked)); err == nil {
 			t.Fatal("deadlocked replay succeeded")
 		}
 	}
@@ -272,7 +272,7 @@ func TestFailedRunReapsProcessGoroutines(t *testing.T) {
 		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e6}}},
 		{Rank: 1, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e6}}},
 	}
-	if _, err := s.Run(spec, good); err != nil {
+	if _, err := s.RunSource(spec, fold(good)); err != nil {
 		t.Fatalf("session did not recover after failed runs: %v", err)
 	}
 }

@@ -6,37 +6,29 @@ import (
 	"repro/internal/trace"
 )
 
-// singleRunSource wraps a source, splitting every cursor run into
-// single records — it forces the per-record slow path, giving the
-// baseline the fast path must match bit for bit.
+// singleRunSource wraps a source, splitting every run of n identical
+// records into n single-record ops — it forces the per-record slow
+// path, giving the baseline the fast path must match bit for bit.
 type singleRunSource struct{ src trace.Source }
 
 func (s singleRunSource) Ranks() int { return s.src.Ranks() }
 
-func (s singleRunSource) Cursor(rank int) trace.Cursor {
-	return &singleRunCursor{cur: s.src.Cursor(rank)}
-}
+func (s singleRunSource) RankOps(rank int) []trace.Op { return splitRuns(s.src.RankOps(rank)) }
 
-type singleRunCursor struct {
-	cur  trace.Cursor
-	rec  trace.Record
-	left int
-}
-
-func (c *singleRunCursor) Next() bool {
-	if c.left > 0 {
-		c.left--
-		return true
+func splitRuns(ops []trace.Op) []trace.Op {
+	var out []trace.Op
+	for _, op := range ops {
+		switch {
+		case len(op.Body) > 0:
+			out = append(out, trace.Op{Count: op.Count, Body: splitRuns(op.Body)})
+		default:
+			for i := 0; i < op.Count; i++ {
+				out = append(out, trace.Lit(op.Rec))
+			}
+		}
 	}
-	if !c.cur.Next() {
-		return false
-	}
-	r, n := c.cur.Run()
-	c.rec, c.left = r, n-1
-	return true
+	return out
 }
-
-func (c *singleRunCursor) Run() (trace.Record, int) { return c.rec, 1 }
 
 // foldedFixture builds a two-rank trace set dominated by long
 // homogeneous compute runs (the fast-path shape), with communication
@@ -61,7 +53,7 @@ func foldedFixture() []*trace.Folded {
 // TestFoldedReplayMatchesFlat: replaying the folded source (compute
 // runs aggregated into single events via SleepUntil) must be
 // bit-identical to the per-record baseline and to replaying the
-// unfolded slice.
+// unfolded records, one literal op per record or re-folded.
 func TestFoldedReplayMatchesFlat(t *testing.T) {
 	folded := foldedFixture()
 	spec := clusterSpec(t, 2)
@@ -79,19 +71,26 @@ func TestFoldedReplayMatchesFlat(t *testing.T) {
 	}
 
 	traces := make([]*trace.Trace, len(folded))
+	lits := make(trace.FoldedSource, len(folded))
 	for i, f := range folded {
 		tr, err := f.Unfold()
 		if err != nil {
 			t.Fatal(err)
 		}
 		traces[i] = tr
+		lits[i] = &trace.Folded{Rank: tr.Rank, Of: tr.Of}
+		for _, r := range tr.Records {
+			lits[i].Ops = append(lits[i].Ops, trace.Lit(r))
+		}
 	}
-	flat, err := Run(spec, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withoutWork(fast) != withoutWork(flat) {
-		t.Fatalf("folded replay diverged from flat replay:\nfolded %+v\nflat %+v", fast, flat)
+	for name, src := range map[string]trace.Source{"literal": lits, "refolded": fold(traces)} {
+		flat, err := RunSource(spec, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withoutWork(fast) != withoutWork(flat) {
+			t.Fatalf("folded replay diverged from %s flat replay:\nfolded %+v\nflat %+v", name, fast, flat)
+		}
 	}
 }
 
@@ -106,8 +105,8 @@ func withoutWork(r *Result) Result {
 }
 
 // TestFoldedReplaySessionReuse: a session replaying the same folded
-// source twice produces identical results (clock reset + shared
-// cursors are independent).
+// source twice produces identical results (clock reset, and replay
+// only reads the shared ops).
 func TestFoldedReplaySessionReuse(t *testing.T) {
 	folded := foldedFixture()
 	spec := clusterSpec(t, 2)

@@ -11,38 +11,22 @@ import (
 )
 
 // panickySource passes validation but makes one rank's replay panic:
-// the first cursor opened on that rank is the validator's walk and is
-// left intact, and every later one panics after `after` runs — partway
-// through the rank's simulated execution.
+// the first RankOps call on that rank is the validator's walk and is
+// answered, and every later one — the rank's process fetching its ops
+// — panics.
 type panickySource struct {
 	trace.Source
-	rank, after int
-	opened      int
+	rank   int
+	opened int
 }
 
-func (s *panickySource) Cursor(rank int) trace.Cursor {
-	c := s.Source.Cursor(rank)
-	if rank != s.rank {
-		return c
+func (s *panickySource) RankOps(rank int) []trace.Op {
+	if rank == s.rank {
+		if s.opened++; s.opened > 1 {
+			panic("ops exploded")
+		}
 	}
-	s.opened++
-	if s.opened == 1 {
-		return c
-	}
-	return &panickyCursor{Cursor: c, left: s.after}
-}
-
-type panickyCursor struct {
-	trace.Cursor
-	left int
-}
-
-func (c *panickyCursor) Next() bool {
-	if c.left == 0 {
-		panic("cursor exploded")
-	}
-	c.left--
-	return c.Cursor.Next()
+	return s.Source.RankOps(rank)
 }
 
 // TestProcessPanicFailsReplay pins that a panic inside a simulated
@@ -54,7 +38,7 @@ func (c *panickyCursor) Next() bool {
 // replay must equal a fresh engine's.
 func TestProcessPanicFailsReplay(t *testing.T) {
 	spec := clusterSpec(t, 4)
-	good := trace.SliceSource(heteroTraces(4, 2, 5))
+	good := heteroTraces(4, 2, 5)
 	type runner interface {
 		RunSource(Spec, trace.Source) (*Result, error)
 	}
@@ -85,9 +69,9 @@ func TestProcessPanicFailsReplay(t *testing.T) {
 			before := runtime.NumGoroutine()
 			for i := 0; i < 50; i++ {
 				for _, rank := range []int{1, 2} {
-					src := &panickySource{Source: good, rank: rank, after: 3}
+					src := &panickySource{Source: good, rank: rank}
 					_, err := r.RunSource(spec, src)
-					panicMsg := fmt.Sprintf(`des: process "rank%d" panicked: cursor exploded`, rank)
+					panicMsg := fmt.Sprintf(`des: process "rank%d" panicked: ops exploded`, rank)
 					if err == nil || !strings.Contains(err.Error(), panicMsg) {
 						t.Fatalf("cycle %d: run error = %v, want the rank %d panic", i, err, rank)
 					}

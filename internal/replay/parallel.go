@@ -59,12 +59,11 @@ type ParStats struct {
 //
 // Fallbacks: the engine transparently runs the serial Session path
 // when partitioning cannot help or cannot be conservative — fewer
-// than 2 effective workers, a fast-forward mode on an op-structured
-// source (the steady-state skip already beats parallelism there, and
-// it rebases the clock mid-run), duplicate hosts in the deployment
-// (rank partitioning is host ownership), or a platform with a
-// zero-latency route between used hosts (no lookahead). Results are
-// bit-identical either way.
+// than 2 effective workers, any fast-forward mode (the steady-state
+// skip already beats parallelism, and it rebases the clock mid-run),
+// duplicate hosts in the deployment (rank partitioning is host
+// ownership), or a platform with a zero-latency route between used
+// hosts (no lookahead). Results are bit-identical either way.
 type ParallelEngine struct {
 	plat    *platform.Platform
 	workers int
@@ -98,19 +97,6 @@ func (e *ParallelEngine) Platform() *platform.Platform { return e.plat }
 // Workers returns the configured worker count.
 func (e *ParallelEngine) Workers() int { return e.workers }
 
-// Run replays the traces under spec. See Session.Run.
-func (e *ParallelEngine) Run(spec Spec, traces []*trace.Trace) (*Result, error) {
-	for i, t := range traces {
-		if t == nil {
-			return nil, fmt.Errorf("replay: trace slot %d is nil", i)
-		}
-		if err := trace.ValidateLabel(i, len(traces), t.Rank, t.Of); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-	}
-	return e.RunSource(spec, trace.SliceSource(traces))
-}
-
 // RunSource replays a trace source under spec across the engine's
 // partitions, bit-identical to Session.RunSource at any worker count.
 func (e *ParallelEngine) RunSource(spec Spec, src trace.Source) (*Result, error) {
@@ -131,7 +117,7 @@ func (e *ParallelEngine) RunSource(spec Spec, src trace.Source) (*Result, error)
 	if n := src.Ranks(); p > n {
 		p = n
 	}
-	if p < 2 || !partitionable(spec, src) {
+	if p < 2 || !partitionable(spec) {
 		res, err := e.serial.RunSource(spec, src)
 		if res != nil {
 			res.Par.Workers = 1
@@ -168,17 +154,14 @@ func (e *ParallelEngine) RunSource(spec Spec, src trace.Source) (*Result, error)
 	return res, nil
 }
 
-// partitionable reports whether the spec/source pair is eligible for
-// the partitioned path.
-func partitionable(spec Spec, src trace.Source) bool {
+// partitionable reports whether the spec is eligible for the
+// partitioned path.
+func partitionable(spec Spec) bool {
 	if spec.FastForward != FFOff {
-		if _, ok := src.(trace.OpsSource); ok {
-			// Steady-state fast-forward already wins on these replays
-			// and rebases the kernel clock mid-run; serial is both
-			// faster and simpler. (Sources without op structure have
-			// nothing to fast-forward over and stay eligible.)
-			return false
-		}
+		// Steady-state fast-forward already wins on these replays and
+		// rebases the kernel clock mid-run; serial is both faster and
+		// simpler.
+		return false
 	}
 	// Rank partitioning is host ownership: every used host must have
 	// exactly one owner.
@@ -297,14 +280,8 @@ func (e *ParallelEngine) runPartitioned(spec Spec, src trace.Source, p int, look
 		}
 	}()
 
-	app := cursorApp(src)
-	runSpec := p2pdc.RunSpec{
-		Submitter:    spec.Submitter,
-		Hosts:        spec.Hosts,
-		Scheme:       spec.Scheme,
-		ScatterBytes: spec.ScatterBytes,
-		GatherBytes:  spec.GatherBytes,
-	}
+	app := opsApp(src, nil)
+	runSpec := spec.runSpec()
 	parts := make([]*p2pdc.Partition, p)
 	for i, env := range envs {
 		pt, err := env.LaunchPartition(runSpec, app, ranksOf[i], i == 0)

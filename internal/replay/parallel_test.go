@@ -15,7 +15,7 @@ import (
 // ring exchange and a global convergence test. Every compute burst
 // differs, so neither loop folding nor steady-state fast-forward can
 // compress it — exactly the replays the parallel engine targets.
-func heteroTraces(n, rounds int, seed uint64) []*trace.Trace {
+func heteroTraces(n, rounds int, seed uint64) trace.FoldedSource {
 	next := func() uint64 { // splitmix64: deterministic, no global rand
 		seed += 0x9e3779b97f4a7c15
 		z := seed
@@ -47,7 +47,7 @@ func heteroTraces(n, rounds int, seed uint64) []*trace.Trace {
 		// what its peer received this round.
 		next()
 	}
-	return traces
+	return fold(traces)
 }
 
 func TestParallelBitIdenticalAcrossWorkers(t *testing.T) {
@@ -75,7 +75,7 @@ func TestParallelBitIdenticalAcrossWorkers(t *testing.T) {
 					GatherBytes:  16 * 1024,
 				}
 				traces := heteroTraces(ranks, 3, 42)
-				want, err := Run(spec, traces)
+				want, err := RunSource(spec, traces)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +84,7 @@ func TestParallelBitIdenticalAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := eng.Run(spec, heteroTraces(ranks, 3, 42))
+					got, err := eng.RunSource(spec, heteroTraces(ranks, 3, 42))
 					if err != nil {
 						t.Fatalf("%s/r%d/%v/w%d: %v", pk.name, ranks, scheme, workers, err)
 					}
@@ -151,7 +151,7 @@ func TestParallelFFModesBitIdentical(t *testing.T) {
 func TestParallelEngineReuseBitIdentical(t *testing.T) {
 	spec := clusterSpec(t, 4)
 	traces := heteroTraces(4, 2, 7)
-	fresh, err := Run(spec, traces)
+	fresh, err := RunSource(spec, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestParallelEngineReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := eng.Run(spec, heteroTraces(4, 2, 7))
+		got, err := eng.RunSource(spec, heteroTraces(4, 2, 7))
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -179,7 +179,7 @@ func TestParallelSerialFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(spec, heteroTraces(4, 1, 3))
+		res, err := eng.RunSource(spec, heteroTraces(4, 1, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,24 +195,17 @@ func TestParallelSerialFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A folded source is op-structured; with fast-forward requested
-		// the engine must hand it to the serial session (the cursor
-		// path cannot honor Repeat-boundary snapshots).
-		folded := func() trace.FoldedSource {
-			var fs trace.FoldedSource
-			for _, tr := range heteroTraces(4, 1, 3) {
-				fs = append(fs, trace.Fold(tr))
-			}
-			return fs
-		}
-		res, err := eng.RunSource(ff, folded())
+		// With fast-forward requested the engine must hand every source
+		// to the serial session (partitions run no controller, so they
+		// cannot honor Repeat-boundary snapshots).
+		res, err := eng.RunSource(ff, heteroTraces(4, 1, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Par.Workers != 1 {
 			t.Fatalf("fast-forward replay took the partitioned path: %+v", res.Par)
 		}
-		want, err := RunSource(ff, folded())
+		want, err := RunSource(ff, heteroTraces(4, 1, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,14 +223,14 @@ func TestParallelSerialFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		traces := heteroTraces(4, 1, 9)
-		res, err := eng.Run(dup, traces)
+		res, err := eng.RunSource(dup, traces)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Par.Workers != 1 {
 			t.Fatalf("duplicate-host deployment took the partitioned path: %+v", res.Par)
 		}
-		want, err := Run(dup, heteroTraces(4, 1, 9))
+		want, err := RunSource(dup, heteroTraces(4, 1, 9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +253,7 @@ func TestParallelFailedRunReapsGoroutines(t *testing.T) {
 	}
 	// Warm the engine so its partition environments exist before the
 	// baseline goroutine count is taken.
-	if _, err := eng.Run(spec, heteroTraces(4, 1, 5)); err != nil {
+	if _, err := eng.RunSource(spec, heteroTraces(4, 1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -268,16 +261,9 @@ func TestParallelFailedRunReapsGoroutines(t *testing.T) {
 	// Cyclic wait spanning partitions: ranks 0|1 and 2|3 land in
 	// different partitions at P=2, and every rank Recvs before it
 	// Sends, so all four park forever.
-	bad := make([]*trace.Trace, 4)
-	for r := 0; r < 4; r++ {
-		peer := (r + 2) % 4
-		bad[r] = &trace.Trace{Rank: r, Of: 4, Records: []trace.Record{
-			{Kind: trace.KindRecv, Peer: peer, Bytes: 8},
-			{Kind: trace.KindSend, Peer: peer, Bytes: 8},
-		}}
-	}
+	bad := cyclicStall(4)
 	for i := 0; i < 5; i++ {
-		if _, err := eng.Run(spec, bad); err == nil {
+		if _, err := eng.RunSource(spec, bad); err == nil {
 			t.Fatal("stalled partitioned replay reported no error")
 		}
 	}
@@ -296,11 +282,11 @@ func TestParallelFailedRunReapsGoroutines(t *testing.T) {
 	}
 
 	// The engine must rebuild and predict bit-identically afterwards.
-	fresh, err := Run(spec, heteroTraces(4, 1, 5))
+	fresh, err := RunSource(spec, heteroTraces(4, 1, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Run(spec, heteroTraces(4, 1, 5))
+	got, err := eng.RunSource(spec, heteroTraces(4, 1, 5))
 	if err != nil {
 		t.Fatalf("engine unusable after failed run: %v", err)
 	}

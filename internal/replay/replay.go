@@ -1,12 +1,18 @@
 // Package replay is dPerf's trace-based simulation stage: the SimGrid
-// MSG equivalent. Per-rank traces are replayed as processes over a
-// simulated platform; compute records advance the local clock, send
-// and receive records move bytes through the P2PSAP channel model,
-// and conv records perform the rank-0 gather/broadcast convergence
-// pattern. The result is the total predicted time t_predicted
-// (paper §III-D.2: "with SimGrid we calculate the necessary time for
-// communicating over the network; to this time, SimGrid adds the
-// computation time already present in the trace file").
+// MSG equivalent. Each rank's folded ops (a trace.Source) are replayed
+// as a process over a simulated platform; compute records advance the
+// local clock, send and receive records move bytes through the P2PSAP
+// channel model, and conv records perform the rank-0 gather/broadcast
+// convergence pattern. The result is the total predicted time
+// t_predicted (paper §III-D.2: "with SimGrid we calculate the
+// necessary time for communicating over the network; to this time,
+// SimGrid adds the computation time already present in the trace
+// file").
+//
+// One executor (opsExec) walks the ops for every engine and mode: a
+// run of identical compute records becomes one kernel event, and a
+// fast-forward controller, when the spec asks for one, steers the
+// managed Repeat loops.
 package replay
 
 import (
@@ -22,7 +28,7 @@ import (
 // Spec configures a replay.
 type Spec struct {
 	Platform *platform.Platform
-	// Hosts maps rank -> host name; must have len(Traces) entries.
+	// Hosts maps rank -> host name; one entry per source rank.
 	Hosts []string
 	// Submitter is the scatter/gather endpoint (platform frontend).
 	Submitter string
@@ -35,8 +41,8 @@ type Spec struct {
 	// FastForward selects the steady-state fast-forward mode (FFOff,
 	// FFVerify, FFOn). The default FFOff replays every folded round
 	// and keeps timings bit-identical to prior releases; FFOn skips
-	// steady-state rounds of op-structured sources in closed form,
-	// bit-identical to FFVerify (the rebased per-iteration reference).
+	// steady-state rounds in closed form, bit-identical to FFVerify
+	// (the rebased per-iteration reference).
 	FastForward FFMode
 	// Debug, when non-nil, receives the fast-forward engine's boundary
 	// and jump diagnostics for this replay. It replaces the old
@@ -57,7 +63,7 @@ type Result struct {
 	ComputeSeconds float64
 	GatherSeconds  float64
 	// FF reports what the fast-forward engine did (all zero when
-	// Spec.FastForward is FFOff or the source is not op-structured).
+	// Spec.FastForward is FFOff).
 	FF FFStats
 	// Par reports how the parallel engine executed the replay (zero
 	// for plain Session runs; Workers==1 marks a serial fallback).
@@ -71,23 +77,10 @@ type Result struct {
 	KernelEvents, DirectResumes int64
 }
 
-// Run replays the traces once and returns the predicted time. It is
-// a convenience wrapper over a single-use Session; callers replaying
-// many trace sets or configurations against the same platform should
-// create one Session and reuse it.
-func Run(spec Spec, traces []*trace.Trace) (*Result, error) {
-	if spec.Platform == nil {
-		return nil, fmt.Errorf("replay: spec has no platform")
-	}
-	s, err := NewSession(spec.Platform)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(spec, traces)
-}
-
-// RunSource is Run over a trace.Source — folded traces replay in
-// O(compressed) memory, flat slices via trace.SliceSource.
+// RunSource replays a trace source once and returns the predicted
+// time. It is a convenience wrapper over a single-use Session; callers
+// replaying many trace sets or configurations against the same
+// platform should create one Session and reuse it.
 func RunSource(spec Spec, src trace.Source) (*Result, error) {
 	if spec.Platform == nil {
 		return nil, fmt.Errorf("replay: spec has no platform")
@@ -102,14 +95,14 @@ func RunSource(spec Spec, src trace.Source) (*Result, error) {
 // Session is a reusable replay context bound to one platform. It
 // keeps the expensive simulation state — the event kernel, the
 // realized network (hosts, links, route caches), mailboxes and
-// adapted P2PSAP channels — alive across Run calls instead of
+// adapted P2PSAP channels — alive across RunSource calls instead of
 // rebuilding them per replay, which dominates replay cost on large
 // platforms (the Daisy topology realizes 1024 hosts).
 //
 // Between runs the virtual clock is rewound to zero, so a reused
 // session produces results bit-identical to a fresh one regardless of
 // how many replays preceded it. Hosts, submitter, scheme and
-// deployment bytes may differ per Run; only the platform is fixed.
+// deployment bytes may differ per run; only the platform is fixed.
 //
 // A Session is not safe for concurrent use; use one session per
 // goroutine (they may share the platform, whose route computation is
@@ -127,7 +120,7 @@ type Session struct {
 	env  *p2pdc.Environment
 	// dirty marks the environment as unusable after a failed run (a
 	// stalled application leaves processes parked forever); the next
-	// Run rebuilds it.
+	// RunSource rebuilds it.
 	dirty bool
 }
 
@@ -148,8 +141,8 @@ func NewSession(plat *platform.Platform) (*Session, error) {
 func (s *Session) Platform() *platform.Platform { return s.plat }
 
 // Close tears down the session's simulation environment, unwinding any
-// processes still parked in the kernel. A closed session is
-// not dead: the next Run rebuilds the environment from the platform,
+// processes still parked in the kernel. A closed session is not dead:
+// the next RunSource rebuilds the environment from the platform,
 // exactly like the rebuild after a failed run. Close is for callers
 // that pool sessions (a long-running server keeping per-platform
 // pools hot) and want to release idle simulation state without
@@ -159,25 +152,12 @@ func (s *Session) Close() {
 	s.dirty = true
 }
 
-// Run replays the traces under spec, reusing the session's simulation
-// environment. spec.Platform must be nil or the session's platform.
-func (s *Session) Run(spec Spec, traces []*trace.Trace) (*Result, error) {
-	for i, t := range traces {
-		if t == nil {
-			return nil, fmt.Errorf("replay: trace slot %d is nil", i)
-		}
-		if err := trace.ValidateLabel(i, len(traces), t.Rank, t.Of); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-	}
-	return s.RunSource(spec, trace.SliceSource(traces))
-}
-
 // RunSource replays a trace source under spec, reusing the session's
-// simulation environment. Folded sources replay in O(compressed)
-// memory, and a run of identical compute records becomes a single
-// simulation event; both produce timings bit-identical to replaying
-// the flat record sequence.
+// simulation environment; spec.Platform must be nil or the session's
+// platform. Folded ops replay in O(compressed) memory, and a run of
+// identical compute records becomes a single simulation event; both
+// produce timings bit-identical to replaying the flat record
+// sequence.
 func (s *Session) RunSource(spec Spec, src trace.Source) (*Result, error) {
 	if spec.Platform != nil && spec.Platform != s.plat {
 		return nil, fmt.Errorf("replay: spec platform %q is not the session's platform %q",
@@ -219,31 +199,10 @@ func (s *Session) RunSource(spec Spec, src trace.Source) (*Result, error) {
 // run executes one replay on the (reset) environment.
 func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
 	var ctl *FFController[float64]
-	var app p2pdc.App
 	if spec.FastForward != FFOff {
-		if ops, ok := src.(trace.OpsSource); ok {
-			// Op-structured replay: the executor sees Repeat
-			// boundaries and runs the steady-state protocol. Sources
-			// without op structure fall through to the cursor path
-			// (nothing to fast-forward over).
-			ctl = NewFFController[float64](desKernel{s.env}, src.Ranks(), spec.FastForward == FFOn, spec.Debug)
-			app = func(w *p2pdc.Worker) error {
-				ex := &opsExec{w: w, ctl: ctl}
-				return ex.run(ops.RankOps(w.Rank()), true)
-			}
-		}
+		ctl = NewFFController[float64](desKernel{s.env}, src.Ranks(), spec.FastForward == FFOn, spec.Debug)
 	}
-	if app == nil {
-		app = cursorApp(src)
-	}
-	runSpec := p2pdc.RunSpec{
-		Submitter:    spec.Submitter,
-		Hosts:        spec.Hosts,
-		Scheme:       spec.Scheme,
-		ScatterBytes: spec.ScatterBytes,
-		GatherBytes:  spec.GatherBytes,
-	}
-	res, err := s.env.Run(runSpec, app)
+	res, err := s.env.Run(spec.runSpec(), opsApp(src, ctl))
 	if err != nil {
 		return nil, err
 	}
@@ -264,49 +223,13 @@ func (s *Session) run(spec Spec, src trace.Source) (*Result, error) {
 	return out, nil
 }
 
-// cursorApp is the record-run replay loop shared by the legacy path,
-// non-op-structured sources and the parallel engine's partitions.
-func cursorApp(src trace.Source) p2pdc.App {
-	return func(w *p2pdc.Worker) error {
-		cur := src.Cursor(w.Rank())
-		for cur.Next() {
-			r, n := cur.Run()
-			switch r.Kind {
-			case trace.KindCompute:
-				if n == 1 {
-					w.Sleep(r.NS / 1e9)
-					continue
-				}
-				// Fast path: one kernel event for the whole run, at
-				// the bit-identical deadline n individual sleeps
-				// would reach.
-				w.SleepUntil(ComputeDeadline(w.Now(), r.NS, n))
-			case trace.KindSend:
-				for i := 0; i < n; i++ {
-					if err := w.Send(r.Peer, r.Bytes, nil); err != nil {
-						return err
-					}
-				}
-			case trace.KindRecv:
-				for i := 0; i < n; i++ {
-					if _, err := w.Recv(r.Peer); err != nil {
-						return err
-					}
-				}
-			case trace.KindConv:
-				for i := 0; i < n; i++ {
-					if _, err := w.ConvergeMax(0); err != nil {
-						return err
-					}
-				}
-			case trace.KindBarrier:
-				for i := 0; i < n; i++ {
-					if err := w.Barrier(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
+// runSpec is the deployment half of the spec, as p2pdc runs it.
+func (spec Spec) runSpec() p2pdc.RunSpec {
+	return p2pdc.RunSpec{
+		Submitter:    spec.Submitter,
+		Hosts:        spec.Hosts,
+		Scheme:       spec.Scheme,
+		ScatterBytes: spec.ScatterBytes,
+		GatherBytes:  spec.GatherBytes,
 	}
 }

@@ -26,13 +26,22 @@ func clusterSpec(t testing.TB, peers int) Spec {
 	}
 }
 
+// fold returns flat traces as the folded source replay takes.
+func fold(traces []*trace.Trace) trace.FoldedSource {
+	fs := make(trace.FoldedSource, len(traces))
+	for i, t := range traces {
+		fs[i] = trace.Fold(t)
+	}
+	return fs
+}
+
 func TestReplayComputeOnly(t *testing.T) {
 	spec := clusterSpec(t, 2)
 	traces := []*trace.Trace{
 		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 2e9}}},
 		{Rank: 1, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e9}}},
 	}
-	res, err := Run(spec, traces)
+	res, err := RunSource(spec, fold(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +61,7 @@ func TestReplaySendRecvPairs(t *testing.T) {
 			{Kind: trace.KindRecv, Peer: 0, Bytes: 125e6},
 		}},
 	}
-	res, err := Run(spec, traces)
+	res, err := RunSource(spec, fold(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +80,7 @@ func TestReplayConvSynchronizes(t *testing.T) {
 		}}
 	}
 	// Slowest rank computes 3 s: everyone leaves conv after it.
-	res, err := Run(spec, []*trace.Trace{mk(0, 1e9), mk(1, 3e9), mk(2, 0.5e9)})
+	res, err := RunSource(spec, fold([]*trace.Trace{mk(0, 1e9), mk(1, 3e9), mk(2, 0.5e9)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +95,7 @@ func TestReplayBarrier(t *testing.T) {
 		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 5e8}, {Kind: trace.KindBarrier}}},
 		{Rank: 1, Of: 2, Records: []trace.Record{{Kind: trace.KindBarrier}}},
 	}
-	res, err := Run(spec, traces)
+	res, err := RunSource(spec, fold(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +112,7 @@ func TestReplayScatterGatherPhases(t *testing.T) {
 		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e9}}},
 		{Rank: 1, Of: 2, Records: []trace.Record{{Kind: trace.KindCompute, NS: 1e9}}},
 	}
-	res, err := Run(spec, traces)
+	res, err := RunSource(spec, fold(traces))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +134,13 @@ func TestReplayRejectsInvalidTraces(t *testing.T) {
 		{Rank: 0, Of: 2, Records: []trace.Record{{Kind: trace.KindSend, Peer: 1, Bytes: 8}}},
 		{Rank: 1, Of: 2}, // missing the matching recv
 	}
-	if _, err := Run(spec, bad); err == nil {
+	if _, err := RunSource(spec, fold(bad)); err == nil {
 		t.Fatal("mismatched traces accepted")
 	}
-	if _, err := Run(spec, nil); err == nil {
+	if _, err := RunSource(spec, trace.FoldedSource(nil)); err == nil {
 		t.Fatal("empty traces accepted")
 	}
-	if _, err := Run(Spec{Platform: spec.Platform, Hosts: spec.Hosts[:1], Submitter: spec.Submitter}, bad); err == nil {
+	if _, err := RunSource(Spec{Platform: spec.Platform, Hosts: spec.Hosts[:1], Submitter: spec.Submitter}, fold(bad)); err == nil {
 		t.Fatal("host/trace count mismatch accepted")
 	}
 }
@@ -174,14 +183,14 @@ func TestReplayRejectsInvalidQuantities(t *testing.T) {
 					recs[i] = c.rec
 				}
 			}
-			verr := trace.ValidateSource(trace.SliceSource(traces))
+			verr := trace.ValidateSource(fold(traces))
 			if verr == nil || !strings.Contains(verr.Error(), fmt.Sprintf("rank %d ", c.rank)) {
 				t.Fatalf("ValidateSource = %v, want an error naming rank %d", verr, c.rank)
 			}
 			// The replay's error is the validator's: it failed before
 			// simulating anything.
-			if _, err := Run(spec, traces); err == nil || err.Error() != verr.Error() {
-				t.Fatalf("Run error = %v, want the validation error %v", err, verr)
+			if _, err := RunSource(spec, fold(traces)); err == nil || err.Error() != verr.Error() {
+				t.Fatalf("RunSource error = %v, want the validation error %v", err, verr)
 			}
 		})
 	}
@@ -204,12 +213,12 @@ func TestReplayDeterministic(t *testing.T) {
 		return spec, traces
 	}
 	s1, t1 := mk()
-	r1, err := Run(s1, t1)
+	r1, err := RunSource(s1, fold(t1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2, t2 := mk()
-	r2, err := Run(s2, t2)
+	r2, err := RunSource(s2, fold(t2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +227,8 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-func sessionTraces() []*trace.Trace {
-	return []*trace.Trace{
+func sessionTraces() trace.FoldedSource {
+	return fold([]*trace.Trace{
 		{Rank: 0, Of: 2, Records: []trace.Record{
 			{Kind: trace.KindCompute, NS: 1e8},
 			{Kind: trace.KindSend, Peer: 1, Bytes: 1e6},
@@ -229,12 +238,12 @@ func sessionTraces() []*trace.Trace {
 			{Kind: trace.KindRecv, Peer: 0, Bytes: 1e6},
 			{Kind: trace.KindConv},
 		}},
-	}
+	})
 }
 
 func TestSessionReuseBitIdentical(t *testing.T) {
 	spec := clusterSpec(t, 2)
-	fresh, err := Run(spec, sessionTraces())
+	fresh, err := RunSource(spec, sessionTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +252,7 @@ func TestSessionReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := s.Run(spec, sessionTraces())
+		got, err := s.RunSource(spec, sessionTraces())
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -263,11 +272,11 @@ func TestSessionVariesSpecPerRun(t *testing.T) {
 	async := spec
 	async.Scheme = p2psap.Asynchronous
 	async.ScatterBytes = 125e6
-	r1, err := s.Run(spec, sessionTraces())
+	r1, err := s.RunSource(spec, sessionTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Run(async, sessionTraces())
+	r2, err := s.RunSource(async, sessionTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +284,7 @@ func TestSessionVariesSpecPerRun(t *testing.T) {
 		t.Fatalf("scatter bytes ignored on reuse: %v vs %v", r2.ScatterSeconds, r1.ScatterSeconds)
 	}
 	// And back: the first configuration still predicts the same time.
-	r3, err := s.Run(spec, sessionTraces())
+	r3, err := s.RunSource(spec, sessionTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +300,7 @@ func TestSessionRejectsForeignPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(other, sessionTraces()); err == nil {
+	if _, err := s.RunSource(other, sessionTraces()); err == nil {
 		t.Fatal("session accepted a different platform")
 	}
 }
@@ -314,14 +323,14 @@ func TestSessionRecoversAfterError(t *testing.T) {
 			{Kind: trace.KindSend, Peer: 0, Bytes: 8},
 		}},
 	}
-	if _, err := s.Run(spec, bad); err == nil {
+	if _, err := s.RunSource(spec, fold(bad)); err == nil {
 		t.Fatal("stalled replay reported no error")
 	}
-	fresh, err := Run(spec, sessionTraces())
+	fresh, err := RunSource(spec, sessionTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Run(spec, sessionTraces())
+	got, err := s.RunSource(spec, sessionTraces())
 	if err != nil {
 		t.Fatalf("session unusable after failed run: %v", err)
 	}

@@ -117,29 +117,6 @@ func BenchmarkDecodeBinaryFolded(b *testing.B) {
 	}
 }
 
-// BenchmarkCursor measures per-record iteration cost (and allocs —
-// steady-state iteration must not allocate) for both cursor kinds.
-func BenchmarkCursor(b *testing.B) {
-	tr := benchTrace()
-	f := Fold(tr)
-	bench := func(b *testing.B, mk func() Cursor) {
-		b.ReportAllocs()
-		var recs int64
-		for i := 0; i < b.N; i++ {
-			cur := mk()
-			for cur.Next() {
-				_, n := cur.Run()
-				recs += int64(n)
-			}
-		}
-		if recs == 0 {
-			b.Fatal("cursor yielded nothing")
-		}
-	}
-	b.Run("flat", func(b *testing.B) { bench(b, tr.Cursor) })
-	b.Run("folded", func(b *testing.B) { bench(b, f.Cursor) })
-}
-
 func reportPerRecord(b *testing.B, tr *Trace, bytes int64) {
 	b.Helper()
 	b.ReportMetric(float64(bytes)/float64(len(tr.Records)), "bytes/record")

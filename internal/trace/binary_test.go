@@ -158,7 +158,7 @@ func TestWriteTextStreamsFolded(t *testing.T) {
 	if err := tr.Write(&flat); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteText(&folded, f.Rank, f.Of, f.Cursor()); err != nil {
+	if err := WriteText(&folded, f.Rank, f.Of, f.Ops); err != nil {
 		t.Fatal(err)
 	}
 	if flat.String() != folded.String() {

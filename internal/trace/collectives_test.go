@@ -20,17 +20,3 @@ func TestCollectives(t *testing.T) {
 		t.Fatalf("Collectives = (%d, %d), want (11, 12)", convs, bars)
 	}
 }
-
-// TestFoldedSourceIsOpsSource: the folded source advertises its op
-// structure to replay's fast-forward engine.
-func TestFoldedSourceIsOpsSource(t *testing.T) {
-	fs := FoldedSource{{Rank: 0, Of: 1, Ops: []Op{Lit(Record{Kind: KindConv})}}}
-	var src Source = fs
-	ops, ok := src.(OpsSource)
-	if !ok {
-		t.Fatal("FoldedSource does not implement OpsSource")
-	}
-	if got := ops.RankOps(0); len(got) != 1 || got[0].Rec.Kind != KindConv {
-		t.Fatalf("RankOps returned %+v", got)
-	}
-}

@@ -37,8 +37,8 @@ func WriteAll(dir string, traces []*Trace) error {
 }
 
 // WriteAllFolded writes one trace file per rank from folded traces,
-// in the text format (streamed through a cursor, never materializing
-// the flat records) or the compact binary format.
+// in the text format (written from the ops, never materializing the
+// flat records) or the compact binary format.
 func WriteAllFolded(dir string, fs []*Folded, binary bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -51,7 +51,7 @@ func WriteAllFolded(dir string, fs []*Folded, binary bool) error {
 			if binary {
 				return tr.WriteBinary(f)
 			}
-			return WriteText(f, tr.Rank, tr.Of, tr.Cursor())
+			return WriteText(f, tr.Rank, tr.Of, tr.Ops)
 		}); err != nil {
 			return err
 		}

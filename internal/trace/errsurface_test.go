@@ -95,7 +95,7 @@ func TestStreamingWriterSurfacesWriteErrors(t *testing.T) {
 func TestWriteTextSurfacesWriteErrors(t *testing.T) {
 	f := errSurfaceFolded()
 	checkCuts(t, "WriteText", func(w *cutWriter) error {
-		return WriteText(w, f.Rank, f.Of, f.Cursor())
+		return WriteText(w, f.Rank, f.Of, f.Ops)
 	})
 }
 

@@ -250,52 +250,6 @@ func TestUnfoldRefusesAbsurdCounts(t *testing.T) {
 	}
 }
 
-func TestCursorRuns(t *testing.T) {
-	// Flat cursor groups identical adjacent records.
-	tr := &Trace{Records: []Record{
-		compute(1), compute(1), compute(1), send(1, 8), compute(1),
-	}}
-	cur := tr.Cursor()
-	type run struct {
-		rec Record
-		n   int
-	}
-	var runs []run
-	for cur.Next() {
-		r, n := cur.Run()
-		runs = append(runs, run{r, n})
-	}
-	want := []run{{compute(1), 3}, {send(1, 8), 1}, {compute(1), 1}}
-	if len(runs) != len(want) {
-		t.Fatalf("runs = %+v", runs)
-	}
-	for i := range runs {
-		if runs[i] != want[i] {
-			t.Fatalf("run %d = %+v, want %+v", i, runs[i], want[i])
-		}
-	}
-}
-
-// TestCursorEquivalence: slice and folded cursors enumerate the same
-// record sequence.
-func TestCursorEquivalence(t *testing.T) {
-	tr := iterTrace(37)
-	f := Fold(tr)
-	var flat, folded []Record
-	expand := func(cur Cursor, out *[]Record) {
-		for cur.Next() {
-			r, n := cur.Run()
-			for i := 0; i < n; i++ {
-				*out = append(*out, r)
-			}
-		}
-	}
-	expand(tr.Cursor(), &flat)
-	expand(f.Cursor(), &folded)
-	recordsEqual(t, flat, tr.Records)
-	recordsEqual(t, folded, tr.Records)
-}
-
 func TestValidateFolded(t *testing.T) {
 	mk := func() []*Folded {
 		t0 := &Trace{Rank: 0, Of: 2, Records: []Record{send(1, 8), conv()}}
@@ -328,7 +282,7 @@ func TestValidateFolded(t *testing.T) {
 func TestValidateOfConsistency(t *testing.T) {
 	t0 := &Trace{Rank: 0, Of: 2, Records: []Record{conv()}}
 	t1 := &Trace{Rank: 1, Of: 3, Records: []Record{conv()}}
-	if err := Validate([]*Trace{t0, t1}); err == nil {
-		t.Fatal("of mismatch passed Validate")
+	if err := validateFlat([]*Trace{t0, t1}); err == nil {
+		t.Fatal("of mismatch passed validation")
 	}
 }

@@ -5,120 +5,17 @@ import (
 	"math"
 )
 
-// Cursor streams a trace's records in order without materializing the
-// unfolded sequence. Records are delivered as runs — a record plus
-// the number of consecutive identical repetitions — so consumers can
-// fast-path long homogeneous stretches (replay turns a run of equal
-// compute records into a single DES event). Runs are not guaranteed
-// to be maximal; a run count is always >= 1.
-type Cursor interface {
-	// Next advances to the next run, reporting false when the trace
-	// is exhausted.
-	Next() bool
-	// Run returns the current record and its repetition count. It is
-	// only valid after Next has returned true.
-	Run() (Record, int)
-}
-
-// Cursor returns a cursor over the flat record slice. Identical
-// adjacent records are delivered as one run.
-func (t *Trace) Cursor() Cursor { return &sliceCursor{recs: t.Records} }
-
-type sliceCursor struct {
-	recs []Record
-	i    int
-	rec  Record
-	n    int
-}
-
-func (c *sliceCursor) Next() bool {
-	if c.i >= len(c.recs) {
-		return false
-	}
-	r := c.recs[c.i]
-	j := c.i + 1
-	for j < len(c.recs) && c.recs[j] == r {
-		j++
-	}
-	c.rec, c.n = r, j-c.i
-	c.i = j
-	return true
-}
-
-func (c *sliceCursor) Run() (Record, int) { return c.rec, c.n }
-
-// Cursor returns a cursor over the folded ops. Memory is O(nesting
-// depth); advancing allocates only when a repeat nests deeper than
-// any seen before.
-func (f *Folded) Cursor() Cursor { return newOpsCursor(f.Ops) }
-
-type opsFrame struct {
-	ops  []Op
-	idx  int
-	left int // iterations remaining, including the current one
-}
-
-type opsCursor struct {
-	stack []opsFrame
-	rec   Record
-	n     int
-}
-
-func newOpsCursor(ops []Op) *opsCursor {
-	c := &opsCursor{stack: make([]opsFrame, 1, 8)}
-	c.stack[0] = opsFrame{ops: ops, left: 1}
-	return c
-}
-
-func (c *opsCursor) Next() bool {
-	for len(c.stack) > 0 {
-		f := &c.stack[len(c.stack)-1]
-		if f.idx >= len(f.ops) {
-			f.left--
-			if f.left > 0 {
-				f.idx = 0
-				continue
-			}
-			c.stack = c.stack[:len(c.stack)-1]
-			continue
-		}
-		op := f.ops[f.idx]
-		f.idx++
-		if len(op.Body) == 0 {
-			if op.Count <= 0 {
-				continue
-			}
-			c.rec, c.n = op.Rec, op.Count
-			return true
-		}
-		if op.Count > 0 {
-			c.stack = append(c.stack, opsFrame{ops: op.Body, left: op.Count})
-		}
-	}
-	return false
-}
-
-func (c *opsCursor) Run() (Record, int) { return c.rec, c.n }
-
-// Source yields the per-rank traces of a consistent set as cursors —
-// the representation-independent form replay consumes. Rank r of a
-// source with Ranks() == n holds the trace of rank r in an n-rank
-// execution. Cursors are independent; a Source may be shared by
-// concurrent readers as long as the underlying traces are not
-// mutated.
+// Source is replay's input: the per-rank folded op sequences of a
+// consistent set. Rank r of a source with Ranks() == n holds the ops of
+// rank r in an n-rank execution. Replay walks them in order, so a run
+// of identical records costs one op and Repeat boundaries stay visible
+// to the steady-state engines (the unit fast-forward detects over is a
+// round of a folded loop). The returned slices must not be mutated; a
+// Source may be shared by concurrent readers.
 type Source interface {
 	Ranks() int
-	Cursor(rank int) Cursor
+	RankOps(rank int) []Op
 }
-
-// SliceSource adapts a flat trace slice (rank-indexed) as a Source.
-type SliceSource []*Trace
-
-// Ranks implements Source.
-func (s SliceSource) Ranks() int { return len(s) }
-
-// Cursor implements Source.
-func (s SliceSource) Cursor(rank int) Cursor { return s[rank].Cursor() }
 
 // FoldedSource adapts a folded trace slice (rank-indexed) as a
 // Source.
@@ -127,22 +24,7 @@ type FoldedSource []*Folded
 // Ranks implements Source.
 func (s FoldedSource) Ranks() int { return len(s) }
 
-// Cursor implements Source.
-func (s FoldedSource) Cursor(rank int) Cursor { return s[rank].Cursor() }
-
-// OpsSource is a Source that can additionally expose each rank's
-// folded op structure. Cursors flatten Repeat ops into record runs,
-// which is what plain replay wants — but the fast-forward engine
-// needs to see the Repeat boundaries themselves (a round of a folded
-// loop is the unit it detects steady state over), so op-structured
-// sources advertise the IR here. The returned slice must not be
-// mutated.
-type OpsSource interface {
-	Source
-	RankOps(rank int) []Op
-}
-
-// RankOps implements OpsSource.
+// RankOps implements Source.
 func (s FoldedSource) RankOps(rank int) []Op { return s[rank].Ops }
 
 // Collectives returns the number of conv and barrier records the op
@@ -166,33 +48,20 @@ func Collectives(ops []Op) (convs, barriers int64) {
 }
 
 // maxValidateRecords bounds how many records validation is willing to
-// stream per rank before declaring the trace unreasonable. Folded
+// accept per rank before declaring the trace unreasonable. Folded
 // traces from untrusted files can imply astronomically long replays.
 const maxValidateRecords = int64(1) << 33
 
 // ValidateSource checks cross-rank consistency of a source: every
 // send has a matching recv on the peer and all conv/barrier counts
-// agree — replay deadlocks otherwise. Folded, slice and op-structured
-// sources (templates included) are checked structurally in O(ops) —
-// multiplicities, never per-iteration streaming, so a hostile repeat
-// count cannot turn validation into a spin; other sources are
-// streamed, with the same record-count ceiling applied.
+// agree — replay deadlocks otherwise. The check is structural, O(ops):
+// it walks multiplicities, never iterations, so a hostile repeat count
+// cannot turn validation into a spin.
 func ValidateSource(src Source) error {
 	n := src.Ranks()
 	v := newValidator(n)
 	for i := 0; i < n; i++ {
-		var err error
-		switch s := src.(type) {
-		case FoldedSource:
-			err = WalkOps(s[i].Ops, 1, v.visitor(i))
-		case SliceSource:
-			err = walkRecords(s[i].Records, v.visitor(i))
-		case OpsSource:
-			err = WalkOps(s.RankOps(i), 1, v.visitor(i))
-		default:
-			err = walkCursor(src.Cursor(i), v.visitor(i))
-		}
-		if err != nil {
+		if err := WalkOps(src.RankOps(i), 1, v.visitor(i)); err != nil {
 			return err
 		}
 	}
@@ -215,25 +84,6 @@ func WalkOps(ops []Op, mult int64, visit func(Record, int64) error) error {
 			continue
 		}
 		if err := WalkOps(op.Body, m, visit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func walkRecords(recs []Record, visit func(Record, int64) error) error {
-	for _, r := range recs {
-		if err := visit(r, 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func walkCursor(cur Cursor, visit func(Record, int64) error) error {
-	for cur.Next() {
-		r, n := cur.Run()
-		if err := visit(r, int64(n)); err != nil {
 			return err
 		}
 	}

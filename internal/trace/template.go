@@ -21,7 +21,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Affine is an integer-affine expression C0 + CR*rank + CW*world.
@@ -314,10 +313,10 @@ const (
 	maxTemplateWorld  = 1 << 20 // ranks a template may bind
 	maxTemplateRoles  = 1 << 12 // role bodies per template
 	// maxTemplateExpandedOps bounds how many ops a role may expand to
-	// once its role references are inlined: instantiation (and the
-	// streaming cursor) visit the referenced body per occurrence, so
-	// without this bound a chain of roles each referencing the
-	// previous one twice would expand exponentially.
+	// once its role references are inlined: instantiation visits the
+	// referenced body per occurrence, so without this bound a chain of
+	// roles each referencing the previous one twice would expand
+	// exponentially.
 	maxTemplateExpandedOps = 1 << 22
 )
 
@@ -781,140 +780,3 @@ func (t *Template) AtWorld(world int) (*Template, error) {
 	}
 	return nt, nil
 }
-
-// ---------------------------------------------------------------------------
-// TemplateSource: the replay view.
-
-// TemplateSource adapts a template as a replay Source/OpsSource.
-// Cursors stream a rank's records straight off the role body — guards,
-// affines and parameters evaluated on the fly, no per-rank op slice —
-// while RankOps (the fast-forward engine's structured view)
-// materializes a rank's folded ops lazily and caches them. A
-// TemplateSource may be shared by concurrent replays; the cache is
-// synchronized and the template itself is immutable.
-type TemplateSource struct {
-	tpl *Template
-
-	mu  sync.Mutex
-	ops [][]Op
-}
-
-// Source wraps the template for replay, validating it once so that
-// later cursor traversal and instantiation cannot fail.
-func (t *Template) Source() (*TemplateSource, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &TemplateSource{tpl: t, ops: make([][]Op, t.World)}, nil
-}
-
-// Template returns the underlying template.
-func (s *TemplateSource) Template() *Template { return s.tpl }
-
-// Ranks implements Source.
-func (s *TemplateSource) Ranks() int { return s.tpl.World }
-
-// Cursor implements Source: a streaming walk of the rank's role body
-// in O(nesting depth) memory.
-func (s *TemplateSource) Cursor(rank int) Cursor {
-	cls, err := s.tpl.ClassOf(rank)
-	if err != nil {
-		// Validate ran in Source; an unresolvable rank cannot occur on
-		// a constructed source. Yield an empty cursor defensively.
-		return &tplCursor{}
-	}
-	c := &tplCursor{tpl: s.tpl, rank: rank, params: s.tpl.effectiveParams(cls, rank)}
-	c.stack = append(c.stack, tplFrame{ops: s.tpl.Roles[cls.Role], left: 1})
-	return c
-}
-
-// RankOps implements OpsSource, materializing (and caching) the
-// rank's folded ops on first use.
-func (s *TemplateSource) RankOps(rank int) []Op {
-	if rank < 0 || rank >= s.tpl.World {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ops[rank] == nil {
-		ops, err := s.tpl.InstantiateRank(rank)
-		if err != nil {
-			// Unreachable after Source's Validate; keep the cache
-			// non-nil so the failure is not retried.
-			ops = []Op{}
-		}
-		s.ops[rank] = ops
-	}
-	return s.ops[rank]
-}
-
-type tplFrame struct {
-	ops  []TOp
-	idx  int
-	left int64 // iterations remaining, including the current one
-}
-
-// tplCursor streams one rank's records from the template. Errors
-// cannot occur on a validated template (Source validates); the
-// defensive paths end the stream early.
-type tplCursor struct {
-	tpl    *Template
-	rank   int
-	params []float64
-	stack  []tplFrame
-	rec    Record
-	n      int
-}
-
-func (c *tplCursor) Next() bool {
-	for len(c.stack) > 0 {
-		f := &c.stack[len(c.stack)-1]
-		if f.idx >= len(f.ops) {
-			f.left--
-			if f.left > 0 {
-				f.idx = 0
-				continue
-			}
-			c.stack = c.stack[:len(c.stack)-1]
-			continue
-		}
-		op := &f.ops[f.idx]
-		f.idx++
-		ok, err := op.guarded(c.rank, c.tpl.World)
-		if err != nil || !ok {
-			continue
-		}
-		count, err := op.Count.Eval(c.rank, c.tpl.World)
-		if err != nil || count <= 0 || count > maxBinaryCount {
-			continue
-		}
-		switch {
-		case op.Ref != 0:
-			c.stack = append(c.stack, tplFrame{ops: c.tpl.Roles[op.Ref-1], left: count})
-		case len(op.Body) > 0:
-			c.stack = append(c.stack, tplFrame{ops: op.Body, left: count})
-		default:
-			rec := Record{Kind: op.Kind}
-			switch op.Kind {
-			case KindCompute:
-				if rec.NS, err = op.NS.resolve(c.params); err != nil {
-					continue
-				}
-			case KindSend, KindRecv:
-				peer, err := op.Peer.Eval(c.rank, c.tpl.World)
-				if err != nil || peer < 0 || peer > maxBinaryPeer {
-					continue
-				}
-				rec.Peer = int(peer)
-				if rec.Bytes, err = op.Bytes.resolve(c.params); err != nil {
-					continue
-				}
-			}
-			c.rec, c.n = rec, int(count)
-			return true
-		}
-	}
-	return false
-}
-
-func (c *tplCursor) Run() (Record, int) { return c.rec, c.n }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
@@ -215,8 +214,12 @@ func TestTemplateAtWorld(t *testing.T) {
 			t.Fatalf("AtWorld(%d): %v", m, err)
 		}
 		instantiateEqual(t, re, makeStripSet(m, 20, stripNS, 9600))
-		if err := ValidateSource(mustSource(t, re)); err != nil {
-			t.Fatalf("AtWorld(%d) source invalid: %v", m, err)
+		fs, err := re.Instantiate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateFolded(fs); err != nil {
+			t.Fatalf("AtWorld(%d) set invalid: %v", m, err)
 		}
 	}
 	if _, err := tpl.AtWorld(1); err == nil {
@@ -244,82 +247,6 @@ func TestTemplateAtWorldRequiresSelectors(t *testing.T) {
 	if _, err := tpl.AtWorld(4); err == nil {
 		t.Fatal("AtWorld on list-bound template should fail")
 	}
-}
-
-func mustSource(t *testing.T, tpl *Template) *TemplateSource {
-	t.Helper()
-	src, err := tpl.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
-}
-
-// TestTemplateSourceStreams asserts the lazy replay view: the
-// streaming cursor and the materialized RankOps both reproduce the
-// source records exactly.
-func TestTemplateSourceStreams(t *testing.T) {
-	fs := makeStripSet(6, 15, stripNS, 4800)
-	tpl, err := Factor(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := mustSource(t, tpl)
-	if src.Ranks() != 6 {
-		t.Fatalf("Ranks() = %d", src.Ranks())
-	}
-	for r := 0; r < 6; r++ {
-		want, err := fs[r].Unfold()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Record
-		cur := src.Cursor(r)
-		for cur.Next() {
-			rec, k := cur.Run()
-			for i := 0; i < k; i++ {
-				got = append(got, rec)
-			}
-		}
-		if len(got) != len(want.Records) {
-			t.Fatalf("rank %d: cursor yielded %d records, want %d", r, len(got), len(want.Records))
-		}
-		for i := range got {
-			if got[i] != want.Records[i] {
-				t.Fatalf("rank %d record %d: %+v != %+v", r, i, got[i], want.Records[i])
-			}
-		}
-		if !opsEqual(src.RankOps(r), fs[r].Ops) {
-			t.Fatalf("rank %d: RankOps differ from source ops", r)
-		}
-	}
-}
-
-// TestTemplateSourceConcurrent hammers the lazy RankOps cache from
-// many goroutines; meaningful under -race.
-func TestTemplateSourceConcurrent(t *testing.T) {
-	fs := makeStripSet(8, 10, stripNS, 4800)
-	tpl, err := Factor(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := mustSource(t, tpl)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 8; r++ {
-				if ops := src.RankOps(r); !opsEqual(ops, fs[r].Ops) {
-					t.Errorf("rank %d: RankOps mismatch", r)
-				}
-				cur := src.Cursor(r)
-				for cur.Next() {
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestTemplateRoleRefs exercises hand-built role references: shared
@@ -380,16 +307,13 @@ func TestTemplateRoleRefs(t *testing.T) {
 	if !reflect.DeepEqual(tpl, back) {
 		t.Fatalf("template round trip diverged:\n%+v\n%+v", tpl, back)
 	}
-	// Cursor streaming agrees with instantiation.
-	src := mustSource(t, back)
-	var n int
-	cur := src.Cursor(2)
-	for cur.Next() {
-		_, k := cur.Run()
-		n += k
+	// The decoded template instantiates the same 12 records.
+	ops, err = back.InstantiateRank(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != 12 {
-		t.Fatalf("cursor yielded %d records, want 12", n)
+	if n := (&Folded{Ops: ops}).NumRecords(); n != 12 {
+		t.Fatalf("decoded template instantiated %d records, want 12", n)
 	}
 }
 
@@ -448,10 +372,10 @@ func TestTemplateRefChainBounded(t *testing.T) {
 	}
 }
 
-// TestTemplateValidateSourceBounded: cross-rank validation of a
-// template source must be structural (multiplicities), not streamed —
-// a tiny template whose nested repeats imply ~2^80 records has to be
-// rejected in O(ops), not iterated.
+// TestTemplateValidateSourceBounded: cross-rank validation of an
+// instantiated template must be structural (multiplicities), not
+// iterated — a tiny template whose nested repeats imply ~2^80 records
+// has to be rejected in O(ops).
 func TestTemplateValidateSourceBounded(t *testing.T) {
 	tpl := &Template{
 		World: 2,
@@ -467,16 +391,19 @@ func TestTemplateValidateSourceBounded(t *testing.T) {
 			{Sel: SelLast, Role: 0},
 		},
 	}
-	src := mustSource(t, tpl)
+	fs, err := tpl.Instantiate()
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
-	go func() { done <- ValidateSource(src) }()
+	go func() { done <- ValidateSource(FoldedSource(fs)) }()
 	select {
 	case err := <-done:
 		if err == nil {
 			t.Fatal("astronomical repeat counts validated")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("ValidateSource streamed a hostile template instead of walking its ops")
+		t.Fatal("ValidateSource iterated a hostile template instead of walking its ops")
 	}
 }
 

@@ -129,28 +129,71 @@ func (t *Trace) CountKind(k Kind) int {
 
 // Write serializes the trace in the text format.
 func (t *Trace) Write(w io.Writer) error {
-	return WriteText(w, t.Rank, t.Of, t.Cursor())
-}
-
-// WriteText streams records from a cursor to w in the text format —
-// the way to render a folded trace as text without materializing it.
-func WriteText(w io.Writer, rank, of int, cur Cursor) error {
-	bw := bufio.NewWriter(w)
-	bw.Write(AppendTextHeader(nil, rank, of))
-	var line []byte
-	for cur.Next() {
-		r, n := cur.Run()
-		var err error
-		if line, err = AppendTextRecord(line[:0], r); err != nil {
+	tw := newTextWriter(w, t.Rank, t.Of)
+	for _, r := range t.Records {
+		if err := tw.record(r, 1); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			if _, err := bw.Write(line); err != nil {
+	}
+	return tw.bw.Flush()
+}
+
+// WriteText writes a rank's folded ops to w in the text format, one
+// line per record they unfold to, walking the ops in order — the way
+// to render a folded trace as text without materializing it.
+func WriteText(w io.Writer, rank, of int, ops []Op) error {
+	tw := newTextWriter(w, rank, of)
+	if err := tw.ops(ops); err != nil {
+		return err
+	}
+	return tw.bw.Flush()
+}
+
+// textWriter renders records in the text format, formatting each run's
+// line once.
+type textWriter struct {
+	bw   *bufio.Writer
+	line []byte
+}
+
+func newTextWriter(w io.Writer, rank, of int) *textWriter {
+	tw := &textWriter{bw: bufio.NewWriter(w)}
+	tw.bw.Write(AppendTextHeader(nil, rank, of))
+	return tw
+}
+
+func (tw *textWriter) ops(ops []Op) error {
+	for _, op := range ops {
+		if len(op.Body) == 0 {
+			if err := tw.record(op.Rec, op.Count); err != nil {
+				return err
+			}
+			continue
+		}
+		for k := 0; k < op.Count; k++ {
+			if err := tw.ops(op.Body); err != nil {
 				return err
 			}
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// record writes n copies of r's line.
+func (tw *textWriter) record(r Record, n int) error {
+	if n <= 0 {
+		return nil
+	}
+	var err error
+	if tw.line, err = AppendTextRecord(tw.line[:0], r); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if _, err := tw.bw.Write(tw.line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AppendTextHeader appends the header line that opens a rank's file
@@ -273,7 +316,7 @@ func CheckHeader(rank, of int) error {
 // ValidateLabel checks that slot i of an n-rank set carries its own
 // rank label and agrees on the set's total (Of == 0, a headerless
 // file, is tolerated). It is the single labeling rule shared by the
-// set loaders and replay.
+// set loaders.
 func ValidateLabel(i, n, rank, of int) error {
 	if err := CheckHeader(rank, of); err != nil {
 		return err
@@ -285,22 +328,4 @@ func ValidateLabel(i, n, rank, of int) error {
 		return fmt.Errorf("trace: rank %d claims %d total ranks, set has %d", i, of, n)
 	}
 	return nil
-}
-
-// Validate checks rank labeling and cross-rank consistency: every
-// slot holds its own rank, rank headers agree on the total, every
-// send has a matching recv on the peer (counts per direction) and all
-// conv/barrier counts agree. Replay deadlocks otherwise; better to
-// fail fast.
-func Validate(traces []*Trace) error {
-	n := len(traces)
-	for i, t := range traces {
-		if t == nil {
-			return fmt.Errorf("trace: slot %d is nil", i)
-		}
-		if err := ValidateLabel(i, n, t.Rank, t.Of); err != nil {
-			return err
-		}
-	}
-	return ValidateSource(SliceSource(traces))
 }

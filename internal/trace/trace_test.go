@@ -95,17 +95,27 @@ func makePair(sendersToB int, bFromA int) []*Trace {
 	return []*Trace{t0, t1}
 }
 
+// validateFlat checks a flat set the way the set loaders do: fold each
+// rank's records, then validate the folded set.
+func validateFlat(traces []*Trace) error {
+	fs := make([]*Folded, len(traces))
+	for i, t := range traces {
+		fs[i] = Fold(t)
+	}
+	return ValidateFolded(fs)
+}
+
 func TestValidateMatchedPair(t *testing.T) {
-	if err := Validate(makePair(3, 3)); err != nil {
+	if err := validateFlat(makePair(3, 3)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestValidateMismatch(t *testing.T) {
-	if err := Validate(makePair(3, 2)); err == nil {
+	if err := validateFlat(makePair(3, 2)); err == nil {
 		t.Fatal("send/recv mismatch accepted")
 	}
-	if err := Validate(makePair(0, 1)); err == nil {
+	if err := validateFlat(makePair(0, 1)); err == nil {
 		t.Fatal("recv without send accepted")
 	}
 }
@@ -114,20 +124,20 @@ func TestValidateBadPeer(t *testing.T) {
 	tr := []*Trace{
 		{Rank: 0, Of: 1, Records: []Record{{Kind: KindSend, Peer: 5, Bytes: 1}}},
 	}
-	if err := Validate(tr); err == nil {
+	if err := validateFlat(tr); err == nil {
 		t.Fatal("out-of-range peer accepted")
 	}
 	self := []*Trace{
 		{Rank: 0, Of: 1, Records: []Record{{Kind: KindSend, Peer: 0, Bytes: 1}}},
 	}
-	if err := Validate(self); err == nil {
+	if err := validateFlat(self); err == nil {
 		t.Fatal("self-send accepted")
 	}
 }
 
 func TestValidateRankOrder(t *testing.T) {
 	tr := []*Trace{{Rank: 1}, {Rank: 0}}
-	if err := Validate(tr); err == nil {
+	if err := validateFlat(tr); err == nil {
 		t.Fatal("wrong rank order accepted")
 	}
 }
@@ -137,14 +147,14 @@ func TestValidateConvCounts(t *testing.T) {
 		{Rank: 0, Records: []Record{{Kind: KindConv}, {Kind: KindConv}}},
 		{Rank: 1, Records: []Record{{Kind: KindConv}}},
 	}
-	if err := Validate(tr); err == nil {
+	if err := validateFlat(tr); err == nil {
 		t.Fatal("conv count mismatch accepted")
 	}
 	bar := []*Trace{
 		{Rank: 0, Records: []Record{{Kind: KindBarrier}}},
 		{Rank: 1, Records: nil},
 	}
-	if err := Validate(bar); err == nil {
+	if err := validateFlat(bar); err == nil {
 		t.Fatal("barrier count mismatch accepted")
 	}
 }

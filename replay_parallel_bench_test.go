@@ -20,7 +20,7 @@ import (
 // the paper's workload; those events are the per-partition work the
 // parallel engine divides, while the (replicated) halo flows stay a
 // small fraction.
-func parallelBenchTraces(ranks, rounds, sweeps int) []*trace.Trace {
+func parallelBenchTraces(ranks, rounds, sweeps int) trace.FoldedSource {
 	seed := uint64(0xdeadbeef)
 	next := func() uint64 {
 		seed += 0x9e3779b97f4a7c15
@@ -59,7 +59,7 @@ func parallelBenchTraces(ranks, rounds, sweeps int) []*trace.Trace {
 			}
 		}
 	}
-	return traces
+	return foldTraces(traces)
 }
 
 func parallelBenchSpec(tb testing.TB, ranks int) replay.Spec {
@@ -98,7 +98,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Run(spec, traces)
+			res, err := eng.RunSource(spec, traces)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -144,14 +144,14 @@ func TestParallelSpeedupGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Warm once (environment construction), then best-of-3.
-		res, err := eng.Run(spec, traces)
+		res, err := eng.RunSource(spec, traces)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			r, err := eng.Run(spec, traces)
+			r, err := eng.RunSource(spec, traces)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -94,8 +94,8 @@ func BenchmarkSweepConcurrent(b *testing.B) {
 // replayBenchFixture builds a platform, spec and traces for the
 // session-reuse allocation benchmarks. The campus LAN realizes all
 // 1024 hosts, so rebuilding the environment per replay — what
-// replay.Run did before Sessions — is the representative cost.
-func replayBenchFixture(b *testing.B) (replay.Spec, []*trace.Trace) {
+// replay.RunSource did before Sessions — is the representative cost.
+func replayBenchFixture(b *testing.B) (replay.Spec, trace.FoldedSource) {
 	b.Helper()
 	plat, err := platform.ForKind(platform.KindLAN, 4)
 	if err != nil {
@@ -123,17 +123,17 @@ func replayBenchFixture(b *testing.B) (replay.Spec, []*trace.Trace) {
 		}
 		traces[r] = &trace.Trace{Rank: r, Of: 4, Records: recs}
 	}
-	return spec, traces
+	return spec, foldTraces(traces)
 }
 
 // BenchmarkReplayFreshEnv rebuilds the simulation environment per
-// replay — the pre-Session behaviour of replay.Run.
+// replay — the pre-Session behaviour of replay.RunSource.
 func BenchmarkReplayFreshEnv(b *testing.B) {
 	spec, traces := replayBenchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replay.Run(spec, traces); err != nil {
+		if _, err := replay.RunSource(spec, traces); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func BenchmarkReplaySessionReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(spec, traces); err != nil {
+		if _, err := s.RunSource(spec, traces); err != nil {
 			b.Fatal(err)
 		}
 	}

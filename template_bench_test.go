@@ -24,8 +24,8 @@ func templateBenchSource(b *testing.B) *dperf.ScaledSource {
 }
 
 // BenchmarkTemplateInstantiate measures materializing a whole folded
-// set from its rank-parameterized template — the per-rank cost replay
-// pays when it needs the op-structured view. The headline metrics of
+// set from its rank-parameterized template — the per-rank cost a
+// template set pays once, when it loads. The headline metrics of
 // BENCH_template.json are ns/rank and B/rank here.
 func BenchmarkTemplateInstantiate(b *testing.B) {
 	ts := traceBenchSet(b, 8)

@@ -41,38 +41,30 @@ func traceBenchSpec(b *testing.B, ranks int) replay.Spec {
 	}
 }
 
-// BenchmarkTraceReplay compares replaying the obstacle trace set from
-// its flat record slices against the shared folded source: same
-// simulation, same results, O(compressed) trace memory. ns/record
-// and allocs/record are the headline metrics of BENCH_trace.json.
+// BenchmarkTraceReplay replays the obstacle trace set from its shared
+// folded source. ns/record and allocs/record are the headline metrics
+// of BENCH_trace.json.
 func BenchmarkTraceReplay(b *testing.B) {
 	const ranks = 4
 	ts := traceBenchSet(b, ranks)
 	spec := traceBenchSpec(b, ranks)
-	flat, err := ts.Flat()
+	var records int64
+	for _, f := range ts.Folded() {
+		records += f.NumRecords()
+	}
+	s, err := replay.NewSession(spec.Platform)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var records int64
-	for _, tr := range flat {
-		records += int64(len(tr.Records))
-	}
-	run := func(b *testing.B, src trace.Source) {
-		s, err := replay.NewSession(spec.Platform)
-		if err != nil {
-			b.Fatal(err)
-		}
+	b.Run("folded", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.RunSource(spec, src); err != nil {
+			if _, err := s.RunSource(spec, ts.Source()); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
-	}
-	b.Run("flat", func(b *testing.B) { run(b, trace.SliceSource(flat)) })
-	b.Run("folded", func(b *testing.B) { run(b, trace.FoldedSource(ts.Folded())) })
+	})
 }
 
 // BenchmarkTraceReplayComputeRuns isolates the compute-run fast path:
@@ -104,39 +96,34 @@ func BenchmarkTraceReplayComputeRuns(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*runLen), "ns/record")
 	}
 	b.Run("aggregated", func(b *testing.B) { run(b, folded) })
-	b.Run("per-record", func(b *testing.B) { run(b, perRecordSource{folded}) })
+	b.Run("per-record", func(b *testing.B) { run(b, perRecordSource(folded)) })
+}
+
+// foldTraces returns flat traces as the folded source replay takes.
+func foldTraces(traces []*trace.Trace) trace.FoldedSource {
+	fs := make(trace.FoldedSource, len(traces))
+	for i, t := range traces {
+		fs[i] = trace.Fold(t)
+	}
+	return fs
 }
 
 // perRecordSource forces the per-record slow path (the pre-refactor
-// replay shape) for comparison.
-type perRecordSource struct{ src trace.Source }
-
-func (s perRecordSource) Ranks() int { return s.src.Ranks() }
-
-func (s perRecordSource) Cursor(rank int) trace.Cursor {
-	return &perRecordCursor{cur: s.src.Cursor(rank)}
-}
-
-type perRecordCursor struct {
-	cur  trace.Cursor
-	rec  trace.Record
-	left int
-}
-
-func (c *perRecordCursor) Next() bool {
-	if c.left > 0 {
-		c.left--
-		return true
+// replay shape) for comparison: every run of n identical records
+// becomes n single-record ops.
+func perRecordSource(src trace.FoldedSource) trace.FoldedSource {
+	out := make(trace.FoldedSource, len(src))
+	for i, f := range src {
+		var ops []trace.Op
+		for _, op := range f.Ops {
+			for k := 0; k < op.Count; k++ {
+				ops = append(ops, trace.Lit(op.Rec))
+			}
+		}
+		out[i] = &trace.Folded{Rank: f.Rank, Of: f.Of, Ops: ops}
 	}
-	if !c.cur.Next() {
-		return false
-	}
-	r, n := c.cur.Run()
-	c.rec, c.left = r, n-1
-	return true
+	return out
 }
-
-func (c *perRecordCursor) Run() (trace.Record, int) { return c.rec, 1 }
 
 // BenchmarkTraceSetEncode measures whole-set serialization cost and
 // size for the JSON and binary formats.
