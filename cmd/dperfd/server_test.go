@@ -215,9 +215,10 @@ func ringJSON(t *testing.T) []byte {
 // TestPredictJSONDifferential: an uploaded JSON set is served exactly
 // as the CLI predicts from the same bytes, in auto mode on grid5000,
 // cold and warm — admission (Prepare, Stats) must not change which
-// view replays.
+// view replays. The certificate's verification replay runs on the
+// server's session pool and leaves its one session idle there.
 func TestPredictJSONDifferential(t *testing.T) {
-	_, hs := newTestServer(t)
+	s, hs := newTestServer(t)
 	data := ringJSON(t)
 	digest := uploadData(t, hs, data)
 
@@ -245,6 +246,9 @@ func TestPredictJSONDifferential(t *testing.T) {
 		}
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("round %d: response diverged from the CLI path:\n got: %s\nwant: %s", round, got, want.Bytes())
+		}
+		if n := s.pool.Idle(); n != 1 {
+			t.Fatalf("round %d: the session pool holds %d idle sessions, want 1", round, n)
 		}
 	}
 }

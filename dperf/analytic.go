@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/platform"
-	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -23,10 +22,12 @@ const (
 	// DES engine.
 	PredictDES PredictMode = iota
 	// PredictAuto serves eligible, steady-state-certified
-	// configurations from the analytic tier — each certificate is
-	// checked once against a DES verification replay before it serves
-	// predictions — and falls back to the DES engine for everything
-	// else.
+	// configurations from the analytic tier and falls back to the
+	// configured engine for everything else. Before a certificate
+	// serves, that engine — the one that would otherwise answer —
+	// replays the configuration once with fast-forward forced on, and
+	// the two must agree bit for bit. The check runs once per
+	// certificate and engine name.
 	PredictAuto
 	// PredictAnalytic forces the analytic tier; ineligible
 	// configurations fail instead of falling back.
@@ -88,9 +89,11 @@ var errNotSteadyState = errors.New("dperf: analytic evaluation found no steady s
 
 // Predictor is the analytic tier's serving cache: platform models and
 // configuration certificates, safe for concurrent use. Certifying a
-// configuration runs the closed-form evaluation once (plus, in auto
-// mode, one DES verification replay); every subsequent prediction for
-// it is answered from the stored certificate.
+// configuration runs the closed-form evaluation once, plus, in auto
+// mode, one verification replay on the engine that would otherwise
+// answer; every subsequent prediction for it is answered from the
+// stored certificate. The Predictor holds no replay sessions: a
+// SessionPool engine verifies on its own warm sessions.
 type Predictor struct {
 	mu     sync.Mutex
 	plats  map[platKey]*Platform
@@ -113,8 +116,9 @@ type certEntry struct {
 	cert      *analytic.Certificate
 	err       error
 	certified bool
-	verified  bool // verification replay ran (auto mode)
-	verr      error
+	// verified holds auto mode's verification outcome per engine name:
+	// each engine that answers the configuration checks it once.
+	verified map[string]error
 }
 
 // NewPredictor returns an empty analytic serving cache.
@@ -232,14 +236,16 @@ func analyticResult(res analytic.Result) *EngineResult {
 		GatherSeconds:       res.GatherSeconds,
 		RoundsSimulated:     res.RoundsSimulated,
 		RoundsFastForwarded: res.RoundsFastForwarded,
+		Jumps:               res.Jumps,
 	}
 }
 
-// tryAnalytic serves or certifies the spec. In auto mode (verify) the
-// certificate must prove a steady state and match a one-off DES
-// verification replay bit for bit before it serves anything; any error
-// means "use the DES tier".
-func (p *Predictor) tryAnalytic(spec *EngineSpec, verify bool) (*EngineResult, error) {
+// tryAnalytic serves or certifies the spec. With a verifier (auto
+// mode: the engine that would otherwise answer) the certificate must
+// prove a steady state and match one verification replay on that
+// engine bit for bit before it serves anything; any error means "let
+// the engine answer". Analytic mode passes no verifier.
+func (p *Predictor) tryAnalytic(spec *EngineSpec, verifier Engine) (*EngineResult, error) {
 	if err := analytic.Eligible(spec.Source); err != nil {
 		return nil, err
 	}
@@ -247,56 +253,71 @@ func (p *Predictor) tryAnalytic(spec *EngineSpec, verify bool) (*EngineResult, e
 	if err != nil {
 		return nil, err
 	}
-	aspec := analyticSpec(spec)
-	key := analyticKey(spec)
-	if key == "" {
-		cert, err := m.Certify(aspec)
-		if err != nil {
+	var e *certEntry
+	if key := analyticKey(spec); key != "" {
+		e = p.entry(key, spec.Source)
+	} else {
+		e = &certEntry{} // an unkeyable source certifies privately
+	}
+	cert, err := e.certify(m, spec)
+	if err != nil {
+		return nil, err
+	}
+	if verifier != nil {
+		if !cert.SteadyState {
+			return nil, errNotSteadyState
+		}
+		if err := e.verify(cert, spec, verifier); err != nil {
 			return nil, err
 		}
-		if verify {
-			if !cert.SteadyState {
-				return nil, errNotSteadyState
-			}
-			if err := verifyCertificate(cert, spec); err != nil {
-				return nil, err
-			}
-		}
-		return analyticResult(cert.Res), nil
 	}
-	e := p.entry(key, spec.Source)
+	return analyticResult(cert.Res), nil
+}
+
+// certify returns the entry's certificate, evaluating it on first use.
+func (e *certEntry) certify(m *analytic.Model, spec *EngineSpec) (*analytic.Certificate, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.certified {
-		e.cert, e.err = m.Certify(aspec)
+		e.cert, e.err = m.Certify(analyticSpec(spec))
 		e.certified = true
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	if verify {
-		if !e.cert.SteadyState {
-			return nil, errNotSteadyState
-		}
-		if !e.verified {
-			e.verr = verifyCertificate(e.cert, spec)
-			e.verified = true
-		}
-		if e.verr != nil {
-			return nil, e.verr
-		}
-	}
-	return analyticResult(e.cert.Res), nil
+	return e.cert, e.err
 }
 
-// verifyCertificate replays the spec once through the DES stack with
-// fast-forward on and requires the certificate to match bit for bit —
-// the auto tier's guardrail before a certificate serves predictions
-// without further simulation.
-func verifyCertificate(cert *analytic.Certificate, spec *EngineSpec) error {
+// verify returns the engine's verification outcome for the entry's
+// certificate, replaying on first use. The replay runs outside the
+// entry's lock because the engine may be caller code, so concurrent
+// first uses may each replay; a deterministic engine gives each the
+// same outcome.
+func (e *certEntry) verify(cert *analytic.Certificate, spec *EngineSpec, engine Engine) error {
+	name := engine.Name()
+	e.mu.Lock()
+	verr, ok := e.verified[name]
+	e.mu.Unlock()
+	if !ok {
+		verr = verifyCertificate(cert, spec, engine)
+		e.mu.Lock()
+		if e.verified == nil {
+			e.verified = make(map[string]error)
+		}
+		e.verified[name] = verr
+		e.mu.Unlock()
+	}
+	return verr
+}
+
+// verifyCertificate replays the spec once on the engine, with
+// fast-forward forced on, and requires the certificate to match it bit
+// for bit: every phase time, both round counts and the jump count.
+// This is the auto tier's guardrail before a certificate serves
+// predictions without further simulation. The engine is the one that
+// would otherwise answer, so a SessionPool verifies on a warm session
+// and a custom engine is its own oracle.
+func verifyCertificate(cert *analytic.Certificate, spec *EngineSpec, engine Engine) error {
 	vs := *spec
 	vs.FastForward = true
-	res, err := replay.RunSource(replaySpec(vs), vs.Source)
+	res, err := engine.Replay(vs)
 	if err != nil {
 		return fmt.Errorf("dperf: analytic verification replay failed: %w", err)
 	}
@@ -305,9 +326,9 @@ func verifyCertificate(cert *analytic.Certificate, spec *EngineSpec) error {
 		res.ScatterSeconds != c.ScatterSeconds ||
 		res.ComputeSeconds != c.ComputeSeconds ||
 		res.GatherSeconds != c.GatherSeconds ||
-		res.FF.RoundsSimulated != c.RoundsSimulated ||
-		res.FF.RoundsFastForwarded != c.RoundsFastForwarded ||
-		res.FF.Jumps != c.Jumps {
+		res.RoundsSimulated != c.RoundsSimulated ||
+		res.RoundsFastForwarded != c.RoundsFastForwarded ||
+		res.Jumps != c.Jumps {
 		return fmt.Errorf("dperf: analytic prediction diverged from verification replay: analytic %v, replay %v", c.PredictedSeconds, res.PredictedSeconds)
 	}
 	return nil

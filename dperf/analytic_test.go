@@ -3,6 +3,7 @@ package dperf_test
 import (
 	"bytes"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,8 +179,11 @@ func TestSweepAnalyticTier(t *testing.T) {
 const analyticPredictAllocs = 14
 
 // TestAnalyticPaperScaleSpeedup is the analytic tier's acceptance gate
-// on the paper-scale obstacle, in work counters: once a configuration
-// is certified, a prediction in analytic or auto mode is served from
+// on the paper-scale obstacle, in work counters. Certifying a
+// configuration in auto mode runs exactly one replay, the
+// verification, on the engine that would otherwise answer, and leaves
+// that engine's session warm in its pool; analytic mode replays
+// nothing. Once certified, a prediction in either mode is served from
 // the certificate — bit-identical to the fast-forward DES replay —
 // with no engine replay and at most analyticPredictAllocs allocations.
 // The wall-clock ratio against that replay is logged, not gated.
@@ -191,30 +195,41 @@ func TestAnalyticPaperScaleSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []dperf.PredictMode{dperf.PredictAnalytic, dperf.PredictAuto} {
-		replays := 0
-		eng := countingEngine{inner: dperf.DefaultEngine(), calls: &replays}
+		var replays atomic.Int64
+		pool := dperf.NewSessionPool()
+		eng := countingEngine{inner: pool, calls: &replays}
 		opts := append(desOpts,
 			dperf.WithPredictMode(mode),
 			dperf.WithPredictor(dperf.NewPredictor()),
 			dperf.WithEngine(eng))
-		warm, err := ts.Predict(opts...) // certify (and, in auto mode, verify) once
+		cold, err := ts.Predict(opts...) // certify (and, in auto mode, verify) once
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm.Tier != dperf.TierAnalytic {
-			t.Fatalf("%v: tier %q, want analytic", mode, warm.Tier)
+		if cold.Tier != dperf.TierAnalytic {
+			t.Fatalf("%v: tier %q, want analytic", mode, cold.Tier)
 		}
-		if !predEqual(ff, warm) {
-			t.Fatalf("%v: analytic tier diverged from fast-forward replay:\nDES      %+v\nanalytic %+v", mode, ff, warm)
+		if !predEqual(ff, cold) {
+			t.Fatalf("%v: analytic tier diverged from fast-forward replay:\nDES      %+v\nanalytic %+v", mode, ff, cold)
 		}
-		replays = 0
+		want := int64(0)
+		if mode == dperf.PredictAuto {
+			want = 1
+		}
+		if got := replays.Load(); got != want {
+			t.Fatalf("%v: cold prediction ran %d engine replays, want %d", mode, got, want)
+		}
+		if got := pool.Idle(); int64(got) != want {
+			t.Fatalf("%v: cold prediction left %d idle sessions, want %d", mode, got, want)
+		}
+		replays.Store(0)
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := ts.Predict(opts...); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if replays != 0 {
-			t.Fatalf("%v: warm predictions ran %d engine replays, want 0", mode, replays)
+		if got := replays.Load(); got != 0 {
+			t.Fatalf("%v: warm predictions ran %d engine replays, want 0", mode, got)
 		}
 		// The race detector's instrumentation allocates on its own.
 		if !raceEnabled && allocs > analyticPredictAllocs {
@@ -238,6 +253,143 @@ func TestAnalyticPaperScaleSpeedup(t *testing.T) {
 	anaOpts := append(desOpts, dperf.WithPredictMode(dperf.PredictAnalytic), dperf.WithPredictor(dperf.NewPredictor()))
 	des, ana := best(3, desOpts), best(50, anaOpts)
 	t.Logf("paper-scale prediction: DES fast-forward %v, analytic %v (%.0fx)", des, ana, float64(des)/float64(ana))
+}
+
+// autoOpts are the options dperfd predicts with in auto mode: one
+// shared Predictor and one SessionPool serve every request.
+func autoOpts(p *dperf.Predictor, eng dperf.Engine) []dperf.Option {
+	return []dperf.Option{
+		dperf.WithFastForward(true),
+		dperf.WithPredictMode(dperf.PredictAuto),
+		dperf.WithPredictor(p),
+		dperf.WithEngine(eng),
+	}
+}
+
+// TestAutoVerifyPooledSessions: cold auto-mode predictions verify
+// their certificates on the serving pool's sessions, which then stay
+// idle in the pool, one per platform, instead of a session realized
+// for the verification and discarded.
+func TestAutoVerifyPooledSessions(t *testing.T) {
+	ts := paperSet(t)
+	pool := dperf.NewSessionPool()
+	opts := autoOpts(dperf.NewPredictor(), pool)
+	for i, kind := range []dperf.Kind{dperf.KindCluster, dperf.KindLAN} {
+		pred, err := ts.Predict(append(opts, dperf.WithPlatform(kind))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.Tier != dperf.TierAnalytic {
+			t.Fatalf("%s: tier %q, want analytic", kind, pred.Tier)
+		}
+		if got := pool.Idle(); got != i+1 {
+			t.Fatalf("after the cold %s prediction the pool holds %d idle sessions, want %d", kind, got, i+1)
+		}
+	}
+}
+
+// TestAutoVerifySweep: an auto-mode sweep verifies each certified
+// configuration with one replay on the sweep's engine, and a repeat on
+// the same Predictor replays nothing.
+func TestAutoVerifySweep(t *testing.T) {
+	ts := paperSet(t)
+	var replays atomic.Int64
+	eng := countingEngine{inner: dperf.NewSessionPool(), calls: &replays}
+	opts := dperf.SweepOptions(autoOpts(dperf.NewPredictor(), eng)...)
+	space := dperf.Space{
+		Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindLAN},
+		Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
+	}
+	for pass, want := range []int64{4, 0} {
+		replays.Store(0)
+		res, err := dperf.Sweep(ts, space, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cr := range res.Results {
+			if cr.Error != "" {
+				t.Fatalf("pass %d: %s failed: %s", pass, cr.Config.Label(), cr.Error)
+			}
+			if cr.Prediction.Tier != dperf.TierAnalytic {
+				t.Fatalf("pass %d: %s served tier %q, want analytic", pass, cr.Config.Label(), cr.Prediction.Tier)
+			}
+		}
+		if got := replays.Load(); got != want {
+			t.Fatalf("pass %d: the sweep ran %d engine replays, want %d", pass, got, want)
+		}
+	}
+}
+
+// TestAutoVerifyCustomEngine: a custom engine is auto mode's
+// verification oracle. An engine whose answer differs from the
+// analytic tier's answers every configuration itself, with tier des —
+// also in a sweep where the default engine, verified on the same
+// Predictor, serves the same configuration analytically.
+func TestAutoVerifyCustomEngine(t *testing.T) {
+	ts := paperSet(t)
+	stub := &stubEngine{}
+	pred, err := ts.Predict(append(autoOpts(dperf.NewPredictor(), stub), dperf.WithPlatform(dperf.KindCluster))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Tier != dperf.TierDES || pred.Engine != "stub" || pred.Predicted != 42 {
+		t.Fatalf("auto mode did not answer from the disagreeing engine: %+v", pred)
+	}
+	if got := stub.calls.Load(); got != 2 {
+		t.Fatalf("stub saw %d replays, want 2 (verification and answer)", got)
+	}
+
+	for _, workers := range []int{1, 2} {
+		res, err := dperf.Sweep(ts, dperf.Space{
+			Platforms: []dperf.Kind{dperf.KindCluster},
+			Engines:   []dperf.Engine{nil, stub},
+		}, dperf.SweepOptions(dperf.WithFastForward(true), dperf.WithPredictMode(dperf.PredictAuto)), dperf.SweepWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, custom := res.Results[0].Prediction, res.Results[1].Prediction
+		if def == nil || def.Tier != dperf.TierAnalytic || def.Engine != "replay" {
+			t.Fatalf("workers %d: default engine point: %+v (%s)", workers, def, res.Results[0].Error)
+		}
+		if custom == nil || custom.Tier != dperf.TierDES || custom.Predicted != 42 {
+			t.Fatalf("workers %d: stub engine point: %+v (%s)", workers, custom, res.Results[1].Error)
+		}
+	}
+}
+
+// BenchmarkAutoPredictCold measures dperfd's path for a fresh upload
+// in auto mode: each iteration decodes a new copy of the paper-scale
+// set, so every certificate misses, and predicts it on grid5000 and
+// lan. One Predictor and one SessionPool serve every iteration, so the
+// verification replays run on warm sessions.
+func BenchmarkAutoPredictCold(b *testing.B) {
+	var buf bytes.Buffer
+	if err := paperSet(b).WriteBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	opts := autoOpts(dperf.NewPredictor(), dperf.NewSessionPool())
+	kinds := []dperf.Kind{dperf.KindCluster, dperf.KindLAN}
+	predict := func() {
+		ts, err := dperf.ReadTraceSetData("paper.bin", buf.Bytes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range kinds {
+			pred, err := ts.Predict(append(opts, dperf.WithPlatform(kind))...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if pred.Tier != dperf.TierAnalytic {
+				b.Fatalf("%s: tier %q, want analytic", kind, pred.Tier)
+			}
+		}
+	}
+	predict() // build the platforms, their models and the pooled sessions
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predict()
+	}
 }
 
 // BenchmarkAnalyticPredict measures a warm analytic-tier prediction

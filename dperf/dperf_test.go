@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/dperf"
@@ -168,12 +169,13 @@ func TestReadTraceSetRejectsGarbage(t *testing.T) {
 }
 
 // stubEngine proves the Engine seam: Predict must route replay
-// through whatever engine the caller supplies.
-type stubEngine struct{ calls int }
+// through whatever engine the caller supplies. Its fixed answer agrees
+// with no real replay.
+type stubEngine struct{ calls atomic.Int64 }
 
 func (e *stubEngine) Name() string { return "stub" }
 func (e *stubEngine) Replay(spec dperf.EngineSpec) (*dperf.EngineResult, error) {
-	e.calls++
+	e.calls.Add(1)
 	return &dperf.EngineResult{PredictedSeconds: 42, ScatterSeconds: 1, ComputeSeconds: 40, GatherSeconds: 1}, nil
 }
 
@@ -183,8 +185,8 @@ func TestCustomEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.calls != 1 {
-		t.Fatalf("engine called %d times", eng.calls)
+	if eng.calls.Load() != 1 {
+		t.Fatalf("engine called %d times", eng.calls.Load())
 	}
 	if pred.Predicted != 42 || pred.Engine != "stub" {
 		t.Fatalf("prediction not from the stub engine: %+v", pred)

@@ -64,6 +64,10 @@ type EngineResult struct {
 	// fast-forward was off or never engaged).
 	RoundsSimulated     int64
 	RoundsFastForwarded int64
+	// Jumps counts the fast-forward jumps behind RoundsFastForwarded.
+	// Auto mode compares it when it verifies a certificate; it is
+	// never serialized.
+	Jumps int64
 	// ReplayWorkers / ReplayWindows report how the parallel replay
 	// engine executed (zero for the serial engine; Workers==1 marks a
 	// serial fallback inside the parallel engine). Execution-strategy
@@ -87,6 +91,12 @@ type ReplayOutcome struct {
 // contract and plug in via WithEngine. An Engine must be safe for
 // concurrent Replay calls from multiple goroutines: Sweep fans
 // configurations out over a worker pool.
+//
+// In auto mode the engine is also the analytic tier's verification
+// oracle: a certificate serves only after one Replay of its spec,
+// with FastForward forced on, matches it bit for bit. An engine that
+// disagrees with the analytic tier therefore answers every
+// configuration itself.
 type Engine interface {
 	// Name labels predictions produced by this engine.
 	Name() string
@@ -158,6 +168,7 @@ func engineResult(res *replay.Result) *EngineResult {
 		GatherSeconds:       res.GatherSeconds,
 		RoundsSimulated:     res.FF.RoundsSimulated,
 		RoundsFastForwarded: res.FF.RoundsFastForwarded,
+		Jumps:               res.FF.Jumps,
 		ReplayWorkers:       res.Par.Workers,
 		ReplayWindows:       res.Par.Windows,
 	}

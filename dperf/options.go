@@ -108,7 +108,8 @@ func WithCustomPlatform(p *Platform) Option {
 func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 
 // WithEngine replaces the replay engine (default: the in-process
-// replay/p2pdc/netsim stack).
+// replay/p2pdc/netsim stack). In auto mode the engine also verifies
+// the analytic tier's certificates (see Engine).
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithReplayWorkers partitions each DES replay across n workers

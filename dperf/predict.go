@@ -155,7 +155,7 @@ func (ts *TraceSet) Predict(opts ...Option) (*Prediction, error) {
 	}
 	switch cfg.predictMode {
 	case PredictAnalytic:
-		res, err := predictor.tryAnalytic(&spec, false)
+		res, err := predictor.tryAnalytic(&spec, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -165,8 +165,9 @@ func (ts *TraceSet) Predict(opts ...Option) (*Prediction, error) {
 	case PredictAuto:
 		// Any analytic failure — ineligibility, no steady state, a
 		// verification mismatch — silently selects the DES tier; that
-		// fallback is the mode's contract.
-		if res, err := predictor.tryAnalytic(&spec, true); err == nil {
+		// fallback is the mode's contract. The engine that answers the
+		// fallback also runs the verification replay.
+		if res, err := predictor.tryAnalytic(&spec, cfg.engine); err == nil {
 			pred := cfg.newPrediction(ts, label, res)
 			pred.Tier = TierAnalytic
 			return pred, nil
@@ -181,9 +182,9 @@ func (ts *TraceSet) Predict(opts ...Option) (*Prediction, error) {
 
 // hostsFor picks the first n compute hosts of a platform.
 func hostsFor(plat *Platform, n int) ([]string, error) {
-	hosts := plat.Hosts()
-	if len(hosts) < n {
-		return nil, fmt.Errorf("dperf: platform %s has %d hosts, need %d", plat.Name, len(hosts), n)
+	hosts, have := plat.FirstHosts(n)
+	if have < n {
+		return nil, fmt.Errorf("dperf: platform %s has %d hosts, need %d", plat.Name, have, n)
 	}
-	return hosts[:n], nil
+	return hosts, nil
 }

@@ -15,10 +15,10 @@ import (
 
 // TestSharedServingStateConcurrent is the serving-stack shared-state
 // audit: one Predictor and one SessionPool serve a mix of pooled DES
-// predicts, partitioned-parallel predicts, auto-tier predicts, sweeps,
-// keyed scans and failing requests from many goroutines, while an
-// evictor goroutine keeps closing idle sessions
-// underneath them. Every successful result must be byte-identical to a
+// predicts, partitioned-parallel predicts, auto-tier predicts (which
+// verify on the pool), sweeps, keyed scans and failing requests from
+// many goroutines, while an evictor goroutine keeps closing idle
+// sessions underneath them. Every successful result must be byte-identical to a
 // cold single-threaded baseline — the caches and the pool are
 // execution strategy, never observable state. Run under -race this is
 // the eviction/rebuild interleaving matrix for the whole dperfd
@@ -134,7 +134,7 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithReplayWorkers(2)))
 					check("parallel", got, err, wantParallel)
 				case 3:
-					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithPredictMode(dperf.PredictAuto)))
+					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithPredictMode(dperf.PredictAuto), dperf.WithEngine(pool)))
 					check("auto", got, err, wantAuto)
 				case 4:
 					res, err := dperf.Sweep(ts, sweepSpace, dperf.SweepOptions(shared(dperf.WithEngine(pool))...))

@@ -577,11 +577,16 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 					continue
 				}
 				// Analytic modes try the closed-form tier first; only
-				// auto-mode fallbacks join the DES engine batches.
+				// auto-mode fallbacks join the DES engine batches. Auto
+				// mode verifies on the configuration's own engine.
 				if mode := jobs[i].cfg.predictMode; mode != PredictDES {
 					cr := &result.Results[i]
+					var verifier Engine
+					if mode == PredictAuto {
+						verifier = jobs[i].cfg.engine
+					}
 					tierStart := time.Now()
-					res, err := jobs[i].cfg.predictor.tryAnalytic(&jobs[i].spec, mode == PredictAuto)
+					res, err := jobs[i].cfg.predictor.tryAnalytic(&jobs[i].spec, verifier)
 					cr.Cost += time.Since(tierStart)
 					if err == nil {
 						cr.Prediction = jobs[i].cfg.newPrediction(jobs[i].ts, jobs[i].label, res)

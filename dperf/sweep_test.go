@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/dperf"
@@ -245,22 +246,23 @@ func TestSweepBaseOptions(t *testing.T) {
 	}
 }
 
-// countingEngine wraps the default engine, counting Replay calls; it
-// does NOT implement BatchEngine, exercising the serial fallback.
+// countingEngine wraps another engine, counting Replay calls from any
+// number of goroutines; it does NOT implement BatchEngine, exercising
+// the serial fallback.
 type countingEngine struct {
 	inner dperf.Engine
-	calls *int
+	calls *atomic.Int64
 }
 
 func (e countingEngine) Name() string { return "counting" }
 func (e countingEngine) Replay(spec dperf.EngineSpec) (*dperf.EngineResult, error) {
-	*e.calls++
+	e.calls.Add(1)
 	return e.inner.Replay(spec)
 }
 
 func TestSweepEngineDimensionAndFallback(t *testing.T) {
 	a := sweepAnalysis(t)
-	calls := 0
+	var calls atomic.Int64
 	eng := countingEngine{inner: dperf.DefaultEngine(), calls: &calls}
 	res, err := dperf.Sweep(a, dperf.Space{
 		Platforms: []dperf.Kind{dperf.KindCluster},
@@ -273,8 +275,8 @@ func TestSweepEngineDimensionAndFallback(t *testing.T) {
 	if res.Failed() != 0 {
 		t.Fatalf("failures: %v", firstErrors(res))
 	}
-	if calls != 2 {
-		t.Fatalf("custom engine saw %d replays, want 2", calls)
+	if calls.Load() != 2 {
+		t.Fatalf("custom engine saw %d replays, want 2", calls.Load())
 	}
 	var names []string
 	for _, cr := range res.Results {
@@ -293,7 +295,7 @@ func TestSweepEngineDimensionAndFallback(t *testing.T) {
 // so two engines sharing a Name() each replay their own specs.
 func TestSweepEngineNameCollision(t *testing.T) {
 	a := sweepAnalysis(t)
-	c1, c2 := 0, 0
+	var c1, c2 atomic.Int64
 	e1 := countingEngine{inner: dperf.DefaultEngine(), calls: &c1}
 	e2 := countingEngine{inner: dperf.DefaultEngine(), calls: &c2}
 	res, err := dperf.Sweep(a, dperf.Space{
@@ -306,8 +308,8 @@ func TestSweepEngineNameCollision(t *testing.T) {
 	if res.Failed() != 0 {
 		t.Fatalf("failures: %v", firstErrors(res))
 	}
-	if c1 != 1 || c2 != 1 {
-		t.Fatalf("replays misrouted across same-name engines: e1=%d e2=%d", c1, c2)
+	if c1.Load() != 1 || c2.Load() != 1 {
+		t.Fatalf("replays misrouted across same-name engines: e1=%d e2=%d", c1.Load(), c2.Load())
 	}
 }
 

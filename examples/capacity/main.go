@@ -154,13 +154,11 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				hosts := plat.Hosts()[:pp.peers]
 				for _, s := range speeds {
 					for _, scheme := range schemes {
 						for _, i := range pp.idx {
 							n := master[i]
 							spec := capfamily.Spec(plat, pp.peers, n, scheme, sources[srcKey{pp.peers, n, s}])
-							spec.Hosts = hosts
 							res, err := model.Evaluate(spec)
 							if err != nil {
 								log.Fatal(err)

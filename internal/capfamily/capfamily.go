@@ -125,9 +125,10 @@ func Source(w, n, rounds int, speed float64) trace.FoldedSource {
 // configuration on plat.
 func Spec(plat *platform.Platform, w, n int, scheme p2psap.Scheme, src trace.Source) analytic.Spec {
 	strip := StripBytes(w, n)
+	hosts, _ := plat.FirstHosts(w) // nil past the platform's hosts, which evaluation rejects
 	return analytic.Spec{
 		Platform:     plat,
-		Hosts:        plat.Hosts()[:w],
+		Hosts:        hosts,
 		Submitter:    plat.Frontend,
 		Scheme:       scheme,
 		ScatterBytes: strip,
@@ -159,7 +160,10 @@ func Family(plat *platform.Platform, w, n, rounds int, scheme p2psap.Scheme) fun
 		lat := s.Param(ParamLatency)
 		speed := s.Param(ParamSpeed)
 		ghost := s.Const(8 * float64(n))
-		hosts := plat.Hosts()[:w]
+		hosts, have := plat.FirstHosts(w)
+		if have < w {
+			return nil, fmt.Errorf("capfamily: platform has %d hosts, need %d", have, w)
+		}
 		ranks := make([][]analytic.SymOp, w)
 		for r := 0; r < w; r++ {
 			cells := float64(n) * float64(n) / float64(w)

@@ -14,7 +14,6 @@ package p2pdc
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/des"
@@ -431,10 +430,9 @@ func (w *Worker) Barrier() error {
 // HostsOf returns the first n host names of a platform, sorted, which
 // is how experiments pick peers ("we use, in turn, 2^1..2^5 nodes").
 func HostsOf(plat *platform.Platform, n int) ([]string, error) {
-	hosts := plat.Hosts()
-	if len(hosts) < n {
-		return nil, fmt.Errorf("p2pdc: platform has %d hosts, need %d", len(hosts), n)
+	hosts, have := plat.FirstHosts(n)
+	if have < n {
+		return nil, fmt.Errorf("p2pdc: platform has %d hosts, need %d", have, n)
 	}
-	sort.Strings(hosts)
-	return hosts[:n], nil
+	return hosts, nil
 }

@@ -2,7 +2,9 @@ package p2pdc
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -249,22 +251,33 @@ func TestAppPanicFailsRun(t *testing.T) {
 	}
 }
 
+// TestHostsOf: the peers are the prefix of the platform's sorted
+// compute hosts, copied, so a caller writing to them cannot corrupt
+// the platform's cached list.
 func TestHostsOf(t *testing.T) {
 	plat, err := platform.Cluster(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts, err := HostsOf(plat, 4)
+	all := plat.Hosts()
+	hosts, err := HostsOf(plat, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(hosts, all[:3]) {
+		t.Fatalf("HostsOf(3) = %v, want the prefix of %v", hosts, all)
 	}
 	for _, h := range hosts {
 		if h == plat.Frontend {
 			t.Fatal("frontend listed as compute host")
 		}
 	}
-	if _, err := HostsOf(plat, 99); err == nil {
-		t.Fatal("oversubscription accepted")
+	hosts[0] = "scribbled"
+	if got := plat.Hosts(); !slices.Equal(got, all) {
+		t.Fatalf("writing to the peers changed the platform's hosts: %v, want %v", got, all)
+	}
+	if _, err := HostsOf(plat, len(all)+1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("has %d hosts, need %d", len(all), len(all)+1)) {
+		t.Fatalf("oversubscription: err %v", err)
 	}
 }
 

@@ -130,6 +130,26 @@ func (p *Platform) Node(name string) *Node { return p.nodes[name] }
 func (p *Platform) Hosts() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return slices.Clone(p.sortedHosts())
+}
+
+// FirstHosts returns a copy of the first n names of Hosts, which is
+// how replays place ranks, together with the platform's compute host
+// count. Only the prefix is copied. When n exceeds the count it copies
+// nothing and returns nil; n must not be negative.
+func (p *Platform) FirstHosts(n int) ([]string, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	hosts := p.sortedHosts()
+	if n > len(hosts) {
+		return nil, len(hosts)
+	}
+	return slices.Clone(hosts[:n]), len(hosts)
+}
+
+// sortedHosts returns the cached sorted compute host names, rebuilt
+// when the Frontend changed. p.mu must be held.
+func (p *Platform) sortedHosts() []string {
 	if p.hosts == nil || p.hostsFrontend != p.Frontend {
 		p.hosts = p.hosts[:0]
 		for _, name := range p.sortedNodes() {
@@ -139,7 +159,7 @@ func (p *Platform) Hosts() []string {
 		}
 		p.hostsFrontend = p.Frontend
 	}
-	return slices.Clone(p.hosts)
+	return p.hosts
 }
 
 // Nodes returns all node names, sorted. The list is sorted once and
