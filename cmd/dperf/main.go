@@ -95,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceFormat  = fs.String("trace-format", "", "trace output format: json or bin for -save-traces, text or bin for -emit-traces")
 		traceStats   = fs.Bool("trace-stats", false, "print trace-set statistics (records vs folded ops, per-format sizes, binding-class fit quality) instead of predicting")
 		noFF         = fs.Bool("no-fastforward", false, "simulate every folded iteration round instead of fast-forwarding steady-state rounds")
-		replayWork   = fs.Int("replay-workers", 1, "partition each DES replay across this many workers (conservative windowed parallel simulation; predictions are bit-identical to the serial engine)")
 		predictMode  = fs.String("predict-mode", "des", "prediction tier: des (replay engine), auto (analytic when certified, DES fallback) or analytic (forced, fails when ineligible)")
 		jsonOut      = fs.Bool("json", false, "print the prediction as its serialized JSON form (exactly the bytes dperfd serves) instead of the text report")
 		scan         = fs.Bool("scan", false, "run the symbolic guarded-tape scan smoke demo and exit")
@@ -118,9 +117,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	if *replayWork < 1 {
-		return fmt.Errorf("-replay-workers must be >= 1, got %d", *replayWork)
 	}
 
 	// Validate the trace-format flags up front: a typo must not cost a
@@ -223,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		var badFlag error
 		fs.Visit(func(f *flag.Flag) {
 			switch {
-			case f.Name == "load-traces" || f.Name == "platform" || f.Name == "trace-stats" || f.Name == "no-fastforward" || f.Name == "predict-mode" || f.Name == "replay-workers" || f.Name == "json":
+			case f.Name == "load-traces" || f.Name == "platform" || f.Name == "trace-stats" || f.Name == "no-fastforward" || f.Name == "predict-mode" || f.Name == "json":
 			case *sweep && strings.HasPrefix(f.Name, "sweep"):
 			default:
 				badFlag = fmt.Errorf("-%s has no effect with -load-traces: the trace set fixes the workload, peers and level", f.Name)
@@ -240,11 +236,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return printTraceStats(stdout, ts)
 		}
 		if *sweep {
-			return runSweep(fs, ts, stdout, !*noFF, mode, *replayWork, ffDebug,
+			return runSweep(fs, ts, stdout, !*noFF, mode, ffDebug,
 				*sweepPlats, *sweepRanks, *sweepSchms, *sweepWork, *sweepFormat, *sweepOut)
 		}
 		opts := []dperf.Option{dperf.WithPlatform(kind), dperf.WithFastForward(!*noFF),
-			dperf.WithPredictMode(mode), dperf.WithReplayWorkers(*replayWork)}
+			dperf.WithPredictMode(mode)}
 		if ffDebug != nil {
 			opts = append(opts, dperf.WithFFDebug(ffDebug))
 		}
@@ -300,7 +296,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *sweep {
-		return runSweep(fs, a, stdout, !*noFF, mode, *replayWork, ffDebug,
+		return runSweep(fs, a, stdout, !*noFF, mode, ffDebug,
 			*sweepPlats, *sweepRanks, *sweepSchms, *sweepWork, *sweepFormat, *sweepOut)
 	}
 
@@ -361,8 +357,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Stage 4: replay on the target platform.
-	predOpts := []dperf.Option{dperf.WithFastForward(!*noFF), dperf.WithPredictMode(mode),
-		dperf.WithReplayWorkers(*replayWork)}
+	predOpts := []dperf.Option{dperf.WithFastForward(!*noFF), dperf.WithPredictMode(mode)}
 	if ffDebug != nil {
 		predOpts = append(predOpts, dperf.WithFFDebug(ffDebug))
 	}
@@ -437,7 +432,7 @@ func printTraceStats(w io.Writer, ts *dperf.TraceSet) error {
 // runSweep expands the sweep flags into a dperf.Space, runs the sweep
 // and writes the requested output format.
 func runSweep(fs *flag.FlagSet, src dperf.TraceSource, stdout io.Writer, fastForward bool,
-	mode dperf.PredictMode, replayWorkers int, ffDebug io.Writer,
+	mode dperf.PredictMode, ffDebug io.Writer,
 	plats, ranks, schemes string, workers int, format, outPath string) error {
 	// Validate the output side first: a typo in -sweep-format or an
 	// unwritable -sweep-out must not cost a full sweep.
@@ -495,8 +490,7 @@ func runSweep(fs *flag.FlagSet, src dperf.TraceSource, stdout io.Writer, fastFor
 		}
 	}
 
-	baseOpts := []dperf.Option{dperf.WithFastForward(fastForward),
-		dperf.WithPredictMode(mode), dperf.WithReplayWorkers(replayWorkers)}
+	baseOpts := []dperf.Option{dperf.WithFastForward(fastForward), dperf.WithPredictMode(mode)}
 	if ffDebug != nil {
 		baseOpts = append(baseOpts, dperf.WithFFDebug(ffDebug))
 	}
@@ -554,10 +548,6 @@ func printPrediction(w io.Writer, pred *dperf.Prediction) {
 	if pred.RoundsFastForwarded > 0 {
 		fmt.Fprintf(w, "  fast-forward: %d rounds simulated, %d fast-forwarded\n",
 			pred.RoundsSimulated, pred.RoundsFastForwarded)
-	}
-	if pred.ReplayWorkers > 1 {
-		fmt.Fprintf(w, "  parallel replay: %d workers, %d windows\n",
-			pred.ReplayWorkers, pred.ReplayWindows)
 	}
 	if pred.Tier == dperf.TierAnalytic {
 		fmt.Fprintf(w, "  tier: analytic (closed-form, no DES on the prediction path)\n")

@@ -268,40 +268,6 @@ func TestRunFastForwardFlag(t *testing.T) {
 	}
 }
 
-// TestRunReplayWorkersFlag: -replay-workers partitions the replay
-// across event kernels, reports its execution stats, and prints a
-// prediction identical to the serial engine's apart from that one
-// stats line. Nonsense worker counts fail before any stage runs.
-func TestRunReplayWorkersFlag(t *testing.T) {
-	set := filepath.Join(t.TempDir(), "set.json")
-	if _, err := runCLI(t, append(fast, "-save-traces", set, "-peers", "8")...); err != nil {
-		t.Fatal(err)
-	}
-	serial, err := runCLI(t, "-load-traces", set, "-no-fastforward")
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := runCLI(t, "-load-traces", set, "-no-fastforward", "-replay-workers", "4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(par, "parallel replay: 4 workers") {
-		t.Fatalf("partitioned run did not report its worker count:\n%s", par)
-	}
-	var kept []string
-	for _, line := range strings.Split(par, "\n") {
-		if !strings.Contains(line, "parallel replay:") {
-			kept = append(kept, line)
-		}
-	}
-	if stripped := strings.Join(kept, "\n"); stripped != serial {
-		t.Fatalf("-replay-workers changed the prediction:\nserial:\n%s\nparallel:\n%s", serial, stripped)
-	}
-	if _, err := runCLI(t, "-replay-workers", "0"); err == nil {
-		t.Fatal("-replay-workers 0 accepted")
-	}
-}
-
 // TestRunBadPredictMode: an unknown -predict-mode must fail with a
 // usage error before any pipeline stage runs, naming the valid modes.
 func TestRunBadPredictMode(t *testing.T) {

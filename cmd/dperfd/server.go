@@ -202,15 +202,30 @@ func (s *server) handleGetTraceSet(w http.ResponseWriter, r *http.Request) {
 }
 
 // predictRequest mirrors the CLI's replay-only flags: -platform,
-// -no-fastforward, -predict-mode, -replay-workers. Defaults match the
-// CLI defaults, so an empty request body predicts exactly like
-// `dperf -load-traces <set>`.
+// -no-fastforward, -predict-mode. Defaults match the CLI defaults, so
+// an empty request body predicts exactly like
+// `dperf -load-traces <set>`. ReplayWorkers stays only so that old
+// clients asking for the removed parallel engine get an error (see
+// checkReplayWorkers) instead of a silent serial run.
 type predictRequest struct {
 	Digest        string `json:"digest"`
 	Platform      string `json:"platform,omitempty"`
 	NoFastForward bool   `json:"no_fastforward,omitempty"`
 	PredictMode   string `json:"predict_mode,omitempty"`
 	ReplayWorkers int    `json:"replay_workers,omitempty"`
+}
+
+// checkReplayWorkers accepts only the serial engine's worker counts:
+// 0 (the default) and 1. Both predict exactly like a request without
+// the field and share its result-cache entry.
+func checkReplayWorkers(n int) error {
+	if n > 1 {
+		return fmt.Errorf("replay_workers %d: the partitioned parallel replay engine was removed and every replay runs serially; omit the field or send 1", n)
+	}
+	if n < 0 {
+		return fmt.Errorf("replay_workers must be >= 1, got %d", n)
+	}
+	return nil
 }
 
 // normalize fills CLI defaults and validates the mode.
@@ -221,42 +236,30 @@ func (pr *predictRequest) normalize() (dperf.PredictMode, error) {
 	if pr.PredictMode == "" {
 		pr.PredictMode = "des"
 	}
-	if pr.ReplayWorkers == 0 {
-		pr.ReplayWorkers = 1
-	}
-	if pr.ReplayWorkers < 1 {
-		return 0, fmt.Errorf("replay_workers must be >= 1, got %d", pr.ReplayWorkers)
+	if err := checkReplayWorkers(pr.ReplayWorkers); err != nil {
+		return 0, err
 	}
 	return dperf.ParsePredictMode(pr.PredictMode)
 }
 
-// cacheKey canonicalizes the normalized request. Worker counts stay in
-// the key only where they change engine labels (replay_workers does;
-// sweep workers never appear in output and are excluded there).
+// cacheKey canonicalizes the normalized request. Nothing about workers
+// enters it: every accepted replay_workers value predicts the same
+// bytes.
 func (pr *predictRequest) cacheKey() string {
-	return fmt.Sprintf("predict|%s|%s|%t|%s|%d",
-		pr.Digest, pr.Platform, pr.NoFastForward, pr.PredictMode, pr.ReplayWorkers)
+	return fmt.Sprintf("predict|%s|%s|%t|%s",
+		pr.Digest, pr.Platform, pr.NoFastForward, pr.PredictMode)
 }
 
 // replayOptions are the shared-state options every replay-side request
 // gets: the predictor pins platform identity (and serves the analytic
-// tier), and — for serial replays — the session pool keeps realized
-// networks hot.
-// replayWorkers > 1 selects the partitioned engine instead of the
-// pool, exactly as the CLI does, so the engine label in responses
-// matches CLI output byte for byte.
-func (s *server) replayOptions(mode dperf.PredictMode, noFF bool, replayWorkers int) []dperf.Option {
-	opts := []dperf.Option{
+// tier), and the session pool keeps realized networks hot.
+func (s *server) replayOptions(mode dperf.PredictMode, noFF bool) []dperf.Option {
+	return []dperf.Option{
 		dperf.WithFastForward(!noFF),
 		dperf.WithPredictMode(mode),
 		dperf.WithPredictor(s.predictor),
+		dperf.WithEngine(s.pool),
 	}
-	if replayWorkers > 1 {
-		opts = append(opts, dperf.WithReplayWorkers(replayWorkers))
-	} else {
-		opts = append(opts, dperf.WithEngine(s.pool))
-	}
-	return opts
 }
 
 // cached serves key from the result cache, rendering on miss. Render
@@ -309,7 +312,7 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cached(w, req.cacheKey(), func() ([]byte, error) {
-		opts := append(s.replayOptions(mode, req.NoFastForward, req.ReplayWorkers),
+		opts := append(s.replayOptions(mode, req.NoFastForward),
 			dperf.WithPlatform(dperf.Kind(req.Platform)))
 		pred, err := e.Set.Predict(opts...)
 		if err != nil {
@@ -325,7 +328,9 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // sweepRequest mirrors the CLI's sweep flags. Workers is execution
 // strategy only — sweep output is byte-identical at any worker count —
-// so it is excluded from the cache key.
+// so it is excluded from the cache key, as is ReplayWorkers, which is
+// kept only to refuse the removed parallel engine (see
+// checkReplayWorkers).
 type sweepRequest struct {
 	Digest        string   `json:"digest"`
 	Platforms     []string `json:"platforms,omitempty"`
@@ -348,11 +353,8 @@ func (sr *sweepRequest) normalize() (dperf.PredictMode, error) {
 	if sr.PredictMode == "" {
 		sr.PredictMode = "des"
 	}
-	if sr.ReplayWorkers == 0 {
-		sr.ReplayWorkers = 1
-	}
-	if sr.ReplayWorkers < 1 {
-		return 0, fmt.Errorf("replay_workers must be >= 1, got %d", sr.ReplayWorkers)
+	if err := checkReplayWorkers(sr.ReplayWorkers); err != nil {
+		return 0, err
 	}
 	return dperf.ParsePredictMode(sr.PredictMode)
 }
@@ -362,9 +364,9 @@ func (sr *sweepRequest) cacheKey() string {
 	for i, r := range sr.Ranks {
 		ranks[i] = strconv.Itoa(r)
 	}
-	return fmt.Sprintf("sweep|%s|%s|%s|%s|%t|%s|%d",
+	return fmt.Sprintf("sweep|%s|%s|%s|%s|%t|%s",
 		sr.Digest, strings.Join(sr.Platforms, ","), strings.Join(ranks, ","),
-		strings.Join(sr.Schemes, ","), sr.NoFastForward, sr.PredictMode, sr.ReplayWorkers)
+		strings.Join(sr.Schemes, ","), sr.NoFastForward, sr.PredictMode)
 }
 
 // parseScheme mirrors the CLI's -sweep-schemes vocabulary.
@@ -407,7 +409,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cached(w, req.cacheKey(), func() ([]byte, error) {
 		opts := []dperf.SweepOption{
-			dperf.SweepOptions(s.replayOptions(mode, req.NoFastForward, req.ReplayWorkers)...),
+			dperf.SweepOptions(s.replayOptions(mode, req.NoFastForward)...),
 		}
 		if req.Workers > 0 {
 			opts = append(opts, dperf.SweepWorkers(req.Workers))

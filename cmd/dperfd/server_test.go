@@ -128,13 +128,12 @@ func postJSON(t *testing.T, url string, req any) (int, []byte) {
 
 // libraryPredict renders the single-process CLI path for one request:
 // a fresh default engine, no shared caches.
-func libraryPredict(t *testing.T, kind dperf.Kind, workers int) []byte {
+func libraryPredict(t *testing.T, kind dperf.Kind) []byte {
 	t.Helper()
 	pred, err := fixtureSet(t).Predict(
 		dperf.WithPlatform(kind),
 		dperf.WithFastForward(true),
 		dperf.WithPredictMode(dperf.PredictDES),
-		dperf.WithReplayWorkers(workers),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -147,24 +146,23 @@ func libraryPredict(t *testing.T, kind dperf.Kind, workers int) []byte {
 }
 
 // TestPredictDifferential is the service's core contract: responses
-// are byte-identical to the single-process library/CLI output, for the
-// pooled serial engine and the partitioned parallel one, cold and
-// warm.
+// are byte-identical to the single-process library/CLI output, cold
+// and warm. An explicit replay_workers 1 is the default request and is
+// served from its result-cache entry.
 func TestPredictDifferential(t *testing.T) {
 	s, hs := newTestServer(t)
 	digest := upload(t, hs)
 
 	for _, tc := range []struct {
-		name    string
-		req     predictRequest
-		kind    dperf.Kind
-		workers int
+		name string
+		req  predictRequest
+		kind dperf.Kind
 	}{
-		{"default", predictRequest{Digest: digest}, dperf.KindCluster, 1},
-		{"lan", predictRequest{Digest: digest, Platform: "lan"}, dperf.KindLAN, 1},
-		{"parallel", predictRequest{Digest: digest, ReplayWorkers: 2}, dperf.KindCluster, 2},
+		{"default", predictRequest{Digest: digest}, dperf.KindCluster},
+		{"lan", predictRequest{Digest: digest, Platform: "lan"}, dperf.KindLAN},
+		{"replay_workers 1", predictRequest{Digest: digest, ReplayWorkers: 1}, dperf.KindCluster},
 	} {
-		want := libraryPredict(t, tc.kind, tc.workers)
+		want := libraryPredict(t, tc.kind)
 		for round := 0; round < 2; round++ { // round 1 must hit the result cache
 			code, got := postJSON(t, hs.URL+"/v1/predict", tc.req)
 			if code != http.StatusOK {
@@ -178,8 +176,8 @@ func TestPredictDifferential(t *testing.T) {
 	s.mu.Lock()
 	hits, misses := s.hits, s.misses
 	s.mu.Unlock()
-	if misses != 3 || hits != 3 {
-		t.Fatalf("result cache hits=%d misses=%d, want 3/3", hits, misses)
+	if misses != 2 || hits != 4 {
+		t.Fatalf("result cache hits=%d misses=%d, want 4/2", hits, misses)
 	}
 	if s.pool.Idle() == 0 {
 		t.Fatal("pool kept no session hot after serial predicts")
@@ -330,9 +328,8 @@ func TestConcurrentDifferential(t *testing.T) {
 	_, hs := newTestServer(t)
 	digest := upload(t, hs)
 
-	wantCluster := libraryPredict(t, dperf.KindCluster, 1)
-	wantLAN := libraryPredict(t, dperf.KindLAN, 1)
-	wantParallel := libraryPredict(t, dperf.KindCluster, 2)
+	wantCluster := libraryPredict(t, dperf.KindCluster)
+	wantLAN := libraryPredict(t, dperf.KindLAN)
 
 	scanReq := scanRequest{
 		BandwidthsBps: []float64{2.5e7, 2.55e7},
@@ -373,9 +370,9 @@ func TestConcurrentDifferential(t *testing.T) {
 					code, got = postJSON(t, hs.URL+"/v1/predict", predictRequest{Digest: digest, Platform: "lan"})
 					want = wantLAN
 				case 2:
-					kind = "predict/parallel"
-					code, got = postJSON(t, hs.URL+"/v1/predict", predictRequest{Digest: digest, ReplayWorkers: 2})
-					want = wantParallel
+					kind = "predict/replay_workers=1"
+					code, got = postJSON(t, hs.URL+"/v1/predict", predictRequest{Digest: digest, ReplayWorkers: 1})
+					want = wantCluster
 				case 3:
 					kind = "scan"
 					code, got = postJSON(t, hs.URL+"/v1/scan", scanReq)
@@ -396,6 +393,59 @@ func TestConcurrentDifferential(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestReplayWorkersRemoved: replay_workers selected the partitioned
+// parallel engine, which is gone. On both endpoints a value above 1 is
+// refused with a 400 that names the removal instead of running
+// serially, a negative value stays invalid, and 0 and 1 are the
+// default request, served from its result-cache entry.
+func TestReplayWorkersRemoved(t *testing.T) {
+	s, hs := newTestServer(t)
+	digest := upload(t, hs)
+	hits := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.hits
+	}
+	for _, ep := range []struct {
+		path string
+		req  func(workers int) any
+	}{
+		{"/v1/predict", func(w int) any { return predictRequest{Digest: digest, ReplayWorkers: w} }},
+		{"/v1/sweep", func(w int) any { return sweepRequest{Digest: digest, ReplayWorkers: w} }},
+	} {
+		code, want := postJSON(t, hs.URL+ep.path, ep.req(0))
+		if code != http.StatusOK {
+			t.Fatalf("%s default: status %d: %s", ep.path, code, want)
+		}
+		for _, workers := range []int{2, 8, -1} {
+			code, body := postJSON(t, hs.URL+ep.path, ep.req(workers))
+			if code != http.StatusBadRequest {
+				t.Fatalf("%s replay_workers %d: status %d: %s", ep.path, workers, code, body)
+			}
+			if workers > 1 && !strings.Contains(string(body), "removed") {
+				t.Fatalf("%s replay_workers %d: the refusal does not name the removal: %s", ep.path, workers, body)
+			}
+		}
+		before := hits()
+		for _, workers := range []int{0, 1} {
+			code, got := postJSON(t, hs.URL+ep.path, ep.req(workers))
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("%s replay_workers %d: status %d, response differs from the default request's:\n got: %s\nwant: %s",
+					ep.path, workers, code, got, want)
+			}
+		}
+		if got := hits() - before; got != 2 {
+			t.Fatalf("%s: replay_workers 0 and 1 hit the result cache %d times, want 2", ep.path, got)
+		}
+	}
+	s.mu.Lock()
+	entries := len(s.results)
+	s.mu.Unlock()
+	if entries != 2 {
+		t.Fatalf("result cache holds %d entries, want 2 (one per endpoint)", entries)
 	}
 }
 

@@ -74,11 +74,12 @@ func WithPredictMode(m PredictMode) Option {
 	return func(c *config) { c.predictMode = m }
 }
 
-// WithPredictor shares a Predictor across Predict calls, so repeated
-// predictions of the same configuration are served from its
-// certificate cache. Without it, each Predict call in an analytic mode
-// builds a throwaway predictor (Sweep always shares one across the
-// whole sweep).
+// WithPredictor shares a Predictor across Predict and Sweep calls, so
+// repeated predictions of the same configuration are served from its
+// certificate cache and see one *Platform per (kind, size). Without
+// it, a Pipeline's artifacts share the Predictor the pipeline made, a
+// trace set read from disk gets a fresh one per Predict call, and a
+// Sweep call gets one for the whole sweep.
 func WithPredictor(p *Predictor) Option {
 	return func(c *config) { c.predictor = p }
 }
@@ -131,35 +132,42 @@ func NewPredictor() *Predictor {
 	}
 }
 
-// platformFor resolves the configuration's target platform through the
-// predictor's cache. Models and certificates are keyed by platform
-// identity, so repeated Predict calls must see the same *Platform for
-// the same built-in kind — without this cache every call would build a
-// fresh graph and re-certify from scratch. Custom platforms already
+// platKey identifies a shareable platform build. The sizing policy
+// (which rank counts produce identical graphs) lives with the
+// generators as platform.SizeKey, so it cannot drift from them.
+type platKey struct {
+	kind  Kind
+	ranks int
+}
+
+// platformFor resolves the configuration's target platform and its
+// report label through the predictor's cache. Sessions, models and
+// certificates are keyed by platform identity, so repeated predictions
+// must see the same *Platform for the same built-in kind and size —
+// without this cache every call would build a fresh graph, realize a
+// fresh session and re-certify from scratch. Custom platforms already
 // carry stable identity (the caller owns the pointer).
 func (p *Predictor) platformFor(cfg *config, ranks int) (*Platform, string, error) {
 	if cfg.custom != nil {
 		return cfg.custom, cfg.custom.Name, nil
 	}
-	key := keyFor(cfg.kind, ranks)
+	key := platKey{kind: cfg.kind, ranks: platform.SizeKey(cfg.kind, ranks)}
 	p.mu.Lock()
 	plat := p.plats[key]
 	p.mu.Unlock()
-	if plat != nil {
-		return plat, string(cfg.kind), nil
+	if plat == nil {
+		built, err := platform.ForKind(cfg.kind, ranks)
+		if err != nil {
+			return nil, "", err
+		}
+		p.mu.Lock()
+		if plat = p.plats[key]; plat == nil {
+			plat = built
+			p.plats[key] = plat
+		} // else a concurrent call won the build race; keep its identity
+		p.mu.Unlock()
 	}
-	plat, label, err := cfg.platformFor(ranks)
-	if err != nil {
-		return nil, "", err
-	}
-	p.mu.Lock()
-	if existing := p.plats[key]; existing != nil {
-		plat = existing // lost a build race; keep one identity
-	} else {
-		p.plats[key] = plat
-	}
-	p.mu.Unlock()
-	return plat, label, nil
+	return plat, string(cfg.kind), nil
 }
 
 func (p *Predictor) model(plat *platform.Platform) (*analytic.Model, error) {
@@ -332,13 +340,4 @@ func verifyCertificate(cert *analytic.Certificate, spec *EngineSpec, engine Engi
 		return fmt.Errorf("dperf: analytic prediction diverged from verification replay: analytic %v, replay %v", c.PredictedSeconds, res.PredictedSeconds)
 	}
 	return nil
-}
-
-// predictorOrNew returns the configured shared predictor, or a
-// throwaway one.
-func (c config) predictorOrNew() *Predictor {
-	if c.predictor != nil {
-		return c.predictor
-	}
-	return NewPredictor()
 }

@@ -26,8 +26,8 @@
 //     the paper's workload; ProgramWorkload adapts any mini-C source.
 //   - Engine abstracts the replay stage. DefaultEngine is the
 //     in-process replay/p2pdc/netsim stack, a SessionPool that reuses
-//     realized networks across replays; alternative engines (batched
-//     DES, distributed replay) plug in via WithEngine.
+//     realized networks across replays; alternative engines (sharded
+//     or distributed replay) plug in via WithEngine.
 package dperf
 
 import (

@@ -2,7 +2,6 @@ package dperf
 
 import (
 	"io"
-	"time"
 
 	"repro/internal/p2psap"
 	"repro/internal/platform"
@@ -68,29 +67,14 @@ type EngineResult struct {
 	// Auto mode compares it when it verifies a certificate; it is
 	// never serialized.
 	Jumps int64
-	// ReplayWorkers / ReplayWindows report how the parallel replay
-	// engine executed (zero for the serial engine; Workers==1 marks a
-	// serial fallback inside the parallel engine). Execution-strategy
-	// metadata only: timings are bit-identical at any worker count.
-	ReplayWorkers int
-	ReplayWindows int
-}
-
-// ReplayOutcome is one entry of a batched replay: the result or the
-// error, plus the wall-clock cost of producing it.
-type ReplayOutcome struct {
-	Result *EngineResult
-	Err    error
-	// Cost is real (not virtual) time spent replaying this spec.
-	Cost time.Duration
 }
 
 // Engine is the replay stage seam. The default engine simulates
 // in-process over the replay/p2pdc/netsim stack; alternative engines
-// (batched DES, sharded or distributed replay) implement the same
-// contract and plug in via WithEngine. An Engine must be safe for
-// concurrent Replay calls from multiple goroutines: Sweep fans
-// configurations out over a worker pool.
+// (sharded or distributed replay) implement the same contract and
+// plug in via WithEngine. An Engine must be safe for concurrent Replay
+// calls from multiple goroutines: Sweep fans configurations out over a
+// worker pool.
 //
 // In auto mode the engine is also the analytic tier's verification
 // oracle: a certificate serves only after one Replay of its spec,
@@ -103,37 +87,6 @@ type Engine interface {
 	// Replay simulates the traces on the platform and returns the
 	// predicted time.
 	Replay(spec EngineSpec) (*EngineResult, error)
-}
-
-// BatchEngine is the optional batching side of the Engine seam. An
-// engine that can amortize state across consecutive replays — the
-// default engine reuses one replay.Session per platform, keeping the
-// realized network and route caches alive — implements ReplayAll and
-// gets handed whole batches by Sweep and by the ReplayAll helper.
-// A ReplayAll call runs its specs sequentially; batches themselves
-// may run concurrently from different goroutines.
-type BatchEngine interface {
-	Engine
-	// ReplayAll replays the specs in order and returns one outcome per
-	// spec, in input order. Errors are reported per spec, never by
-	// aborting the batch.
-	ReplayAll(specs []EngineSpec) []ReplayOutcome
-}
-
-// ReplayAll replays the specs through the engine, batching natively
-// when the engine supports it and falling back to one Replay call per
-// spec otherwise. out[i] corresponds to specs[i].
-func ReplayAll(e Engine, specs []EngineSpec) []ReplayOutcome {
-	if be, ok := e.(BatchEngine); ok {
-		return be.ReplayAll(specs)
-	}
-	out := make([]ReplayOutcome, len(specs))
-	for i, spec := range specs {
-		start := time.Now()
-		res, err := e.Replay(spec)
-		out[i] = ReplayOutcome{Result: res, Err: err, Cost: time.Since(start)}
-	}
-	return out
 }
 
 // DefaultEngine returns the in-process trace-replay engine, the
@@ -169,66 +122,5 @@ func engineResult(res *replay.Result) *EngineResult {
 		RoundsSimulated:     res.FF.RoundsSimulated,
 		RoundsFastForwarded: res.FF.RoundsFastForwarded,
 		Jumps:               res.FF.Jumps,
-		ReplayWorkers:       res.Par.Workers,
-		ReplayWindows:       res.Par.Windows,
 	}
-}
-
-// ParallelReplayEngine returns the partitioned in-process replay
-// engine: each replay's rank set is split across the given number of
-// workers, every worker driving its own event kernel over a full
-// network replica, synchronized in conservative time windows (see
-// replay.ParallelEngine). Predictions are bit-identical to
-// DefaultEngine at every worker count; replays the partitioning
-// cannot help (fewer than two effective workers, fast-forward on,
-// duplicate hosts) silently run serially.
-// Like the default engine it is safe for concurrent Replay calls; its
-// engine state is created per call, and per batch in ReplayAll.
-func ParallelReplayEngine(workers int) Engine {
-	return parallelReplayEngine{workers: workers}
-}
-
-type parallelReplayEngine struct{ workers int }
-
-func (parallelReplayEngine) Name() string { return "replay-parallel" }
-
-func (e parallelReplayEngine) Replay(spec EngineSpec) (*EngineResult, error) {
-	pe, err := replay.NewParallelEngine(spec.Platform, e.workers)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pe.RunSource(replaySpec(spec), spec.Source)
-	if err != nil {
-		return nil, err
-	}
-	return engineResult(res), nil
-}
-
-// ReplayAll implements BatchEngine: specs targeting the same platform
-// share one replay.ParallelEngine — and with it the per-partition
-// environments, the most expensive state the parallel mode owns.
-func (e parallelReplayEngine) ReplayAll(specs []EngineSpec) []ReplayOutcome {
-	engines := make(map[*platform.Platform]*replay.ParallelEngine)
-	out := make([]ReplayOutcome, len(specs))
-	for i, spec := range specs {
-		start := time.Now()
-		pe, ok := engines[spec.Platform]
-		if !ok {
-			var err error
-			//dperfvet:allow sessionreuse memoized: constructed once per distinct platform, then reused for the whole batch
-			pe, err = replay.NewParallelEngine(spec.Platform, e.workers)
-			if err != nil {
-				out[i] = ReplayOutcome{Err: err, Cost: time.Since(start)}
-				continue
-			}
-			engines[spec.Platform] = pe
-		}
-		res, err := pe.RunSource(replaySpec(spec), spec.Source)
-		if err != nil {
-			out[i] = ReplayOutcome{Err: err, Cost: time.Since(start)}
-			continue
-		}
-		out[i] = ReplayOutcome{Result: engineResult(res), Cost: time.Since(start)}
-	}
-	return out
 }

@@ -1,10 +1,6 @@
 package dperf
 
-import (
-	"io"
-
-	"repro/internal/platform"
-)
+import "io"
 
 // config carries the resolved pipeline settings. It is captured when
 // a Pipeline is created, flows into every artifact the pipeline
@@ -15,21 +11,23 @@ type config struct {
 	// ranksSet distinguishes an explicit WithRanks value from the
 	// default, so an explicit nonpositive count fails downstream
 	// instead of being silently replaced.
-	ranksSet      bool
-	kind          Kind
-	custom        *Platform
-	scheme        Scheme
-	engine        Engine
-	replayWorkers int
-	fastForward   bool
-	predictMode   PredictMode
-	predictor     *Predictor
-	ffDebug       io.Writer
+	ranksSet    bool
+	kind        Kind
+	custom      *Platform
+	scheme      Scheme
+	engine      Engine
+	fastForward bool
+	predictMode PredictMode
+	predictor   *Predictor
+	ffDebug     io.Writer
 }
 
 // normalized fills unset fields with the documented defaults: level
-// O0, 4 ranks, the cluster platform, the synchronous scheme and the
-// in-process replay engine.
+// O0, 4 ranks, the cluster platform, the synchronous scheme, the
+// in-process replay engine and a fresh Predictor. The Predictor
+// resolves every platform, so all calls sharing a config see one
+// *Platform per (kind, size), and a session pool keyed on it reuses
+// its sessions.
 func (c config) normalized() config {
 	if c.ranks == 0 && !c.ranksSet {
 		c.ranks = 4
@@ -38,11 +36,10 @@ func (c config) normalized() config {
 		c.kind = KindCluster
 	}
 	if c.engine == nil {
-		if c.replayWorkers > 1 {
-			c.engine = ParallelReplayEngine(c.replayWorkers)
-		} else {
-			c.engine = DefaultEngine()
-		}
+		c.engine = DefaultEngine()
+	}
+	if c.predictor == nil {
+		c.predictor = NewPredictor()
 	}
 	return c
 }
@@ -52,19 +49,6 @@ func (c config) apply(opts []Option) config {
 		o(&c)
 	}
 	return c.normalized()
-}
-
-// platformFor resolves the target platform and its report label for
-// the given rank count.
-func (c config) platformFor(ranks int) (*Platform, string, error) {
-	if c.custom != nil {
-		return c.custom, c.custom.Name, nil
-	}
-	p, err := platform.ForKind(c.kind, ranks)
-	if err != nil {
-		return nil, "", err
-	}
-	return p, string(c.kind), nil
 }
 
 // Option adjusts pipeline settings. Options passed to New become the
@@ -111,17 +95,6 @@ func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 // replay/p2pdc/netsim stack). In auto mode the engine also verifies
 // the analytic tier's certificates (see Engine).
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
-
-// WithReplayWorkers partitions each DES replay across n workers
-// (default 1: the serial engine). Each worker simulates a contiguous
-// block of ranks on its own event kernel; the workers advance in
-// conservative time windows sized by the platform's minimum route
-// latency and exchange boundary flows at window barriers. Predictions
-// are bit-identical to the serial engine at every worker count — the
-// knob trades memory (one network replica per worker) for wall-clock
-// speed on large heterogeneous replays that fast-forward cannot skip.
-// Ignored when WithEngine installs a custom engine.
-func WithReplayWorkers(n int) Option { return func(c *config) { c.replayWorkers = n } }
 
 // WithPeriodCache does nothing.
 //

@@ -2,7 +2,6 @@ package dperf
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/platform"
 	"repro/internal/replay"
@@ -106,48 +105,4 @@ func (p *SessionPool) Replay(spec EngineSpec) (*EngineResult, error) {
 		return nil, err
 	}
 	return engineResult(res), nil
-}
-
-// heldSession pairs a checked-out session with its platform for the
-// duration of one batch.
-type heldSession struct {
-	plat *platform.Platform
-	s    *replay.Session
-}
-
-// ReplayAll implements BatchEngine: specs in one batch targeting the
-// same platform share one checked-out session, and every session goes
-// back to the pool when the batch ends.
-func (p *SessionPool) ReplayAll(specs []EngineSpec) []ReplayOutcome {
-	var held []heldSession
-	out := make([]ReplayOutcome, len(specs))
-	for i, spec := range specs {
-		start := time.Now()
-		var s *replay.Session
-		for _, h := range held {
-			if h.plat == spec.Platform {
-				s = h.s
-				break
-			}
-		}
-		if s == nil {
-			var err error
-			s, err = p.checkout(spec.Platform)
-			if err != nil {
-				out[i] = ReplayOutcome{Err: err, Cost: time.Since(start)}
-				continue
-			}
-			held = append(held, heldSession{plat: spec.Platform, s: s})
-		}
-		res, err := s.RunSource(replaySpec(spec), spec.Source)
-		if err != nil {
-			out[i] = ReplayOutcome{Err: err, Cost: time.Since(start)}
-			continue
-		}
-		out[i] = ReplayOutcome{Result: engineResult(res), Cost: time.Since(start)}
-	}
-	for _, h := range held {
-		p.checkin(h.plat, h.s)
-	}
-	return out
 }

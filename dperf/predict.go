@@ -25,12 +25,6 @@ type Prediction struct {
 	// (both zero unless WithFastForward(true) engaged).
 	RoundsSimulated     int64 `json:"rounds_simulated,omitempty"`
 	RoundsFastForwarded int64 `json:"rounds_fast_forwarded,omitempty"`
-	// ReplayWorkers / ReplayWindows report how the parallel replay
-	// engine executed (zero for the serial engine). Execution-strategy
-	// metadata only: the predicted times above are bit-identical at
-	// any worker count.
-	ReplayWorkers int `json:"replay_workers,omitempty"`
-	ReplayWindows int `json:"replay_windows,omitempty"`
 	// Tier reports which prediction tier produced the result: TierDES
 	// (the replay engine) or TierAnalytic (the closed-form evaluator).
 	Tier string `json:"tier,omitempty"`
@@ -58,29 +52,25 @@ func (p *Prediction) WriteJSON(w io.Writer) error {
 	return enc.Encode(predictionJSON{Version: predictionVersion, Prediction: p})
 }
 
-// engineSpec resolves the configuration against the trace set into
-// the spec handed to the replay engine, plus the platform label used
-// in reports.
-func (cfg config) engineSpec(ts *TraceSet) (EngineSpec, string, error) {
+// resolve turns the configuration and the trace set into the spec
+// handed to the engine and the analytic tier, plus the platform label
+// used in reports. The configuration's Predictor resolves the
+// platform. The label is returned whenever the platform resolved, even
+// if the spec then fails.
+func (cfg config) resolve(ts *TraceSet) (EngineSpec, string, error) {
 	if ts.Source().Ranks() == 0 {
 		return EngineSpec{}, "", fmt.Errorf("dperf: empty trace set")
 	}
-	plat, label, err := cfg.platformFor(ts.Ranks)
+	plat, label, err := cfg.predictor.platformFor(&cfg, ts.Ranks)
 	if err != nil {
 		return EngineSpec{}, "", err
 	}
-	return cfg.engineSpecOn(ts, plat, label)
-}
-
-// engineSpecOn is engineSpec with the platform already resolved —
-// sweeps resolve each distinct platform once and share it.
-func (cfg config) engineSpecOn(ts *TraceSet, plat *Platform, label string) (EngineSpec, string, error) {
 	if plat.Frontend == "" {
-		return EngineSpec{}, "", fmt.Errorf("dperf: platform %s has no frontend host to submit from", plat.Name)
+		return EngineSpec{}, label, fmt.Errorf("dperf: platform %s has no frontend host to submit from", plat.Name)
 	}
 	hosts, err := hostsFor(plat, ts.Ranks)
 	if err != nil {
-		return EngineSpec{}, "", err
+		return EngineSpec{}, label, err
 	}
 	spec := EngineSpec{
 		Platform:     plat,
@@ -96,8 +86,36 @@ func (cfg config) engineSpecOn(ts *TraceSet, plat *Platform, label string) (Engi
 	return spec, label, nil
 }
 
-// newPrediction assembles the public result from an engine outcome.
-func (cfg config) newPrediction(ts *TraceSet, label string, res *EngineResult) *Prediction {
+// predict is the tier policy, the one path from a resolved spec to a
+// prediction for Predict and every Sweep job. In the analytic modes
+// the Predictor serves the spec's certificate; auto mode first
+// verifies it with one replay on the configured engine, and on any
+// analytic failure (ineligibility, no steady state, a verification
+// mismatch) lets that engine answer. Analytic mode fails instead of
+// falling back, and DES mode always replays on the engine.
+func (cfg config) predict(ts *TraceSet, spec *EngineSpec, label string) (*Prediction, error) {
+	if cfg.predictMode != PredictDES {
+		var verifier Engine
+		if cfg.predictMode == PredictAuto {
+			verifier = cfg.engine
+		}
+		res, err := cfg.predictor.tryAnalytic(spec, verifier)
+		if err == nil {
+			return cfg.newPrediction(ts, label, res, TierAnalytic), nil
+		}
+		if cfg.predictMode == PredictAnalytic {
+			return nil, err
+		}
+	}
+	res, err := cfg.engine.Replay(*spec)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.newPrediction(ts, label, res, TierDES), nil
+}
+
+// newPrediction assembles the public result from a tier's outcome.
+func (cfg config) newPrediction(ts *TraceSet, label string, res *EngineResult, tier string) *Prediction {
 	return &Prediction{
 		Workload:            ts.Workload,
 		Platform:            label,
@@ -111,9 +129,7 @@ func (cfg config) newPrediction(ts *TraceSet, label string, res *EngineResult) *
 		Gather:              res.GatherSeconds,
 		RoundsSimulated:     res.RoundsSimulated,
 		RoundsFastForwarded: res.RoundsFastForwarded,
-		ReplayWorkers:       res.ReplayWorkers,
-		ReplayWindows:       res.ReplayWindows,
-		Tier:                TierDES,
+		Tier:                tier,
 		TraceSet:            ts,
 	}
 }
@@ -126,58 +142,11 @@ func (cfg config) newPrediction(ts *TraceSet, label string, res *EngineResult) *
 // JSON use the package defaults for anything not overridden here.
 func (ts *TraceSet) Predict(opts ...Option) (*Prediction, error) {
 	cfg := ts.cfg.apply(opts)
-	var (
-		spec      EngineSpec
-		label     string
-		err       error
-		predictor *Predictor
-	)
-	if cfg.predictMode != PredictDES || cfg.predictor != nil {
-		// Resolve the platform through the predictor so a shared
-		// predictor sees a stable *Platform identity across calls —
-		// certificate-cache and session-pool hits both key on it. A caller-installed predictor provides that identity
-		// even in pure DES mode.
-		predictor = cfg.predictorOrNew()
-		if ts.Source().Ranks() == 0 {
-			return nil, fmt.Errorf("dperf: empty trace set")
-		}
-		var plat *Platform
-		plat, label, err = predictor.platformFor(&cfg, ts.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		spec, label, err = cfg.engineSpecOn(ts, plat, label)
-	} else {
-		spec, label, err = cfg.engineSpec(ts)
-	}
+	spec, label, err := cfg.resolve(ts)
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.predictMode {
-	case PredictAnalytic:
-		res, err := predictor.tryAnalytic(&spec, nil)
-		if err != nil {
-			return nil, err
-		}
-		pred := cfg.newPrediction(ts, label, res)
-		pred.Tier = TierAnalytic
-		return pred, nil
-	case PredictAuto:
-		// Any analytic failure — ineligibility, no steady state, a
-		// verification mismatch — silently selects the DES tier; that
-		// fallback is the mode's contract. The engine that answers the
-		// fallback also runs the verification replay.
-		if res, err := predictor.tryAnalytic(&spec, cfg.engine); err == nil {
-			pred := cfg.newPrediction(ts, label, res)
-			pred.Tier = TierAnalytic
-			return pred, nil
-		}
-	}
-	res, err := cfg.engine.Replay(spec)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.newPrediction(ts, label, res), nil
+	return cfg.predict(ts, &spec, label)
 }
 
 // hostsFor picks the first n compute hosts of a platform.

@@ -15,10 +15,11 @@ import (
 
 // TestSharedServingStateConcurrent is the serving-stack shared-state
 // audit: one Predictor and one SessionPool serve a mix of pooled DES
-// predicts, partitioned-parallel predicts, auto-tier predicts (which
-// verify on the pool), sweeps, keyed scans and failing requests from
-// many goroutines, while an evictor goroutine keeps closing idle
-// sessions underneath them. Every successful result must be byte-identical to a
+// predicts, auto-tier predicts (which verify on the pool), sweeps,
+// keyed scans and failing requests from many goroutines, alongside
+// predicts on the pipeline's own Predictor and pool, while an evictor
+// goroutine keeps closing the shared pool's idle sessions underneath
+// them. Every successful result must be byte-identical to a
 // cold single-threaded baseline — the caches and the pool are
 // execution strategy, never observable state. Run under -race this is
 // the eviction/rebuild interleaving matrix for the whole dperfd
@@ -36,7 +37,8 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 	// Cold baselines: fresh engine, predictor and caches per call.
 	baseline := func(opts ...dperf.Option) string {
 		t.Helper()
-		pred, err := ts.Predict(append([]dperf.Option{dperf.WithFastForward(true)}, opts...)...)
+		pred, err := ts.Predict(append([]dperf.Option{dperf.WithFastForward(true),
+			dperf.WithPredictor(dperf.NewPredictor()), dperf.WithEngine(dperf.NewSessionPool())}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +50,6 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 	}
 	wantCluster := baseline(dperf.WithPlatform(dperf.KindCluster))
 	wantLAN := baseline(dperf.WithPlatform(dperf.KindLAN))
-	wantParallel := baseline(dperf.WithPlatform(dperf.KindCluster), dperf.WithReplayWorkers(2))
 	wantAuto := baseline(dperf.WithPlatform(dperf.KindCluster), dperf.WithPredictMode(dperf.PredictAuto))
 
 	sweepSpace := dperf.Space{
@@ -131,8 +132,11 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindLAN), dperf.WithEngine(pool)))
 					check("pooled/lan", got, err, wantLAN)
 				case 2:
-					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithReplayWorkers(2)))
-					check("parallel", got, err, wantParallel)
+					// Neither WithPredictor nor WithEngine: the trace
+					// set predicts on its pipeline's own Predictor and
+					// session pool.
+					got, err := predictJSON([]dperf.Option{dperf.WithFastForward(true), dperf.WithPlatform(dperf.KindCluster)})
+					check("pipeline-state", got, err, wantCluster)
 				case 3:
 					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithPredictMode(dperf.PredictAuto), dperf.WithEngine(pool)))
 					check("auto", got, err, wantAuto)

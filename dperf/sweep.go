@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"text/tabwriter"
 	"time"
-
-	"repro/internal/platform"
 )
 
 // TraceSource supplies the platform-independent trace sets a sweep
@@ -66,8 +63,8 @@ type Config struct {
 	SchemeSet bool   `json:"-"`
 	// Engine overrides the replay engine for this configuration.
 	// Name() labels the engine in results, so distinct engines are
-	// easiest to tell apart with distinct names; batching, however,
-	// groups by instance, never by name.
+	// easiest to tell apart with distinct names; the configuration
+	// replays on this instance whatever its name.
 	Engine Engine `json:"-"`
 }
 
@@ -353,25 +350,13 @@ func SweepOptions(opts ...Option) SweepOption {
 	return func(s *sweepSettings) { s.base = append(s.base, opts...) }
 }
 
-// platKey identifies a shareable platform build. The sizing policy
-// (which rank counts produce identical graphs) lives with the
-// generators as platform.SizeKey, so it cannot drift from them.
-type platKey struct {
-	kind  Kind
-	ranks int
-}
-
-func keyFor(kind Kind, ranks int) platKey {
-	return platKey{kind: kind, ranks: platform.SizeKey(kind, ranks)}
-}
-
-// sweepJob is one resolved configuration awaiting replay.
+// sweepJob is one resolved configuration awaiting prediction; ts is
+// nil when resolution failed.
 type sweepJob struct {
 	cfg   config
 	ts    *TraceSet
 	spec  EngineSpec
 	label string
-	ok    bool // resolution succeeded; job is runnable
 }
 
 // Sweep explores a design space: it expands the space into
@@ -395,16 +380,11 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 	configs := space.Expand() // always >= 1: empty dimensions collapse to defaults
 
 	start := time.Now()
+	// Every configuration shares the base's Predictor: it builds each
+	// distinct platform once, and configurations sharing a platform
+	// and source certify once.
 	base := config{}.apply(settings.base)
 	result := &SweepResult{Results: make([]ConfigResult, len(configs))}
-	// One analytic predictor for the whole sweep when an analytic mode
-	// is in play: configurations sharing a platform/source certify once
-	// and every worker serves from the same certificate cache. The
-	// analytic result is bit-identical to a fast-forward replay, so the
-	// tier split never changes the predictions, only the wall clock.
-	if base.predictMode != PredictDES && base.predictor == nil {
-		base.predictor = NewPredictor()
-	}
 
 	// Serial resolution phase: trace sets once per distinct rank
 	// count, platforms once per distinct (kind, size), shared across
@@ -428,7 +408,6 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 			break
 		}
 	}
-	platCache := make(map[platKey]*Platform)
 	jobs := make([]sweepJob, len(configs))
 	for i, c := range configs {
 		cfg := base
@@ -445,7 +424,6 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 		if c.Engine != nil {
 			cfg.engine = c.Engine
 		}
-		cfg = cfg.normalized()
 		jobs[i].cfg = cfg
 
 		// 0 ranks falls back to the sweep default (SweepOptions
@@ -497,35 +475,8 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 			result.Workload = ts.Workload
 		}
 
-		plat := cfg.custom
-		label := ""
-		if plat != nil {
-			label = plat.Name
-		} else {
-			key := keyFor(cfg.kind, ts.Ranks)
-			cached, hit := platCache[key]
-			if !hit {
-				var err error
-				if base.predictor != nil {
-					// A shared predictor owns platform identity: routing
-					// resolution through it lets its certificate cache —
-					// and any session pool keyed on *Platform — stay
-					// warm across independent sweeps.
-					cached, _, err = base.predictor.platformFor(&cfg, ts.Ranks)
-				} else {
-					cached, _, err = cfg.platformFor(ts.Ranks)
-				}
-				if err != nil {
-					fail(err)
-					continue
-				}
-				platCache[key] = cached
-			}
-			plat, label = cached, string(cfg.kind)
-		}
+		spec, label, err := cfg.resolve(ts)
 		cr.Platform = label
-
-		spec, label, err := cfg.engineSpecOn(ts, plat, label)
 		if err != nil {
 			fail(err)
 			continue
@@ -533,13 +484,12 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 		jobs[i].ts = ts
 		jobs[i].spec = spec
 		jobs[i].label = label
-		jobs[i].ok = true
 		cr.Cost = time.Since(entryStart)
 	}
 
-	// Parallel replay phase: stride-partition the runnable jobs over
-	// the worker pool. Each worker batches its jobs per engine name
-	// through ReplayAll, so a BatchEngine can reuse sessions.
+	// Parallel phase: stride-partition the runnable jobs over the
+	// worker pool; each job is one pass through the tier policy, as in
+	// TraceSet.Predict.
 	workers := settings.workers
 	if workers < 1 {
 		workers = 1
@@ -553,69 +503,20 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			// Group this worker's jobs by engine instance, preserving
-			// order. Identity, not Name(), decides the grouping, so
-			// two engines that happen to share a name are never
-			// batched through one instance; engines of non-comparable
-			// dynamic types each form their own group.
-			var groups [][]int
-			var engines []Engine
-			findGroup := func(e Engine) int {
-				if reflect.TypeOf(e).Comparable() {
-					for gi, ge := range engines {
-						if reflect.TypeOf(ge).Comparable() && ge == e {
-							return gi
-						}
-					}
-				}
-				engines = append(engines, e)
-				groups = append(groups, nil)
-				return len(engines) - 1
-			}
 			for i := k; i < len(configs); i += workers {
-				if !jobs[i].ok {
+				job := &jobs[i]
+				if job.ts == nil {
 					continue
 				}
-				// Analytic modes try the closed-form tier first; only
-				// auto-mode fallbacks join the DES engine batches. Auto
-				// mode verifies on the configuration's own engine.
-				if mode := jobs[i].cfg.predictMode; mode != PredictDES {
-					cr := &result.Results[i]
-					var verifier Engine
-					if mode == PredictAuto {
-						verifier = jobs[i].cfg.engine
-					}
-					tierStart := time.Now()
-					res, err := jobs[i].cfg.predictor.tryAnalytic(&jobs[i].spec, verifier)
-					cr.Cost += time.Since(tierStart)
-					if err == nil {
-						cr.Prediction = jobs[i].cfg.newPrediction(jobs[i].ts, jobs[i].label, res)
-						cr.Prediction.Tier = TierAnalytic
-						continue
-					}
-					if mode == PredictAnalytic {
-						cr.Error = err.Error()
-						continue
-					}
+				cr := &result.Results[i]
+				jobStart := time.Now()
+				pred, err := job.cfg.predict(job.ts, &job.spec, job.label)
+				cr.Cost += time.Since(jobStart)
+				if err != nil {
+					cr.Error = err.Error()
+					continue
 				}
-				g := findGroup(jobs[i].cfg.engine)
-				groups[g] = append(groups[g], i)
-			}
-			for g, idxs := range groups {
-				specs := make([]EngineSpec, len(idxs))
-				for j, i := range idxs {
-					specs[j] = jobs[i].spec
-				}
-				outcomes := ReplayAll(engines[g], specs)
-				for j, i := range idxs {
-					cr := &result.Results[i]
-					cr.Cost += outcomes[j].Cost
-					if outcomes[j].Err != nil {
-						cr.Error = outcomes[j].Err.Error()
-						continue
-					}
-					cr.Prediction = jobs[i].cfg.newPrediction(jobs[i].ts, jobs[i].label, outcomes[j].Result)
-				}
+				cr.Prediction = pred
 			}
 		}(k)
 	}

@@ -247,8 +247,7 @@ func TestSweepBaseOptions(t *testing.T) {
 }
 
 // countingEngine wraps another engine, counting Replay calls from any
-// number of goroutines; it does NOT implement BatchEngine, exercising
-// the serial fallback.
+// number of goroutines.
 type countingEngine struct {
 	inner dperf.Engine
 	calls *atomic.Int64
@@ -291,8 +290,9 @@ func TestSweepEngineDimensionAndFallback(t *testing.T) {
 	}
 }
 
-// TestSweepEngineNameCollision: batching groups by engine instance,
-// so two engines sharing a Name() each replay their own specs.
+// TestSweepEngineNameCollision: each configuration replays on its own
+// engine instance, so two engines sharing a Name() each replay their
+// own specs.
 func TestSweepEngineNameCollision(t *testing.T) {
 	a := sweepAnalysis(t)
 	var c1, c2 atomic.Int64

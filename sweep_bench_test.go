@@ -52,10 +52,11 @@ func sweepBenchSource(b *testing.B) cachedSource {
 	return src
 }
 
-// BenchmarkSweepSerial is the pre-sweep baseline: one TraceSet.Predict
-// call per configuration, each building its platform and simulation
-// environment from scratch — exactly what exploring the design space
-// cost before the sweep subsystem existed.
+// BenchmarkSweepSerial is the sweep's serial baseline: one
+// TraceSet.Predict call per configuration on one goroutine. The sets
+// come from one Pipeline, so every iteration shares its Predictor's
+// platforms and its pooled sessions, while each Sweep call in
+// BenchmarkSweepConcurrent starts from a fresh Predictor and pool.
 func BenchmarkSweepSerial(b *testing.B) {
 	src := sweepBenchSource(b)
 	configs := sweepBenchSpace().Expand()
@@ -73,7 +74,7 @@ func BenchmarkSweepSerial(b *testing.B) {
 }
 
 // BenchmarkSweepConcurrent measures dperf.Sweep over the same space:
-// bounded workers, shared platform graphs, per-worker session reuse.
+// bounded workers, shared platform graphs, pooled session reuse.
 func BenchmarkSweepConcurrent(b *testing.B) {
 	src := sweepBenchSource(b)
 	space := sweepBenchSpace()
