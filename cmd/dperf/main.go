@@ -409,17 +409,9 @@ func printTraceStats(w io.Writer, ts *dperf.TraceSet) error {
 		st.BinaryBytes, float64(st.JSONBytes)/float64(st.BinaryBytes))
 	fmt.Fprintf(w, "  template bytes  %12d  (dedup ratio %.1fx vs per-rank binary)\n",
 		st.TemplateBytes, st.DedupRatio)
-	if st.ScaleUnits > 0 {
-		fmt.Fprintf(w, "  scale units     %12d\n", st.ScaleUnits)
-	}
 	for _, cf := range st.ClassFits {
-		if cf.Affine {
-			fmt.Fprintf(w, "  class %-9s %d rank(s), role %d, %d param(s), affine a~%.3g b~%.3g, residual %.2e\n",
-				cf.Sel, cf.Ranks, cf.Role, cf.Params, cf.MeanParam, cf.MeanSlope, cf.Residual)
-		} else {
-			fmt.Fprintf(w, "  class %-9s %d rank(s), role %d, %d param(s), exact\n",
-				cf.Sel, cf.Ranks, cf.Role, cf.Params)
-		}
+		fmt.Fprintf(w, "  class %-9s %d rank(s), role %d, %d param(s)\n",
+			cf.Sel, cf.Ranks, cf.Role, cf.Params)
 	}
 	if st.AnalyticEligible {
 		fmt.Fprintf(w, "  analytic tier   eligible\n")

@@ -240,14 +240,17 @@ func TestRunSweepFromLoadedTraces(t *testing.T) {
 // scale (the stats line appears), and -no-fastforward is the escape
 // hatch that simulates every round — with the same printed prediction.
 func TestRunFastForwardFlag(t *testing.T) {
-	ff, err := runCLI(t, "-peers", "8")
+	// The -no-fastforward leg replays the set the first leg saved, so
+	// the paper-scale 8-peer set is interpreted once.
+	set := filepath.Join(t.TempDir(), "set.bin")
+	ff, err := runCLI(t, "-peers", "8", "-save-traces", set, "-trace-format", "bin")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(ff, "fast-forward:") {
 		t.Fatalf("default run did not report fast-forward stats:\n%s", ff)
 	}
-	plain, err := runCLI(t, "-peers", "8", "-no-fastforward")
+	plain, err := runCLI(t, "-load-traces", set, "-no-fastforward")
 	if err != nil {
 		t.Fatal(err)
 	}

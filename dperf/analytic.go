@@ -78,7 +78,8 @@ func WithPredictMode(m PredictMode) Option {
 // repeated predictions of the same configuration are served from its
 // certificate cache and see one *Platform per (kind, size). Without
 // it, a Pipeline's artifacts share the Predictor the pipeline made, a
-// trace set read from disk gets a fresh one per Predict call, and a
+// trace set a reader builds (ReadTraceSetJSON, ReadTraceSetBinary,
+// ReadTraceSetData, LoadTraceSet) gets its own when it is read, and a
 // Sweep call gets one for the whole sweep.
 func WithPredictor(p *Predictor) Option {
 	return func(c *config) { c.predictor = p }

@@ -92,8 +92,9 @@ type Engine interface {
 // DefaultEngine returns the in-process trace-replay engine, the
 // SimGrid-MSG equivalent built on replay, p2pdc and netsim. It is a
 // fresh SessionPool, so the replays of whoever holds it — a Pipeline
-// and the artifacts it produces, or one Sweep call's workers — reuse
-// the realized networks of earlier replays on the same platform.
+// and the artifacts it produces, a set a reader built, or one Sweep
+// call's workers — reuse the realized networks of earlier replays on
+// the same platform.
 func DefaultEngine() Engine { return NewSessionPool() }
 
 func replaySpec(spec EngineSpec) replay.Spec {

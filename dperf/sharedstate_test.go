@@ -17,7 +17,8 @@ import (
 // audit: one Predictor and one SessionPool serve a mix of pooled DES
 // predicts, auto-tier predicts (which verify on the pool), sweeps,
 // keyed scans and failing requests from many goroutines, alongside
-// predicts on the pipeline's own Predictor and pool, while an evictor
+// predicts on the pipeline's own Predictor and pool and on those a
+// read set got when it was read, while an evictor
 // goroutine keeps closing the shared pool's idle sessions underneath
 // them. Every successful result must be byte-identical to a
 // cold single-threaded baseline — the caches and the pool are
@@ -93,8 +94,20 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 		}, extra...)
 	}
 
-	predictJSON := func(opts []dperf.Option) (string, error) {
-		pred, err := ts.Predict(opts...)
+	// A set read back from its bytes predicts on the engine and
+	// Predictor it got when it was read, as the pipeline's set does on
+	// the pipeline's.
+	var artifact bytes.Buffer
+	if err := ts.WriteBinary(&artifact); err != nil {
+		t.Fatal(err)
+	}
+	readSet, err := dperf.ReadTraceSetData("shared", artifact.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	predictJSON := func(set *dperf.TraceSet, opts []dperf.Option) (string, error) {
+		pred, err := set.Predict(opts...)
 		if err != nil {
 			return "", err
 		}
@@ -126,19 +139,22 @@ func TestSharedServingStateConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				switch (g + r) % 6 {
 				case 0:
-					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithEngine(pool)))
+					got, err := predictJSON(ts, shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithEngine(pool)))
 					check("pooled/grid5000", got, err, wantCluster)
 				case 1:
-					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindLAN), dperf.WithEngine(pool)))
+					got, err := predictJSON(ts, shared(dperf.WithPlatform(dperf.KindLAN), dperf.WithEngine(pool)))
 					check("pooled/lan", got, err, wantLAN)
 				case 2:
 					// Neither WithPredictor nor WithEngine: the trace
 					// set predicts on its pipeline's own Predictor and
-					// session pool.
-					got, err := predictJSON([]dperf.Option{dperf.WithFastForward(true), dperf.WithPlatform(dperf.KindCluster)})
+					// session pool, the read set on its own.
+					own := []dperf.Option{dperf.WithFastForward(true), dperf.WithPlatform(dperf.KindCluster)}
+					got, err := predictJSON(ts, own)
 					check("pipeline-state", got, err, wantCluster)
+					got, err = predictJSON(readSet, own)
+					check("read-set-state", got, err, wantCluster)
 				case 3:
-					got, err := predictJSON(shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithPredictMode(dperf.PredictAuto), dperf.WithEngine(pool)))
+					got, err := predictJSON(ts, shared(dperf.WithPlatform(dperf.KindCluster), dperf.WithPredictMode(dperf.PredictAuto), dperf.WithEngine(pool)))
 					check("auto", got, err, wantAuto)
 				case 4:
 					res, err := dperf.Sweep(ts, sweepSpace, dperf.SweepOptions(shared(dperf.WithEngine(pool))...))

@@ -186,9 +186,9 @@ func unfoldAll(folded []*trace.Folded) ([]*trace.Trace, error) {
 // Every set replays its per-rank folded ops (Source), resolved when the
 // set is built: generation and binary v1 files produce them directly,
 // JSON and text files fold their records at load, and template sets (a
-// v2 file, a bare template, a scale-shared rank count) instantiate each
-// rank once. Flat and Template convert (and cache) on demand for
-// writing and inspection; they never change what replays.
+// v2 file or a bare template) instantiate each rank once. Flat and
+// Template convert (and cache) on demand for writing and inspection;
+// they never change what replays.
 // Instantiation is exact, so a template set predicts the bits of the
 // set it was factored from. A JSON or text set replays trace.Fold's
 // view of its records, whose loops need not be the ones the generator
@@ -418,6 +418,7 @@ func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
 		return nil, err
 	}
 	ts.folded = folded
+	ts.cfg = readConfig()
 	return &ts, nil
 }
 
@@ -445,6 +446,12 @@ func validateSetShape(ranks, traces int) error {
 	}
 	return nil
 }
+
+// readConfig is the config of a set a reader builds: the defaults,
+// with the engine and Predictor made once, when the set is read. Every
+// Predict on the set then shares them, as a Pipeline's sets share the
+// pipeline's, instead of realizing the platform again per call.
+func readConfig() config { return config{}.normalized() }
 
 // SaveJSON writes the trace set to a file in the JSON format.
 func (ts *TraceSet) SaveJSON(path string) error {
@@ -651,6 +658,7 @@ func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 		Level:        level,
 		ScatterBytes: scatter,
 		GatherBytes:  gather,
+		cfg:          readConfig(),
 	}
 	readBlob := func(what string) ([]byte, int64, error) {
 		blobLen, err := binary.ReadUvarint(br)
@@ -732,7 +740,7 @@ func LoadTraceSet(path string) (*TraceSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &TraceSet{Ranks: len(folded), folded: folded}, nil
+		return &TraceSet{Ranks: len(folded), folded: folded, cfg: readConfig()}, nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -792,13 +800,13 @@ func readBareTraceData(name string, data []byte) (*TraceSet, error) {
 		if err := trace.ValidateFolded(folded); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		return &TraceSet{Ranks: 1, folded: folded}, nil
+		return &TraceSet{Ranks: 1, folded: folded, cfg: readConfig()}, nil
 	}
 	tpl, err := trace.ReadTemplate(bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	ts := &TraceSet{Ranks: tpl.World}
+	ts := &TraceSet{Ranks: tpl.World, cfg: readConfig()}
 	if err := ts.setTemplate(tpl); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -829,12 +837,8 @@ type TraceStats struct {
 	Classes     int     `json:"classes"`
 	TemplateOps int     `json:"template_ops"`
 	DedupRatio  float64 `json:"dedup_ratio"`
-	// ScaleUnits echoes the template's problem scale S (0 when no
-	// class carries an affine binding arm), and ClassFits summarizes
-	// each binding class's parameter columns — for affine arms, the
-	// a/b column magnitudes and the fit residual.
-	ScaleUnits int64      `json:"scale_units,omitempty"`
-	ClassFits  []ClassFit `json:"class_fits,omitempty"`
+	// ClassFits summarizes each binding class's parameter column.
+	ClassFits []ClassFit `json:"class_fits,omitempty"`
 	// AnalyticEligible reports whether the set qualifies for the
 	// analytic prediction tier (see PredictMode); AnalyticReason holds
 	// the rejection reason when it does not.
@@ -852,22 +856,14 @@ type TraceStats struct {
 }
 
 // ClassFit is one binding class's -trace-stats row: the rank selector,
-// the parameter-column width, and — when the class carries an affine
-// arm a + b*h — the mean |a| and |b| with the fit's worst relative
-// deviation.
+// the ranks it binds, its role and the width and mean magnitude of its
+// parameter column.
 type ClassFit struct {
-	Sel    string `json:"sel"`
-	Ranks  int    `json:"ranks"`
-	Role   int    `json:"role"`
-	Params int    `json:"params"`
-	Affine bool   `json:"affine"`
-	// MeanParam / MeanSlope are the mean magnitudes of the a and b
-	// columns (MeanSlope is 0 for plain classes).
+	Sel       string  `json:"sel"`
+	Ranks     int     `json:"ranks"`
+	Role      int     `json:"role"`
+	Params    int     `json:"params"`
 	MeanParam float64 `json:"mean_param,omitempty"`
-	MeanSlope float64 `json:"mean_slope,omitempty"`
-	// Residual is the affine fit's largest relative deviation across
-	// the probe samples (0 for plain or exactly-fitted classes).
-	Residual float64 `json:"residual,omitempty"`
 }
 
 // levelFromOrdinal decodes a serialized optimization level, rejecting
@@ -916,7 +912,6 @@ func (ts *TraceSet) Stats() (*TraceStats, error) {
 	st.Roles = len(tpl.Roles)
 	st.Classes = len(tpl.Classes)
 	st.TemplateOps = tpl.NumOps()
-	st.ScaleUnits = tpl.ScaleUnits
 	st.ClassFits = classFits(tpl)
 	if err := analytic.Eligible(ts.Source()); err != nil {
 		st.AnalyticReason = err.Error()
@@ -1030,11 +1025,9 @@ func classFits(tpl *trace.Template) []ClassFit {
 	for i := range tpl.Classes {
 		c := &tpl.Classes[i]
 		cf := ClassFit{
-			Sel:      c.Sel.String(),
-			Role:     c.Role,
-			Params:   len(c.Params),
-			Affine:   c.Slopes != nil,
-			Residual: c.Residual,
+			Sel:    c.Sel.String(),
+			Role:   c.Role,
+			Params: len(c.Params),
 		}
 		switch c.Sel {
 		case trace.SelFirst:
@@ -1051,17 +1044,11 @@ func classFits(tpl *trace.Template) []ClassFit {
 			cf.Ranks = len(c.Ranks)
 		}
 		if n := len(c.Params); n > 0 {
-			var sumA, sumB float64
-			for j, p := range c.Params {
-				sumA += math.Abs(p)
-				if cf.Affine {
-					sumB += math.Abs(c.Slopes[j])
-				}
+			var sum float64
+			for _, p := range c.Params {
+				sum += math.Abs(p)
 			}
-			cf.MeanParam = sumA / float64(n)
-			if cf.Affine {
-				cf.MeanSlope = sumB / float64(n)
-			}
+			cf.MeanParam = sum / float64(n)
 		}
 		fits[i] = cf
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/dperf"
@@ -84,11 +85,18 @@ func TestFig10PredictionAccuracy(t *testing.T) {
 	}
 }
 
+// fig11 computes Fig. 11 once per test binary, at the peer counts
+// TestFig11PlatformOrdering (2, 4, 8) and TestTableIRelationsHold (all
+// four) read.
+var fig11 = sync.OnceValues(func() ([]*Series, error) {
+	return Fig11(io.Discard, []int{2, 4, 8, 32})
+})
+
 func TestFig11PlatformOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig. 11 sweep in -short mode")
 	}
-	series, err := Fig11(io.Discard, []int{2, 4, 8})
+	series, err := fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +153,7 @@ func TestTableIRelationsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Table I sweep in -short mode")
 	}
-	series, err := Fig11(io.Discard, []int{2, 4, 8, 32})
+	series, err := fig11()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,7 +334,7 @@ func vecEqual(a, b []float64) bool {
 // classesFor maps a rank set onto selector classes: the whole world
 // splits into first/interior/last, the canonical boundary and
 // interior sets get their structural selector, and anything else
-// stays an explicit list (blocking AtWorld, by design).
+// stays an explicit list.
 func classesFor(ranks []int, world, role int, params []float64) []Class {
 	isRun := func(lo, hi int) bool {
 		if len(ranks) != hi-lo+1 {

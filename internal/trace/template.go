@@ -18,16 +18,11 @@
 // without ever changing what replay sees.
 package trace
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Affine is an integer-affine expression C0 + CR*rank + CW*world.
 // Peer ids, repetition counts and guards of a template are affine, so
-// one body can serve every rank — and, when nothing depends on the
-// world size except through CW and the binding selectors, every world
-// size (AtWorld).
+// one body can serve every rank.
 type Affine struct {
 	C0 int64 `json:"c0"`
 	CR int64 `json:"cr,omitempty"`
@@ -161,10 +156,9 @@ func (op *TOp) guarded(rank, world int) (bool, error) {
 	return true, nil
 }
 
-// RankSel selects the ranks a binding class covers. The structural
-// selectors make a class a function of the world size alone, which is
-// what AtWorld re-binding needs; SelList pins explicit ranks and
-// blocks it.
+// RankSel selects the ranks a binding class covers: one of the
+// structural positions (first rank, last rank, the interior run) or an
+// explicit rank list.
 type RankSel uint8
 
 // Rank selectors.
@@ -191,32 +185,11 @@ func (s RankSel) String() string {
 
 // Class binds a set of ranks to a role body and the parameter vector
 // its FloatRef parameters resolve against.
-//
-// A class may additionally carry an affine binding arm: when Slopes is
-// non-nil the effective parameter vector of rank r is
-//
-//	Params[i] + Slopes[i]*h(r)
-//
-// where h(r) = S/w + (1 if r < S mod w) is the rank's share of the
-// template's ScaleUnits S strip-decomposed over the world size w. That
-// makes strong-scaling workloads — whose per-rank compute shrinks as
-// the world grows — expressible by one world-parameterized template:
-// AtWorld re-binding changes h(r) and the parameters follow. Affine
-// bindings are fitted from two probe interpretations (see FitAffine),
-// so unlike the plain parameter columns they are approximate; Residual
-// records the largest relative deviation the fit observed.
 type Class struct {
 	Sel    RankSel   `json:"sel"`
 	Ranks  []int     `json:"ranks,omitempty"` // SelList only, strictly increasing
 	Role   int       `json:"role"`
 	Params []float64 `json:"params,omitempty"`
-	// Slopes, when non-nil, holds one per-scale-unit slope per
-	// parameter (len(Slopes) == len(Params)); the template must then
-	// declare ScaleUnits.
-	Slopes []float64 `json:"slopes,omitempty"`
-	// Residual is the fit's largest relative deviation across the probe
-	// samples of this class (0 for an exact fit).
-	Residual float64 `json:"residual,omitempty"`
 }
 
 // covers reports whether the class binds the rank at the world size.
@@ -245,46 +218,6 @@ type Template struct {
 	World   int     `json:"world"`
 	Roles   [][]TOp `json:"roles"`
 	Classes []Class `json:"classes"`
-	// ScaleUnits is the workload's total problem scale S (e.g. grid
-	// rows) strip-decomposed over the ranks; rank r's share is
-	// h(r) = S/world + (1 if r < S mod world). It must be positive
-	// exactly when some class carries affine slopes, and is preserved
-	// by AtWorld so re-bound worlds recompute their shares.
-	ScaleUnits int64 `json:"scale_units,omitempty"`
-}
-
-// ScaleShare returns h(r), rank r's share of the template's ScaleUnits
-// under strip decomposition (0 when the template has no scale).
-func (t *Template) ScaleShare(rank int) int64 {
-	return ScaleShare(t.ScaleUnits, rank, t.World)
-}
-
-// ScaleShare is the strip-decomposition share rule: units/world, plus
-// one for the first units mod world ranks.
-func ScaleShare(units int64, rank, world int) int64 {
-	if units <= 0 || world < 1 {
-		return 0
-	}
-	h := units / int64(world)
-	if int64(rank) < units%int64(world) {
-		h++
-	}
-	return h
-}
-
-// effectiveParams resolves the class's parameter vector for one rank:
-// the plain column when the class has no slopes, Params[i] +
-// Slopes[i]*h(rank) otherwise.
-func (t *Template) effectiveParams(cls *Class, rank int) []float64 {
-	if cls.Slopes == nil {
-		return cls.Params
-	}
-	h := float64(t.ScaleShare(rank))
-	eff := make([]float64, len(cls.Params))
-	for i, p := range cls.Params {
-		eff[i] = p + cls.Slopes[i]*h
-	}
-	return eff
 }
 
 // ClassOf resolves the binding class of a rank, requiring exactly one
@@ -352,7 +285,6 @@ func (t *Template) Validate() error {
 			return fmt.Errorf("trace: role %d expands to more than %d ops through role references", i, maxTemplateExpandedOps)
 		}
 	}
-	hasSlopes := false
 	for ci := range t.Classes {
 		c := &t.Classes[ci]
 		if c.Role < 0 || c.Role >= len(t.Roles) {
@@ -378,26 +310,6 @@ func (t *Template) Validate() error {
 		if n := maxParam[c.Role]; n >= len(c.Params) {
 			return fmt.Errorf("trace: class %d role %d needs %d params, has %d", ci, c.Role, n+1, len(c.Params))
 		}
-		if c.Slopes != nil {
-			hasSlopes = true
-			if len(c.Slopes) != len(c.Params) {
-				return fmt.Errorf("trace: class %d has %d slopes for %d params", ci, len(c.Slopes), len(c.Params))
-			}
-			for _, s := range c.Slopes {
-				if math.IsNaN(s) || math.IsInf(s, 0) {
-					return fmt.Errorf("trace: class %d slope %v out of range", ci, s)
-				}
-			}
-		}
-		if math.IsNaN(c.Residual) || c.Residual < 0 || math.IsInf(c.Residual, 1) {
-			return fmt.Errorf("trace: class %d residual %v out of range", ci, c.Residual)
-		}
-	}
-	if t.ScaleUnits < 0 || t.ScaleUnits > maxAffineCoeff {
-		return fmt.Errorf("trace: template scale units %d out of range", t.ScaleUnits)
-	}
-	if hasSlopes && t.ScaleUnits == 0 {
-		return fmt.Errorf("trace: template classes carry slopes but no scale units are declared")
 	}
 	return t.checkCoverage()
 }
@@ -488,8 +400,7 @@ func (t *Template) checkCoverage() error {
 	}
 	// Interior ranks not covered by any list must see exactly one
 	// interior class — unless every interior rank is listed (or there
-	// are none); a dormant interior class is then fine, which is what
-	// lets AtWorld shrink a template to two ranks.
+	// are none); a dormant interior class is then fine.
 	if t.World-2 > nListedInterior && nInterior != 1 {
 		return fmt.Errorf("trace: interior ranks bound by %d template classes", nInterior)
 	}
@@ -645,7 +556,7 @@ func (t *Template) InstantiateRank(rank int) ([]Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.instantiate(nil, t.Roles[cls.Role], t.effectiveParams(cls, rank), rank)
+	return t.instantiate(nil, t.Roles[cls.Role], cls.Params, rank)
 }
 
 func (t *Template) instantiate(dst []Op, ops []TOp, params []float64, rank int) ([]Op, error) {
@@ -736,47 +647,4 @@ func (t *Template) Instantiate() ([]*Folded, error) {
 		fs[r] = &Folded{Rank: r, Of: t.World, Ops: ops}
 	}
 	return fs, nil
-}
-
-// WorldParameterized reports whether the bindings are functions of
-// (rank, world) alone — no explicit rank list — which is what AtWorld
-// re-binding requires.
-func (t *Template) WorldParameterized() error {
-	for ci := range t.Classes {
-		if t.Classes[ci].Sel == SelList {
-			return fmt.Errorf("trace: template class %d binds explicit ranks; bindings are not world-parameterized", ci)
-		}
-	}
-	return nil
-}
-
-// AtWorld re-binds the template at another world size, sharing the
-// role bodies: the first/last/interior selectors re-resolve against
-// the new rank count and every affine re-evaluates with the new world
-// term. It requires world-parameterized bindings (WorldParameterized)
-// and at least two ranks.
-//
-// Exactness caveat: a template factored from one world size carries
-// exactly that world's information. Re-binding reproduces the other
-// world's traces bit for bit only when the per-role bodies do not
-// themselves depend on the world size — weak-scaling workloads whose
-// per-rank work and message sizes are fixed. A constant that merely
-// coincides with a world-derived value (a peer id equal to world-1)
-// is indistinguishable from it at factoring time; the differential
-// tests in dperf are the guardrail for a given workload family.
-func (t *Template) AtWorld(world int) (*Template, error) {
-	if world == t.World {
-		return t, nil
-	}
-	if world < 2 {
-		return nil, fmt.Errorf("trace: cannot re-bind template at world size %d", world)
-	}
-	if err := t.WorldParameterized(); err != nil {
-		return nil, err
-	}
-	nt := &Template{World: world, Roles: t.Roles, Classes: t.Classes, ScaleUnits: t.ScaleUnits}
-	if err := nt.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: re-binding at world %d: %w", world, err)
-	}
-	return nt, nil
 }

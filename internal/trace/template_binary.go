@@ -21,16 +21,9 @@
 //	         | conv/barrier: ε
 //	         | repeat: uvarint(len(body)) top^len(body)
 //	         | ref: uvarint(role+1), strictly lower-numbered role
-//	class   := uvarint(sel [| 8]) [sel=list: uvarint(n) uvarint(rank)^n,
-//	           strictly increasing] uvarint(role)
+//	class   := uvarint(sel in 0..3) [sel=list: uvarint(n)
+//	           uvarint(rank)^n, strictly increasing] uvarint(role)
 //	           uvarint(nparams) fd^nparams
-//	           [sel bit 3 set: f2(slope)^nparams f2(residual)]
-//	trailer := uvarint(scale_units) — present only when some class
-//	           carries slopes (affine compute bindings; see
-//	           Class.Slopes). Files without the arm are byte-identical
-//	           to the original v2 encoding, and readers predating it
-//	           reject the sel|8 flag cleanly as an out-of-range
-//	           selector.
 //	affine  := varint(C0) varint(CR) varint(CW)  (zigzag, signed)
 //	f2      := uvarint u: u even -> u/2
 //	         | u=1 -> 8 IEEE-754 bytes, little endian
@@ -321,15 +314,9 @@ func (t *Template) WriteTemplate(w io.Writer) error {
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(t.Classes)))
-	hasSlopes := false
 	for ci := range t.Classes {
 		c := &t.Classes[ci]
-		sel := uint64(c.Sel)
-		if c.Slopes != nil {
-			sel |= clsFlagSlopes
-			hasSlopes = true
-		}
-		b = binary.AppendUvarint(b, sel)
+		b = binary.AppendUvarint(b, uint64(c.Sel))
 		if c.Sel == SelList {
 			b = binary.AppendUvarint(b, uint64(len(c.Ranks)))
 			for _, r := range c.Ranks {
@@ -342,15 +329,6 @@ func (t *Template) WriteTemplate(w io.Writer) error {
 		for _, p := range c.Params {
 			b = pc.append(b, p)
 		}
-		if c.Slopes != nil {
-			for _, s := range c.Slopes {
-				b = appendFloat2(b, s)
-			}
-			b = appendFloat2(b, c.Residual)
-		}
-	}
-	if hasSlopes {
-		b = binary.AppendUvarint(b, uint64(t.ScaleUnits))
 	}
 	if _, err := bw.Write(b); err != nil {
 		return err
@@ -360,11 +338,6 @@ func (t *Template) WriteTemplate(w io.Writer) error {
 
 // maxTemplateParams bounds one class's parameter vector.
 const maxTemplateParams = 1 << 16
-
-// clsFlagSlopes marks a class selector that is followed by an affine
-// binding arm (per-parameter slopes + residual). Readers predating the
-// arm bound the selector at SelInterior and reject the flag cleanly.
-const clsFlagSlopes = 1 << 3
 
 func readTOp(br *bufio.Reader, role, depth int) (TOp, error) {
 	if depth > maxBinaryDepth {
@@ -556,17 +529,11 @@ func readTemplateBody(br *bufio.Reader) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	anySlopes := false
 	for ci := int64(0); ci < nclasses; ci++ {
 		var c Class
-		sel, err := readBoundedUvarint(br, int64(SelInterior)|clsFlagSlopes, "class selector")
+		sel, err := readBoundedUvarint(br, int64(SelInterior), "class selector")
 		if err != nil {
 			return nil, err
-		}
-		hasSlopes := sel&clsFlagSlopes != 0
-		sel &^= clsFlagSlopes
-		if sel > int64(SelInterior) {
-			return nil, fmt.Errorf("trace: class selector %d out of range", sel)
 		}
 		c.Sel = RankSel(sel)
 		if c.Sel == SelList {
@@ -612,28 +579,7 @@ func readTemplateBody(br *bufio.Reader) (*Template, error) {
 			}
 			c.Params = append(c.Params, v)
 		}
-		if hasSlopes {
-			anySlopes = true
-			c.Slopes = make([]float64, 0, nparams)
-			for i := int64(0); i < nparams; i++ {
-				v, err := readFloat2(br, "class slope")
-				if err != nil {
-					return nil, fmt.Errorf("trace: truncated template bindings: %w", err)
-				}
-				c.Slopes = append(c.Slopes, v)
-			}
-			if c.Residual, err = readFloat2(br, "class residual"); err != nil {
-				return nil, fmt.Errorf("trace: truncated template bindings: %w", err)
-			}
-		}
 		t.Classes = append(t.Classes, c)
-	}
-	if anySlopes {
-		units, err := readBoundedUvarint(br, maxAffineCoeff, "scale units")
-		if err != nil {
-			return nil, err
-		}
-		t.ScaleUnits = units
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("trace: trailing data after template")

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -16,9 +17,7 @@ func newTestReader(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewRea
 // makeStripTrace builds one rank's flat trace of a synthetic strip
 // decomposition: a warm-up compute, then rounds of
 // [compute, ghost exchange with line neighbours, conv]. Per-role
-// compute durations come from ns (first, interior, last); world
-// invariance (for AtWorld tests) holds because nothing depends on n
-// except the guards and peers.
+// compute durations come from ns (first, interior, last).
 func makeStripTrace(rank, n, rounds int, ns [3]float64, bytes float64) *Trace {
 	role := 1
 	if rank == 0 {
@@ -195,57 +194,6 @@ func TestTemplateFactorRoundTripRandom(t *testing.T) {
 			t.Fatalf("trial %d: ReadTemplate: %v", trial, err)
 		}
 		instantiateEqual(t, back, fs)
-	}
-}
-
-// TestTemplateAtWorld asserts scale re-binding: a template factored
-// from the 8-rank world of a world-invariant strip workload must
-// reproduce the directly generated sets at other world sizes bit for
-// bit — the ROADMAP's "derive the 2-rank set from the 8-rank one".
-func TestTemplateAtWorld(t *testing.T) {
-	base := makeStripSet(8, 20, stripNS, 9600)
-	tpl, err := Factor(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []int{2, 3, 4, 5, 8, 16} {
-		re, err := tpl.AtWorld(m)
-		if err != nil {
-			t.Fatalf("AtWorld(%d): %v", m, err)
-		}
-		instantiateEqual(t, re, makeStripSet(m, 20, stripNS, 9600))
-		fs, err := re.Instantiate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ValidateFolded(fs); err != nil {
-			t.Fatalf("AtWorld(%d) set invalid: %v", m, err)
-		}
-	}
-	if _, err := tpl.AtWorld(1); err == nil {
-		t.Fatal("AtWorld(1) should fail")
-	}
-}
-
-// TestTemplateAtWorldRequiresSelectors asserts that templates with
-// explicit rank lists (bindings not expressible as functions of rank
-// and world) refuse re-binding.
-func TestTemplateAtWorldRequiresSelectors(t *testing.T) {
-	// Per-rank compute values force list-bound interior classes.
-	n := 8
-	fs := make([]*Folded, n)
-	for r := 0; r < n; r++ {
-		perRank := stripNS
-		perRank[1] += float64(r * r) // not affine-free: distinct per rank
-		fs[r] = Fold(makeStripTrace(r, n, 20, perRank, 9600))
-	}
-	tpl, err := Factor(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	instantiateEqual(t, tpl, fs)
-	if _, err := tpl.AtWorld(4); err == nil {
-		t.Fatal("AtWorld on list-bound template should fail")
 	}
 }
 
@@ -464,6 +412,19 @@ func TestTemplateHostileInputs(t *testing.T) {
 		if _, err := ReadTemplate(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: hostile input accepted", name)
 		}
+	}
+	// Selector bit 3 once introduced per-class slopes and a scale-units
+	// trailer. No writer emits it, so a stream carrying that arm is
+	// rejected at its selector, however well formed the rest is.
+	affineArm := newTB(2, 1).u(1).u(1).u(8).u(1).u(1) // role 0: compute, NS = param 0
+	affineArm.u(2)
+	for _, sel := range []RankSel{SelFirst, SelLast} {
+		// selector|bit 3, role 0, params {100}, slopes {1}, residual 0
+		affineArm.u(uint64(sel) | 8).u(0).u(1).u(200).u(2).u(0)
+	}
+	affineArm.u(16) // scale units
+	if _, err := ReadTemplate(bytes.NewReader(affineArm.bytes())); err == nil || !strings.Contains(err.Error(), "class selector") {
+		t.Errorf("selector bit 3: got error %v, want one naming the class selector", err)
 	}
 	// The valid stream itself decodes.
 	if _, err := ReadTemplate(bytes.NewReader(valid)); err != nil {
