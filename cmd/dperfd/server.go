@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +34,12 @@ const (
 
 // maxUploadBytes bounds one trace-set upload.
 const maxUploadBytes = 256 << 20
+
+// maxSweepConfigs bounds one sweep's expansion (platforms × ranks ×
+// schemes). Every configuration costs a resolution and a row, and a
+// successful reply stays in the result cache for the server's
+// lifetime, so a request may not ask for more.
+const maxSweepConfigs = 1024
 
 // server is the dperfd state shared by every request: the
 // content-addressed trace-set store, the analytic predictor (platform
@@ -327,10 +334,10 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepRequest mirrors the CLI's sweep flags. Workers is execution
-// strategy only — sweep output is byte-identical at any worker count —
-// so it is excluded from the cache key, as is ReplayWorkers, which is
-// kept only to refuse the removed parallel engine (see
-// checkReplayWorkers).
+// strategy only — sweep output is byte-identical at any worker count,
+// and the server runs at most GOMAXPROCS of them — so it is excluded
+// from the cache key, as is ReplayWorkers, which is kept only to
+// refuse the removed parallel engine (see checkReplayWorkers).
 type sweepRequest struct {
 	Digest        string   `json:"digest"`
 	Platforms     []string `json:"platforms,omitempty"`
@@ -355,6 +362,11 @@ func (sr *sweepRequest) normalize() (dperf.PredictMode, error) {
 	}
 	if err := checkReplayWorkers(sr.ReplayWorkers); err != nil {
 		return 0, err
+	}
+	// Checked before any entry is parsed or resolved.
+	if n := len(sr.Platforms) * max(len(sr.Ranks), 1) * len(sr.Schemes); n > maxSweepConfigs {
+		return 0, fmt.Errorf("sweep expands to %d configurations (%d platforms × %d ranks × %d schemes), max %d",
+			n, len(sr.Platforms), max(len(sr.Ranks), 1), len(sr.Schemes), maxSweepConfigs)
 	}
 	return dperf.ParsePredictMode(sr.PredictMode)
 }
@@ -412,7 +424,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			dperf.SweepOptions(s.replayOptions(mode, req.NoFastForward)...),
 		}
 		if req.Workers > 0 {
-			opts = append(opts, dperf.SweepWorkers(req.Workers))
+			opts = append(opts, dperf.SweepWorkers(min(req.Workers, runtime.GOMAXPROCS(0))))
 		}
 		res, err := dperf.Sweep(e.Set, space, opts...)
 		if err != nil {

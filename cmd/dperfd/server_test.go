@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -275,6 +276,61 @@ func TestSweepDifferential(t *testing.T) {
 		}
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("round %d: sweep response diverged from library output:\n got: %s\nwant: %s", round, got, want.Bytes())
+		}
+	}
+}
+
+// TestSweepBounds: a sweep whose expansion passes maxSweepConfigs is
+// refused with 400 naming the count, before the store is consulted or
+// anything is resolved. However many workers a request asks for, the
+// reply keeps its bytes and the server runs at most GOMAXPROCS of
+// them: the sweep gives each platform more configurations than that,
+// and the pool, which keeps every session it realizes, ends with at
+// most GOMAXPROCS sessions per platform.
+func TestSweepBounds(t *testing.T) {
+	s, hs := newTestServer(t)
+	ranks := make([]int, 2000)
+	for i := range ranks {
+		ranks[i] = 2
+	}
+	// The digest names no stored set: the bound answers before the
+	// lookup would.
+	code, body := postJSON(t, hs.URL+"/v1/sweep", sweepRequest{Digest: strings.Repeat("0", 64), Ranks: ranks})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "6000 configurations") {
+		t.Fatalf("oversized sweep: status %d body %s", code, body)
+	}
+	if keys := s.sortedKeys(); len(keys) != 0 {
+		t.Fatalf("a refused sweep left result-cache entries: %v", keys)
+	}
+
+	procs := runtime.GOMAXPROCS(0)
+	platforms := []string{"grid5000", "xdsl", "lan"}
+	schemes := []string{"sync", "async"}
+	// Repeats of the fixture's own rank count, so every configuration
+	// replays.
+	ranks = make([]int, min(procs+1, maxSweepConfigs/(len(platforms)*len(schemes))))
+	for i := range ranks {
+		ranks[i] = 2
+	}
+	var want []byte
+	for _, workers := range []int{1, 1 << 20} {
+		// A fresh server per request, so neither reply comes from the
+		// result cache.
+		s, hs := newTestServer(t)
+		req := sweepRequest{Digest: upload(t, hs), Platforms: platforms, Ranks: ranks,
+			Schemes: schemes, Workers: workers}
+		code, got := postJSON(t, hs.URL+"/v1/sweep", req)
+		if code != http.StatusOK {
+			t.Fatalf("workers %d: status %d: %s", workers, code, got)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("workers %d changed the reply:\n got: %s\nwant: %s", workers, got, want)
+		}
+		if idle, most := s.pool.Idle(), procs*len(platforms); idle > most {
+			t.Fatalf("workers %d: the pool realized %d sessions, want at most %d (GOMAXPROCS %d × %d platforms)",
+				workers, idle, most, procs, len(platforms))
 		}
 	}
 }

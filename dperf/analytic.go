@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analytic"
 	"repro/internal/platform"
@@ -23,10 +24,12 @@ const (
 	PredictDES PredictMode = iota
 	// PredictAuto serves eligible, steady-state-certified
 	// configurations from the analytic tier and falls back to the
-	// configured engine for everything else. Before a certificate
-	// serves, that engine — the one that would otherwise answer —
-	// replays the configuration once with fast-forward forced on, and
-	// the two must agree bit for bit. The check runs once per
+	// configured engine for everything else. The engine that would
+	// otherwise answer first replays the configuration once with
+	// fast-forward forced on. Only when that replay jumped is the
+	// configuration certified, and the certificate serves only if the
+	// two agree bit for bit. A replay that never jumped is already the
+	// answer when fast-forward is on. The check runs once per
 	// certificate and engine name.
 	PredictAuto
 	// PredictAnalytic forces the analytic tier; ineligible
@@ -85,16 +88,18 @@ func WithPredictor(p *Predictor) Option {
 	return func(c *config) { c.predictor = p }
 }
 
-// errNotSteadyState marks an evaluation that completed without proving
-// a periodic steady state — auto mode falls back to DES for those.
-var errNotSteadyState = errors.New("dperf: analytic evaluation found no steady state")
+// errNotSteadyState marks a configuration whose fast-forward replay
+// never jumped: no certificate can match it, so auto mode lets the
+// engine answer.
+var errNotSteadyState = errors.New("dperf: fast-forward replay found no steady state")
 
 // Predictor is the analytic tier's serving cache: platform models and
 // configuration certificates, safe for concurrent use. Certifying a
-// configuration runs the closed-form evaluation once, plus, in auto
-// mode, one verification replay on the engine that would otherwise
-// answer; every subsequent prediction for it is answered from the
-// stored certificate. The Predictor holds no replay sessions: a
+// configuration runs the closed-form evaluation once. In auto mode one
+// verification replay on the engine that would otherwise answer comes
+// first, and the evaluation runs only if that replay jumped. Every
+// subsequent prediction for the configuration is answered from the
+// stored outcome. The Predictor holds no replay sessions: a
 // SessionPool engine verifies on its own warm sessions.
 type Predictor struct {
 	mu     sync.Mutex
@@ -104,6 +109,9 @@ type Predictor struct {
 	// tapes caches keyed scan families' compiled guard regions (see
 	// Scan); unkeyed scans use private sets and never touch it.
 	tapes map[string]*tapeSet
+	// certifications counts closed-form evaluations, a deterministic
+	// work counter.
+	certifications atomic.Int64
 }
 
 // certEntry is one certified configuration. Its own lock serializes
@@ -118,8 +126,10 @@ type certEntry struct {
 	cert      *analytic.Certificate
 	err       error
 	certified bool
-	// verified holds auto mode's verification outcome per engine name:
-	// each engine that answers the configuration checks it once.
+	// verified holds auto mode's verdict per engine name: nil when the
+	// certificate matched the engine's replay and serves, otherwise why
+	// the engine answers instead. Each engine that answers the
+	// configuration checks it once.
 	verified map[string]error
 }
 
@@ -202,7 +212,6 @@ func analyticSpec(spec *EngineSpec) analytic.Spec {
 		Platform:     spec.Platform,
 		Hosts:        spec.Hosts,
 		Submitter:    spec.Submitter,
-		Scheme:       spec.Scheme,
 		ScatterBytes: spec.ScatterBytes,
 		GatherBytes:  spec.GatherBytes,
 		Source:       spec.Source,
@@ -231,8 +240,8 @@ func analyticKey(spec *EngineSpec) string {
 	if src == "" {
 		return ""
 	}
-	return fmt.Sprintf("%p|%d|%016x|%016x|%s|%s",
-		spec.Platform, spec.Scheme,
+	return fmt.Sprintf("%p|%016x|%016x|%s|%s",
+		spec.Platform,
 		math.Float64bits(spec.ScatterBytes), math.Float64bits(spec.GatherBytes),
 		strings.Join(spec.Hosts, ","), src)
 }
@@ -249,87 +258,123 @@ func analyticResult(res analytic.Result) *EngineResult {
 	}
 }
 
-// tryAnalytic serves or certifies the spec. With a verifier (auto
-// mode: the engine that would otherwise answer) the certificate must
-// prove a steady state and match one verification replay on that
-// engine bit for bit before it serves anything; any error means "let
-// the engine answer". Analytic mode passes no verifier.
-func (p *Predictor) tryAnalytic(spec *EngineSpec, verifier Engine) (*EngineResult, error) {
+// entryFor returns the spec's certificate entry once the spec is
+// eligible for the analytic tier.
+func (p *Predictor) entryFor(spec *EngineSpec) (*certEntry, error) {
 	if err := analytic.Eligible(spec.Source); err != nil {
 		return nil, err
 	}
-	m, err := p.model(spec.Platform)
-	if err != nil {
-		return nil, err
-	}
-	var e *certEntry
 	if key := analyticKey(spec); key != "" {
-		e = p.entry(key, spec.Source)
-	} else {
-		e = &certEntry{} // an unkeyable source certifies privately
+		return p.entry(key, spec.Source), nil
 	}
-	cert, err := e.certify(m, spec)
-	if err != nil {
-		return nil, err
-	}
-	if verifier != nil {
-		if !cert.SteadyState {
-			return nil, errNotSteadyState
-		}
-		if err := e.verify(cert, spec, verifier); err != nil {
-			return nil, err
-		}
-	}
-	return analyticResult(cert.Res), nil
+	return &certEntry{}, nil // an unkeyable source certifies privately
 }
 
 // certify returns the entry's certificate, evaluating it on first use.
-func (e *certEntry) certify(m *analytic.Model, spec *EngineSpec) (*analytic.Certificate, error) {
+func (p *Predictor) certify(e *certEntry, spec *EngineSpec) (*analytic.Certificate, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.certified {
-		e.cert, e.err = m.Certify(analyticSpec(spec))
 		e.certified = true
+		m, err := p.model(spec.Platform)
+		if err != nil {
+			e.err = err
+		} else {
+			p.certifications.Add(1)
+			e.cert, e.err = m.Certify(analyticSpec(spec))
+		}
 	}
 	return e.cert, e.err
 }
 
-// verify returns the engine's verification outcome for the entry's
-// certificate, replaying on first use. The replay runs outside the
-// entry's lock because the engine may be caller code, so concurrent
-// first uses may each replay; a deterministic engine gives each the
-// same outcome.
-func (e *certEntry) verify(cert *analytic.Certificate, spec *EngineSpec, engine Engine) error {
-	name := engine.Name()
-	e.mu.Lock()
-	verr, ok := e.verified[name]
-	e.mu.Unlock()
-	if !ok {
-		verr = verifyCertificate(cert, spec, engine)
-		e.mu.Lock()
-		if e.verified == nil {
-			e.verified = make(map[string]error)
-		}
-		e.verified[name] = verr
-		e.mu.Unlock()
+// predictAnalytic is analytic mode's tier policy: it serves the spec's
+// certificate, certifying it on first use, steady state or not.
+func (p *Predictor) predictAnalytic(spec *EngineSpec) (*EngineResult, error) {
+	e, err := p.entryFor(spec)
+	if err != nil {
+		return nil, err
 	}
-	return verr
+	cert, err := p.certify(e, spec)
+	if err != nil {
+		return nil, err
+	}
+	return analyticResult(cert.Res), nil
 }
 
-// verifyCertificate replays the spec once on the engine, with
-// fast-forward forced on, and requires the certificate to match it bit
-// for bit: every phase time, both round counts and the jump count.
-// This is the auto tier's guardrail before a certificate serves
-// predictions without further simulation. The engine is the one that
-// would otherwise answer, so a SessionPool verifies on a warm session
-// and a custom engine is its own oracle.
-func verifyCertificate(cert *analytic.Certificate, spec *EngineSpec, engine Engine) error {
+// predictAuto is auto mode's tier policy. It returns the result and
+// the tier that produced it. An eligible spec is first replayed once
+// on the engine with fast-forward forced on. A certificate serves only
+// when its Jumps is above zero and equal to that replay's, so the
+// configuration is certified only after the replay jumped; a replay
+// that never jumped is already the engine's answer when fast-forward
+// is on. The verdict is kept per engine name, so later predictions of
+// the configuration either serve the certificate or replay once. Any
+// failure (ineligibility, no jump, a certification error, a mismatch)
+// lets the engine answer.
+func (p *Predictor) predictAuto(spec *EngineSpec, engine Engine) (*EngineResult, string, error) {
+	e, err := p.entryFor(spec)
+	if err != nil {
+		return replayTier(engine, spec)
+	}
+	name := engine.Name()
+	e.mu.Lock()
+	verr, verified := e.verified[name]
+	cert := e.cert
+	e.mu.Unlock()
+	if verified {
+		if verr != nil {
+			return replayTier(engine, spec)
+		}
+		return analyticResult(cert.Res), TierAnalytic, nil
+	}
+	// The replay runs outside the entry's lock because the engine may
+	// be caller code, so concurrent first uses may each replay; a
+	// deterministic engine gives each the same verdict.
 	vs := *spec
 	vs.FastForward = true
-	res, err := engine.Replay(vs)
-	if err != nil {
-		return fmt.Errorf("dperf: analytic verification replay failed: %w", err)
+	res, rerr := engine.Replay(vs)
+	switch {
+	case rerr != nil:
+		verr = fmt.Errorf("dperf: analytic verification replay failed: %w", rerr)
+	case res.Jumps == 0:
+		verr = errNotSteadyState
+	default:
+		if cert, verr = p.certify(e, spec); verr == nil {
+			verr = matchReplay(cert, res)
+		}
 	}
+	e.mu.Lock()
+	if e.verified == nil {
+		e.verified = make(map[string]error)
+	}
+	e.verified[name] = verr
+	e.mu.Unlock()
+	switch {
+	case verr == nil:
+		return analyticResult(cert.Res), TierAnalytic, nil
+	case !spec.FastForward:
+		return replayTier(engine, spec)
+	case rerr != nil:
+		return nil, "", rerr
+	}
+	// The verification replay was this configuration's own replay.
+	return res, TierDES, nil
+}
+
+// replayTier lets the engine answer the spec.
+func replayTier(engine Engine, spec *EngineSpec) (*EngineResult, string, error) {
+	res, err := engine.Replay(*spec)
+	return res, TierDES, err
+}
+
+// matchReplay requires the certificate to match a fast-forward replay
+// of its spec bit for bit: every phase time, both round counts and
+// the jump count. This is the auto tier's guardrail before a
+// certificate serves predictions without further simulation. The
+// replay ran on the engine that would otherwise answer, so a
+// SessionPool verifies on a warm session and a custom engine is its
+// own oracle.
+func matchReplay(cert *analytic.Certificate, res *EngineResult) error {
 	c := cert.Res
 	if res.PredictedSeconds != c.PredictedSeconds ||
 		res.ScatterSeconds != c.ScatterSeconds ||

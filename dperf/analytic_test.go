@@ -3,6 +3,7 @@ package dperf_test
 import (
 	"bytes"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -289,8 +290,10 @@ func TestAutoVerifyPooledSessions(t *testing.T) {
 }
 
 // TestAutoVerifySweep: an auto-mode sweep verifies each certified
-// configuration with one replay on the sweep's engine, and a repeat on
-// the same Predictor replays nothing.
+// platform with one replay on the sweep's engine, shared by its two
+// scheme rows, and a repeat on the same Predictor replays nothing. The
+// sweep runs at one worker: concurrent first uses of one certificate
+// may each replay (see TestPredictionWorkCounters).
 func TestAutoVerifySweep(t *testing.T) {
 	ts := paperSet(t)
 	var replays atomic.Int64
@@ -300,9 +303,9 @@ func TestAutoVerifySweep(t *testing.T) {
 		Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindLAN},
 		Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
 	}
-	for pass, want := range []int64{4, 0} {
+	for pass, want := range []int64{2, 0} {
 		replays.Store(0)
-		res, err := dperf.Sweep(ts, space, opts)
+		res, err := dperf.Sweep(ts, space, opts, dperf.SweepWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,11 +323,108 @@ func TestAutoVerifySweep(t *testing.T) {
 	}
 }
 
+// TestPredictionWorkCounters pins what each distinct prediction costs,
+// on a fresh Predictor and a counting engine:
+//   - an auto sweep of {cluster, lan} × {sync, async} on paperSet runs
+//     one verification replay and one certification per platform, 2
+//     and 2, because a platform's two scheme rows share its
+//     certificate entry. The replay count is exact at one worker; at
+//     two, both scheme rows of a platform may verify concurrently and
+//     each replay, so it is at most one per configuration, while
+//     certification stays once per entry;
+//   - a DES sweep of the same space replays each configuration, 4;
+//   - a cold auto predict of unsettledSet runs 1 replay and no
+//     certification, because that replay never jumped: with
+//     fast-forward on it is the answer, and with fast-forward off the
+//     answer costs a second replay.
+func TestPredictionWorkCounters(t *testing.T) {
+	space := dperf.Space{
+		Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindLAN},
+		Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
+	}
+	count := func(run func(p *dperf.Predictor, eng dperf.Engine)) (replays, certs int64) {
+		var calls atomic.Int64
+		p := dperf.NewPredictor()
+		run(p, countingEngine{inner: dperf.NewSessionPool(), calls: &calls})
+		return calls.Load(), p.Certifications()
+	}
+	for _, c := range []struct {
+		mode                   dperf.PredictMode
+		workers                int
+		minReplays, maxReplays int64
+		wantCert               int64
+	}{
+		{dperf.PredictAuto, 1, 2, 2, 2},
+		{dperf.PredictAuto, 2, 2, 4, 2},
+		{dperf.PredictDES, 1, 4, 4, 0},
+		{dperf.PredictDES, 2, 4, 4, 0},
+	} {
+		replays, certs := count(func(p *dperf.Predictor, eng dperf.Engine) {
+			opts := []dperf.Option{dperf.WithFastForward(true), dperf.WithPredictMode(c.mode),
+				dperf.WithPredictor(p), dperf.WithEngine(eng)}
+			res, err := dperf.Sweep(paperSet(t), space, dperf.SweepOptions(opts...), dperf.SweepWorkers(c.workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed() != 0 {
+				t.Fatalf("%v sweep: %d failed configurations", c.mode, res.Failed())
+			}
+		})
+		if replays < c.minReplays || replays > c.maxReplays || certs != c.wantCert {
+			t.Errorf("%v sweep, %d workers: %d replays and %d certifications, want %d–%d and %d",
+				c.mode, c.workers, replays, certs, c.minReplays, c.maxReplays, c.wantCert)
+		}
+	}
+	for _, c := range []struct {
+		ff          bool
+		wantReplays int64
+	}{{true, 1}, {false, 2}} {
+		replays, certs := count(func(p *dperf.Predictor, eng dperf.Engine) {
+			opts := append(autoOpts(p, eng), dperf.WithFastForward(c.ff), dperf.WithPlatform(dperf.KindCluster))
+			pred, err := unsettledSet(t).Predict(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pred.Tier != dperf.TierDES {
+				t.Fatalf("unsettled set served tier %q, want des", pred.Tier)
+			}
+		})
+		if replays != c.wantReplays || certs != 0 {
+			t.Errorf("cold auto predict of the unsettled set, fast-forward %t: %d replays and %d certifications, want %d and 0",
+				c.ff, replays, certs, c.wantReplays)
+		}
+	}
+}
+
+// skewedEngine answers like its inner engine, jumps included, one
+// nanosecond later.
+type skewedEngine struct {
+	inner dperf.Engine
+	calls atomic.Int64
+}
+
+func (e *skewedEngine) Name() string { return "skewed" }
+func (e *skewedEngine) Replay(spec dperf.EngineSpec) (*dperf.EngineResult, error) {
+	e.calls.Add(1)
+	res, err := e.inner.Replay(spec)
+	if err != nil {
+		return nil, err
+	}
+	res.PredictedSeconds += 1e-9
+	return res, nil
+}
+
 // TestAutoVerifyCustomEngine: a custom engine is auto mode's
 // verification oracle. An engine whose answer differs from the
 // analytic tier's answers every configuration itself, with tier des —
 // also in a sweep where the default engine, verified on the same
-// Predictor, serves the same configuration analytically.
+// Predictor, serves the same configuration analytically. The stub
+// never jumps, so with fast-forward on its verification replay is
+// already its answer and no certification runs. The skewed engine
+// jumps like the pool it wraps, so its verification replay is followed
+// by a certification, which the bit-for-bit match then refuses; the
+// verdict is kept, so a second predict replays once and certifies
+// nothing.
 func TestAutoVerifyCustomEngine(t *testing.T) {
 	ts := paperSet(t)
 	stub := &stubEngine{}
@@ -335,8 +435,30 @@ func TestAutoVerifyCustomEngine(t *testing.T) {
 	if pred.Tier != dperf.TierDES || pred.Engine != "stub" || pred.Predicted != 42 {
 		t.Fatalf("auto mode did not answer from the disagreeing engine: %+v", pred)
 	}
-	if got := stub.calls.Load(); got != 2 {
-		t.Fatalf("stub saw %d replays, want 2 (verification and answer)", got)
+	if got := stub.calls.Load(); got != 1 {
+		t.Fatalf("stub saw %d replays, want 1 (the verification replay is the answer)", got)
+	}
+
+	ref, err := ts.Predict(dperf.WithPlatform(dperf.KindCluster), dperf.WithFastForward(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.RoundsFastForwarded == 0 {
+		t.Fatalf("the reference replay never jumped: %+v", ref)
+	}
+	p := dperf.NewPredictor()
+	skew := &skewedEngine{inner: dperf.NewSessionPool()}
+	for i, wantReplays := range []int64{1, 2} {
+		pred, err := ts.Predict(append(autoOpts(p, skew), dperf.WithPlatform(dperf.KindCluster))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred.Tier != dperf.TierDES || pred.Engine != "skewed" || pred.Predicted != ref.Predicted+1e-9 {
+			t.Fatalf("predict %d: auto mode did not answer from the skewed engine: %+v (reference %v s)", i, pred, ref.Predicted)
+		}
+		if got, certs := skew.calls.Load(), p.Certifications(); got != wantReplays || certs != 1 {
+			t.Fatalf("predict %d: %d replays and %d certifications, want %d and 1", i, got, certs, wantReplays)
+		}
 	}
 
 	for _, workers := range []int{1, 2} {
@@ -357,38 +479,109 @@ func TestAutoVerifyCustomEngine(t *testing.T) {
 	}
 }
 
-// BenchmarkAutoPredictCold measures dperfd's path for a fresh upload
-// in auto mode: each iteration decodes a new copy of the paper-scale
-// set, so every certificate misses, and predicts it on grid5000 and
-// lan. One Predictor and one SessionPool serve every iteration, so the
-// verification replays run on warm sessions.
-func BenchmarkAutoPredictCold(b *testing.B) {
-	var buf bytes.Buffer
-	if err := paperSet(b).WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	opts := autoOpts(dperf.NewPredictor(), dperf.NewSessionPool())
-	kinds := []dperf.Kind{dperf.KindCluster, dperf.KindLAN}
-	predict := func() {
-		ts, err := dperf.ReadTraceSetData("paper.bin", buf.Bytes())
+// paperO2 holds the paper-scale obstacle@8 set at O2, whose ranks
+// split their rounds into loops at different boundaries, so its replay
+// never jumps.
+var paperO2 struct {
+	once sync.Once
+	ts   *dperf.TraceSet
+	err  error
+}
+
+func paperO2Set(tb testing.TB) *dperf.TraceSet {
+	tb.Helper()
+	paperO2.once.Do(func() {
+		a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithPlatform(dperf.KindCluster),
+			dperf.WithRanks(8), dperf.WithLevel(dperf.O2)).Analyze()
 		if err != nil {
+			paperO2.err = err
+			return
+		}
+		paperO2.ts, paperO2.err = a.Traces()
+	})
+	if paperO2.err != nil {
+		tb.Fatal(paperO2.err)
+	}
+	return paperO2.ts
+}
+
+// BenchmarkAutoPredictCold measures dperfd's paths for a fresh upload
+// in auto mode: each iteration decodes a new copy of a set, so every
+// certificate misses. One Predictor and one SessionPool serve every
+// iteration, so the verification replays run on warm sessions.
+//   - predict: the paper-scale O0 set predicted on grid5000 and lan;
+//   - sweep: the same set swept over {cluster, lan} × {sync, async} at
+//     one worker, dperfbench's new-trace sweep run in-process on two
+//     of its three platforms;
+//   - never-settles/auto: the paper-scale O2 set, whose replay never
+//     jumps, predicted on grid5000, next to never-settles/des, the
+//     same predict in DES mode.
+func BenchmarkAutoPredictCold(b *testing.B) {
+	encode := func(ts *dperf.TraceSet) []byte {
+		var buf bytes.Buffer
+		if err := ts.WriteBinary(&buf); err != nil {
 			b.Fatal(err)
 		}
-		for _, kind := range kinds {
-			pred, err := ts.Predict(append(opts, dperf.WithPlatform(kind))...)
+		return buf.Bytes()
+	}
+	bench := func(b *testing.B, data []byte, mode dperf.PredictMode, serve func(ts *dperf.TraceSet, opts []dperf.Option)) {
+		opts := append(autoOpts(dperf.NewPredictor(), dperf.NewSessionPool()), dperf.WithPredictMode(mode))
+		run := func() {
+			ts, err := dperf.ReadTraceSetData("set.bin", data)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if pred.Tier != dperf.TierAnalytic {
-				b.Fatalf("%s: tier %q, want analytic", kind, pred.Tier)
-			}
+			serve(ts, opts)
+		}
+		run() // build the platforms, their models and the pooled sessions
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
 		}
 	}
-	predict() // build the platforms, their models and the pooled sessions
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		predict()
+	predict := func(ts *dperf.TraceSet, opts []dperf.Option, kind dperf.Kind, tier string) {
+		pred, err := ts.Predict(append(opts, dperf.WithPlatform(kind))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pred.Tier != tier {
+			b.Fatalf("%s: tier %q, want %q", kind, pred.Tier, tier)
+		}
+	}
+
+	paper := encode(paperSet(b))
+	b.Run("predict", func(b *testing.B) {
+		bench(b, paper, dperf.PredictAuto, func(ts *dperf.TraceSet, opts []dperf.Option) {
+			for _, kind := range []dperf.Kind{dperf.KindCluster, dperf.KindLAN} {
+				predict(ts, opts, kind, dperf.TierAnalytic)
+			}
+		})
+	})
+	b.Run("sweep", func(b *testing.B) {
+		space := dperf.Space{
+			Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindLAN},
+			Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
+		}
+		bench(b, paper, dperf.PredictAuto, func(ts *dperf.TraceSet, opts []dperf.Option) {
+			res, err := dperf.Sweep(ts, space, dperf.SweepOptions(opts...), dperf.SweepWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, cr := range res.Results {
+				if cr.Prediction == nil || cr.Prediction.Tier != dperf.TierAnalytic {
+					b.Fatalf("%s: %+v (%s), want an analytic prediction", cr.Config.Label(), cr.Prediction, cr.Error)
+				}
+			}
+		})
+	})
+	o2 := encode(paperO2Set(b))
+	for _, mode := range []dperf.PredictMode{dperf.PredictAuto, dperf.PredictDES} {
+		b.Run("never-settles/"+mode.String(), func(b *testing.B) {
+			bench(b, o2, mode, func(ts *dperf.TraceSet, opts []dperf.Option) {
+				predict(ts, opts, dperf.KindCluster, dperf.TierDES)
+			})
+		})
 	}
 }
 

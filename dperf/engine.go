@@ -3,7 +3,6 @@ package dperf
 import (
 	"io"
 
-	"repro/internal/p2psap"
 	"repro/internal/platform"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -23,13 +22,16 @@ func NewPeriodCache() *PeriodCache { return &PeriodCache{} }
 
 // EngineSpec is everything a replay engine needs to turn a
 // platform-independent trace set into a platform-specific prediction.
+// It holds no P2PSAP scheme: no replay result depends on one (sends
+// are eager and receives block under both schemes), so the scheme only
+// labels a prediction (Prediction.Scheme), and configurations that
+// differ only in scheme share one certificate and one verification.
 type EngineSpec struct {
 	Platform *platform.Platform
 	// Hosts maps rank -> host name; one entry per trace.
 	Hosts []string
 	// Submitter is the scatter/gather endpoint (platform frontend).
 	Submitter string
-	Scheme    p2psap.Scheme
 	// ScatterBytes/GatherBytes are the per-peer deployment payloads.
 	ScatterBytes float64
 	GatherBytes  float64
@@ -106,7 +108,6 @@ func replaySpec(spec EngineSpec) replay.Spec {
 		Platform:     spec.Platform,
 		Hosts:        spec.Hosts,
 		Submitter:    spec.Submitter,
-		Scheme:       spec.Scheme,
 		ScatterBytes: spec.ScatterBytes,
 		GatherBytes:  spec.GatherBytes,
 		FastForward:  mode,

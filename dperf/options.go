@@ -87,8 +87,12 @@ func WithCustomPlatform(p *Platform) Option {
 	}
 }
 
-// WithScheme selects the P2PSAP computation scheme used during replay
-// (default Synchronous).
+// WithScheme sets the P2PSAP computation scheme a prediction is
+// labelled with (default Synchronous). No trace prediction depends on
+// it: the traced sends are eager and the receives block under both
+// schemes, so the scheme moves no predicted time, and predictions that
+// differ only in scheme share one certificate, one verification and
+// the pooled sessions.
 func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 
 // WithEngine replaces the replay engine (default: the in-process

@@ -13,7 +13,9 @@ type Prediction struct {
 	Engine   string `json:"engine"`
 	Ranks    int    `json:"ranks"`
 	Level    Level  `json:"level"`
-	Scheme   Scheme `json:"scheme"`
+	// Scheme is the P2PSAP scheme the prediction is labelled with
+	// (WithScheme); no predicted time depends on it.
+	Scheme Scheme `json:"scheme"`
 	// Predicted is t_predicted in seconds; Scatter/Compute/Gather are
 	// its phase breakdown.
 	Predicted float64 `json:"predicted_s"`
@@ -76,7 +78,6 @@ func (cfg config) resolve(ts *TraceSet) (EngineSpec, string, error) {
 		Platform:     plat,
 		Hosts:        hosts,
 		Submitter:    plat.Frontend,
-		Scheme:       cfg.scheme,
 		ScatterBytes: ts.ScatterBytes,
 		GatherBytes:  ts.GatherBytes,
 		Source:       ts.Source(),
@@ -87,31 +88,31 @@ func (cfg config) resolve(ts *TraceSet) (EngineSpec, string, error) {
 }
 
 // predict is the tier policy, the one path from a resolved spec to a
-// prediction for Predict and every Sweep job. In the analytic modes
-// the Predictor serves the spec's certificate; auto mode first
-// verifies it with one replay on the configured engine, and on any
-// analytic failure (ineligibility, no steady state, a verification
-// mismatch) lets that engine answer. Analytic mode fails instead of
-// falling back, and DES mode always replays on the engine.
+// prediction for Predict and every Sweep job. DES mode always
+// replays on the engine. Analytic mode serves the Predictor's
+// certificate and fails instead of falling back. Auto mode serves a
+// certificate only after one fast-forward replay on the configured
+// engine jumped and matched it, and otherwise lets that engine answer
+// (see PredictAuto).
 func (cfg config) predict(ts *TraceSet, spec *EngineSpec, label string) (*Prediction, error) {
-	if cfg.predictMode != PredictDES {
-		var verifier Engine
-		if cfg.predictMode == PredictAuto {
-			verifier = cfg.engine
-		}
-		res, err := cfg.predictor.tryAnalytic(spec, verifier)
-		if err == nil {
-			return cfg.newPrediction(ts, label, res, TierAnalytic), nil
-		}
-		if cfg.predictMode == PredictAnalytic {
-			return nil, err
-		}
+	var (
+		res  *EngineResult
+		tier = TierDES
+		err  error
+	)
+	switch cfg.predictMode {
+	case PredictAnalytic:
+		res, err = cfg.predictor.predictAnalytic(spec)
+		tier = TierAnalytic
+	case PredictAuto:
+		res, tier, err = cfg.predictor.predictAuto(spec, cfg.engine)
+	default:
+		res, err = cfg.engine.Replay(*spec)
 	}
-	res, err := cfg.engine.Replay(*spec)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.newPrediction(ts, label, res, TierDES), nil
+	return cfg.newPrediction(ts, label, res, tier), nil
 }
 
 // newPrediction assembles the public result from a tier's outcome.

@@ -54,7 +54,9 @@ type Config struct {
 	// Ranks is the peer count; 0 uses the sweep default (SweepOptions
 	// WithRanks, else the trace source's own default).
 	Ranks int `json:"ranks,omitempty"`
-	// Scheme is the P2PSAP computation scheme. A non-zero scheme is
+	// Scheme is the P2PSAP computation scheme the configuration's
+	// prediction is labelled with (see WithScheme); no predicted time
+	// depends on it. A non-zero scheme is
 	// always explicit; because the zero Scheme is Synchronous, set
 	// SchemeSet to choose Synchronous over a non-default sweep base.
 	// Space.Expand sets it for configurations from the Schemes

@@ -60,10 +60,12 @@ type Spec struct {
 	Hosts []string
 	// Submitter is the scatter/gather endpoint (platform frontend).
 	Submitter string
-	// Scheme is carried for spec identity with the DES tier. The traced
-	// record kinds behave identically under both schemes (sends are
-	// eager, receives block), so the scheme does not alter the
-	// arithmetic.
+	// Scheme labels the P2PSAP scheme of the trace prediction. The
+	// evaluator never reads it: the traced record kinds behave
+	// identically under both schemes (sends are eager, receives
+	// block), as they do in trace replay (TestSchemeInvariance). dperf
+	// leaves it zero; the field stays for callers that still set it,
+	// such as dperfbench.
 	Scheme p2psap.Scheme
 	// ScatterBytes/GatherBytes model the P2PDC deployment phases.
 	ScatterBytes float64
@@ -91,14 +93,12 @@ type Result struct {
 
 // Certificate is a completed evaluation packaged for cached serving:
 // the prediction tiers certify a configuration once and answer every
-// subsequent prediction for it from the stored result.
+// subsequent prediction for it from the stored result. Auto-tier
+// selection trusts it only when Res.Jumps is above zero — the
+// evaluation proved a periodic steady state and served part of the run
+// in closed form — and equals a verification replay's.
 type Certificate struct {
 	Res Result
-	// SteadyState reports whether the evaluation proved a periodic
-	// steady state and served part of the run in closed form — the
-	// precondition auto-tier selection requires before trusting the
-	// analytic result without a verification replay per prediction.
-	SteadyState bool
 }
 
 // Result returns the certified prediction.
@@ -197,7 +197,6 @@ func (m *Model) Evaluate(spec Spec) (*Result, error) {
 	res, err := runGeneric[float64, f64](ar, m.gm, &gspec[float64]{
 		hosts:        spec.Hosts,
 		submitter:    spec.Submitter,
-		scheme:       spec.Scheme,
 		scatterBytes: spec.ScatterBytes,
 		gatherBytes:  spec.GatherBytes,
 		ranks:        ranks,
@@ -222,5 +221,5 @@ func (m *Model) Certify(spec Spec) (*Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Certificate{Res: *res, SteadyState: res.Jumps > 0}, nil
+	return &Certificate{Res: *res}, nil
 }

@@ -269,7 +269,6 @@ func (m *gmodel[V]) route(ar constAdder[V], src, dst string) (*garoute[V], error
 type gspec[V comparable] struct {
 	hosts        []string
 	submitter    string
-	scheme       p2psap.Scheme
 	scatterBytes V
 	gatherBytes  V
 	ranks        [][]gop[V]
@@ -354,7 +353,6 @@ type gev[V comparable, A arith[V]] struct {
 	n         int
 	hosts     []string
 	submitter string
-	scheme    p2psap.Scheme
 
 	scatterBytes V
 	gatherBytes  V
@@ -454,7 +452,6 @@ func newGev[V comparable, A arith[V]](ar A, m *gmodel[V], sp *gspec[V]) (*gev[V,
 		n:            n,
 		hosts:        sp.hosts,
 		submitter:    sp.submitter,
-		scheme:       sp.scheme,
 		scatterBytes: sp.scatterBytes,
 		gatherBytes:  sp.gatherBytes,
 		zero:         zero,

@@ -878,7 +878,9 @@ type SymOp struct {
 type SymSpec struct {
 	Hosts     []string
 	Submitter string
-	Scheme    p2psap.Scheme
+	// Scheme labels the family's P2PSAP scheme; like Spec.Scheme it is
+	// never read.
+	Scheme p2psap.Scheme
 
 	ScatterBytes SymVal
 	GatherBytes  SymVal
@@ -963,7 +965,6 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 	sp := &gspec[sval]{
 		hosts:        ss.Hosts,
 		submitter:    ss.Submitter,
-		scheme:       ss.Scheme,
 		scatterBytes: ss.ScatterBytes.v,
 		gatherBytes:  ss.GatherBytes.v,
 		ranks:        ranks,

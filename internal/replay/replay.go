@@ -32,7 +32,12 @@ type Spec struct {
 	Hosts []string
 	// Submitter is the scatter/gather endpoint (platform frontend).
 	Submitter string
-	// Scheme selects the P2PSAP channel scheme used for data records.
+	// Scheme labels the P2PSAP channels the data records travel on.
+	// No replay result depends on it (the channels only store it):
+	// traced sends are eager and receives block under both schemes, so
+	// every result is the same under either (TestSchemeInvariance).
+	// dperf leaves it zero; the field stays for callers that still set
+	// it, such as dperfbench.
 	Scheme p2psap.Scheme
 	// ScatterBytes/GatherBytes model the P2PDC input distribution and
 	// result collection phases around the traced execution.
