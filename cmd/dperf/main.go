@@ -8,7 +8,7 @@
 //	dperf -platform grid5000|xdsl|lan -peers 4 -level O3 [-src file.c]
 //	      [-emit-instrumented] [-emit-traces dir]
 //	      [-save-traces set.json] [-load-traces set.json]
-//	      [-trace-format text|json|bin] [-trace-stats] [-no-fastforward]
+//	      [-trace-format json|bin] [-trace-stats] [-no-fastforward]
 //	      [-json]
 //	dperf -sweep [-sweep-platforms grid5000,xdsl,lan] [-sweep-ranks 2,4,8]
 //	      [-sweep-schemes sync,async] [-sweep-workers N]
@@ -23,16 +23,15 @@
 // -save-traces persists the platform-independent trace set; a later
 // run with -load-traces skips analysis and benchmarking entirely and
 // replays the stored traces on any platform — dPerf's "benchmark
-// once, predict anywhere". -trace-format selects the on-disk format:
-// json (default) or the compact binary (bin) for -save-traces, text
-// (default) or bin for the per-rank -emit-traces files. Binary sets
-// are saved as the v2 template container: the per-rank folded traces
-// are factored into rank-parameterized role bodies (peers, counts and
+// once, predict anywhere". -trace-format selects the -save-traces
+// format: json (default) or the compact binary (bin). Binary sets are
+// saved as the v2 template container: the per-rank folded traces are
+// factored into rank-parameterized role bodies (peers, counts and
 // boundary guards as affine expressions in rank and world size), so
 // the artifact stores O(roles) bodies instead of O(ranks).
-// -load-traces auto-detects every format — v1 per-rank and v2
-// template containers, JSON, a single binary trace or template file,
-// or a directory of per-rank files.
+// -emit-traces writes one text file per rank. -load-traces
+// auto-detects a JSON set, a v1 or v2 binary container, or a
+// directory of per-rank text files.
 //
 // -json (with -load-traces) prints the prediction as its serialized
 // JSON form instead of the text report — byte-identical to what the
@@ -92,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		emitTraces   = fs.String("emit-traces", "", "directory to write per-rank trace files")
 		saveTraces   = fs.String("save-traces", "", "file to write the trace set (JSON or binary, see -trace-format)")
 		loadTraces   = fs.String("load-traces", "", "replay a previously saved trace set or trace directory (skips analysis; format auto-detected)")
-		traceFormat  = fs.String("trace-format", "", "trace output format: json or bin for -save-traces, text or bin for -emit-traces")
+		traceFormat  = fs.String("trace-format", "", "-save-traces format: json or bin")
 		traceStats   = fs.Bool("trace-stats", false, "print trace-set statistics (records vs folded ops, per-format sizes, binding-class fit quality) instead of predicting")
 		noFF         = fs.Bool("no-fastforward", false, "simulate every folded iteration round instead of fast-forwarding steady-state rounds")
 		predictMode  = fs.String("predict-mode", "des", "prediction tier: des (replay engine), auto (analytic when certified, DES fallback) or analytic (forced, fails when ineligible)")
@@ -122,18 +121,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Validate the trace-format flags up front: a typo must not cost a
 	// full pipeline run.
 	switch *traceFormat {
-	case "", "text", "json", "bin":
+	case "", "json", "bin":
 	default:
-		return fmt.Errorf("unknown -trace-format %q (want text, json or bin)", *traceFormat)
+		return fmt.Errorf("unknown -trace-format %q (want json or bin; -emit-traces always writes text)", *traceFormat)
 	}
-	if *traceFormat != "" && *saveTraces == "" && *emitTraces == "" {
-		return fmt.Errorf("-trace-format has no effect without -save-traces or -emit-traces")
-	}
-	if *saveTraces != "" && *traceFormat == "text" {
-		return fmt.Errorf("-trace-format text applies to -emit-traces; -save-traces supports json or bin")
-	}
-	if *emitTraces != "" && *traceFormat == "json" {
-		return fmt.Errorf("-trace-format json applies to -save-traces; -emit-traces supports text or bin")
+	if *traceFormat != "" && *saveTraces == "" {
+		return fmt.Errorf("-trace-format has no effect without -save-traces")
 	}
 
 	// The -scan smoke path is self-contained: its family, grid and
@@ -331,12 +324,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *saveTraces != "" {
 		save := ts.SaveJSON
 		if *traceFormat == "bin" {
-			// Factor the set first so SaveBinary writes the v2
-			// template container: one rank-parameterized role body
-			// instead of one folded trace per rank.
-			if _, err := ts.Template(); err != nil {
-				return err
-			}
 			save = ts.SaveBinary
 		}
 		if err := save(*saveTraces); err != nil {
@@ -348,7 +335,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Inspection mode: report the set's size instead of predicting.
 	if *traceStats {
 		if *emitTraces != "" {
-			if err := emitTraceFiles(stdout, ts, *emitTraces, *traceFormat); err != nil {
+			if err := emitTraceFiles(stdout, ts, *emitTraces); err != nil {
 				return err
 			}
 		}
@@ -370,18 +357,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	printPrediction(stdout, pred)
 
 	if *emitTraces != "" {
-		if err := emitTraceFiles(stdout, ts, *emitTraces, *traceFormat); err != nil {
+		if err := emitTraceFiles(stdout, ts, *emitTraces); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// emitTraceFiles writes the per-rank trace files in the requested
-// format: text (default, streamed from the folded IR) or binary.
-func emitTraceFiles(stdout io.Writer, ts *dperf.TraceSet, dir, format string) error {
+// emitTraceFiles writes one text trace file per rank, streamed from
+// the folded IR.
+func emitTraceFiles(stdout io.Writer, ts *dperf.TraceSet, dir string) error {
 	folded := ts.Folded()
-	if err := trace.WriteAllFolded(dir, folded, format == "bin"); err != nil {
+	if err := trace.WriteAllFolded(dir, folded); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %d trace files to %s\n", len(folded), dir)

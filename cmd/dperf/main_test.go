@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,25 +121,32 @@ func TestRunBinaryTraceFormat(t *testing.T) {
 	}
 }
 
-// TestRunEmitTracesFormats: per-rank trace files in text and binary,
-// both loadable as a trace directory.
+// TestRunEmitTracesFormats: -emit-traces writes one text file per
+// rank, loadable as a trace directory; -trace-format selects only the
+// -save-traces format, so it is refused next to -emit-traces alone.
 func TestRunEmitTracesFormats(t *testing.T) {
-	for _, format := range []string{"", "bin"} {
-		dir := filepath.Join(t.TempDir(), "traces")
-		args := append(fast, "-emit-traces", dir, "-peers", "2")
-		if format != "" {
-			args = append(args, "-trace-format", format)
-		}
-		if _, err := runCLI(t, args...); err != nil {
+	dir := filepath.Join(t.TempDir(), "traces")
+	if _, err := runCLI(t, append(fast, "-emit-traces", dir, "-peers", "2")...); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("rank-%d.trace", i)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := runCLI(t, "-load-traces", dir, "-platform", "lan")
-		if err != nil {
-			t.Fatalf("format %q: %v", format, err)
+		if !strings.HasPrefix(string(data), "# dperf trace rank=") {
+			t.Fatalf("rank %d file is not a text trace: % x", i, data[:min(len(data), 8)])
 		}
-		if !strings.Contains(out, "t_predicted") {
-			t.Fatalf("format %q: replay output unexpected:\n%s", format, out)
-		}
+	}
+	out, err := runCLI(t, "-load-traces", dir, "-platform", "lan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "t_predicted") {
+		t.Fatalf("replay output unexpected:\n%s", out)
+	}
+	if _, err := runCLI(t, append(fast, "-emit-traces", dir, "-trace-format", "bin")...); err == nil {
+		t.Fatal("-trace-format bin with -emit-traces alone accepted")
 	}
 }
 

@@ -192,7 +192,13 @@ func TestPredictDifferential(t *testing.T) {
 func ringJSON(t *testing.T) []byte {
 	t.Helper()
 	const ranks, rounds = 4, 40
-	ts := &dperf.TraceSet{Ranks: ranks, ScatterBytes: 1000, GatherBytes: 1000}
+	doc := struct {
+		Version      int            `json:"dperf_traceset_version"`
+		Ranks        int            `json:"ranks"`
+		ScatterBytes float64        `json:"scatter_bytes"`
+		GatherBytes  float64        `json:"gather_bytes"`
+		Traces       []*trace.Trace `json:"traces"`
+	}{Version: 1, Ranks: ranks, ScatterBytes: 1000, GatherBytes: 1000}
 	for r := 0; r < ranks; r++ {
 		tr := &trace.Trace{Rank: r, Of: ranks}
 		for i := 0; i < rounds; i++ {
@@ -202,13 +208,13 @@ func ringJSON(t *testing.T) []byte {
 				trace.Record{Kind: trace.KindRecv, Peer: (r + ranks - 1) % ranks, Bytes: 4096},
 				trace.Record{Kind: trace.KindConv})
 		}
-		ts.Traces = append(ts.Traces, tr)
+		doc.Traces = append(doc.Traces, tr)
 	}
-	var buf bytes.Buffer
-	if err := ts.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(doc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // TestPredictJSONDifferential: an uploaded JSON set is served exactly
@@ -580,6 +586,46 @@ func TestHostileRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d", resp.StatusCode)
+	}
+}
+
+// TestBareStreamUploadsRefused: a bare per-rank binary trace stream and
+// a bare template stream are not trace sets. Each upload is a 400 that
+// names the formats the store accepts, even a per-rank stream that
+// labels itself rank 0 of 1.
+func TestBareStreamUploadsRefused(t *testing.T) {
+	_, hs := newTestServer(t)
+	var rank, single, tplStream bytes.Buffer
+	folded := fixtureSet(t).Folded()
+	if err := folded[0].WriteBinary(&rank); err != nil {
+		t.Fatal(err)
+	}
+	one := &trace.Folded{Rank: 0, Of: 1, Ops: []trace.Op{{Count: 2, Rec: trace.Record{Kind: trace.KindCompute, NS: 500}}}}
+	if err := one.WriteBinary(&single); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := trace.Factor(folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tpl.WriteTemplate(&tplStream); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"per-rank stream":      rank.Bytes(),
+		"single-rank stream":   single.Bytes(),
+		"bare template stream": tplStream.Bytes(),
+	} {
+		resp, err := http.Post(hs.URL+"/v1/tracesets", "application/octet-stream", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(string(body), "JSON trace set") || !strings.Contains(string(body), "binary trace-set container") {
+			t.Errorf("%s upload: status %d body %q, want 400 naming the accepted formats", name, resp.StatusCode, body)
+		}
 	}
 }
 

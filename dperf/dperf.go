@@ -15,9 +15,11 @@
 //	p1, _ := ts.Predict(dperf.WithPlatform(dperf.KindCluster))
 //	p2, _ := ts.Predict(dperf.WithPlatform(dperf.KindDaisy))
 //
-// A TraceSet serializes to JSON (WriteJSON / ReadTraceSetJSON), so
-// the expensive analyze+benchmark half can run in one process and the
-// cheap replay half in many others.
+// A TraceSet is an immutable value that serializes to JSON (WriteJSON)
+// or to the binary template container (WriteBinary), and
+// LoadTraceSet / ReadTraceSetData read either back, so the expensive
+// analyze+benchmark half can run in one process and the cheap replay
+// half in many others.
 //
 // Extension points:
 //

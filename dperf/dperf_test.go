@@ -104,13 +104,21 @@ func TestTraceSetJSONRoundTrip(t *testing.T) {
 		got.ScatterBytes != ts.ScatterBytes || got.GatherBytes != ts.GatherBytes {
 		t.Fatalf("metadata round trip: %+v vs %+v", got, ts)
 	}
-	for r := range ts.Traces {
-		if len(got.Traces[r].Records) != len(ts.Traces[r].Records) {
-			t.Fatalf("rank %d: %d records, want %d", r, len(got.Traces[r].Records), len(ts.Traces[r].Records))
+	want, err := ts.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := got.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range want {
+		if len(back[r].Records) != len(want[r].Records) {
+			t.Fatalf("rank %d: %d records, want %d", r, len(back[r].Records), len(want[r].Records))
 		}
-		for i, rec := range ts.Traces[r].Records {
-			if got.Traces[r].Records[i] != rec {
-				t.Fatalf("rank %d record %d changed: %+v vs %+v", r, i, got.Traces[r].Records[i], rec)
+		for i, rec := range want[r].Records {
+			if back[r].Records[i] != rec {
+				t.Fatalf("rank %d record %d changed: %+v vs %+v", r, i, back[r].Records[i], rec)
 			}
 		}
 	}
@@ -144,8 +152,8 @@ func TestTraceSetFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ranks != 2 || len(got.Traces) != 2 {
-		t.Fatalf("loaded %d ranks / %d traces", got.Ranks, len(got.Traces))
+	if got.Ranks != 2 || len(got.Folded()) != 2 {
+		t.Fatalf("loaded %d ranks / %d traces", got.Ranks, len(got.Folded()))
 	}
 }
 

@@ -172,16 +172,10 @@ func TestFastForwardPaperScaleFormats(t *testing.T) {
 		}
 		return ld, buf.Bytes()
 	}
-	// Both round trips start from a v1 copy, leaving the shared set
-	// untouched.
-	v1, _ := load("paper-v1.bin", ts.WriteBinary)
-	fromJSON, _ := load("paper.json", v1.WriteJSON)
-	if _, err := v1.Template(); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, data := load("paper-v2.bin", v1.WriteBinary)
+	fromJSON, _ := load("paper.json", ts.WriteJSON)
+	fromV2, data := load("paper-v2.bin", ts.WriteBinary)
 	if data[4] != 2 {
-		t.Fatalf("templated set wrote container version %d, want 2", data[4])
+		t.Fatalf("WriteBinary wrote container version %d, want 2", data[4])
 	}
 
 	run := func(set *dperf.TraceSet, mode replay.FFMode) *replay.Result {

@@ -2,8 +2,6 @@ package dperf_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -11,10 +9,12 @@ import (
 )
 
 // TestGoldenBinaryEncodings pins the bytes of the binary trace-set
-// encodings: the SHA-256 digest of WriteBinary's output for
-// smallObstacle at O0–O3 × 1, 2, 8 and 32 ranks, first as the v1
-// per-rank container and then as the v2 template container after
-// Template(). Any change to generation, folding, factoring or either
+// encodings: the SHA-256 digest of each container for smallObstacle at
+// O0–O3 × 1, 2, 8 and 32 ranks. The v2 column is WriteBinary's output;
+// the v1 column is the per-rank container as other encoders still
+// build it (encodeContainer), which must read back through
+// ReadTraceSetData and predict on lan the bytes the generated set
+// predicts. Any change to generation, folding, factoring or either
 // codec that moves one bit of a stored set fails here.
 func TestGoldenBinaryEncodings(t *testing.T) {
 	golden := []struct {
@@ -39,35 +39,48 @@ func TestGoldenBinaryEncodings(t *testing.T) {
 		{dperf.O3, 8, "e60b3b9f6bbade13b59307d04f70a12b04ec48145da876fb35482fc7f49f24b4", "c55b235e50d21debebb888e5fb3387b434f4758f58a1c14528c5d5be822c50d5"},
 		{dperf.O3, 32, "e9c053ed48a28c0484b2c11992105c67bbd27f922fe85958c892e85908a5917e", "c6393f005c84917f90d894f66f863e2c70145e86f1b55ffe363084427241b212"},
 	}
-	digest := func(b []byte) string {
-		d := sha256.Sum256(b)
-		return hex.EncodeToString(d[:])
+	a, err := dperf.New(smallObstacle()).Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	predictLAN := func(ts *dperf.TraceSet) []byte {
+		t.Helper()
+		pred, err := ts.Predict(dperf.WithPlatform(dperf.KindLAN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pred.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 	for _, g := range golden {
 		t.Run(fmt.Sprintf("%s-r%d", g.level, g.ranks), func(t *testing.T) {
-			a, err := dperf.New(smallObstacle(), dperf.WithRanks(g.ranks), dperf.WithLevel(g.level)).Analyze()
+			ts, err := a.Traces(dperf.WithRanks(g.ranks), dperf.WithLevel(g.level))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts, err := a.Traces()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v1, v2 bytes.Buffer
-			if err := ts.WriteBinary(&v1); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ts.Template(); err != nil {
-				t.Fatal(err)
-			}
+			var v2 bytes.Buffer
 			if err := ts.WriteBinary(&v2); err != nil {
 				t.Fatal(err)
 			}
-			if got := digest(v1.Bytes()); got != g.v1 {
+			v1 := encodeContainer(t, ts, 1)
+			if got := sha256Hex(v1); got != g.v1 {
 				t.Errorf("v1 encoding digest %s, want %s", got, g.v1)
 			}
-			if got := digest(v2.Bytes()); got != g.v2 {
+			if got := sha256Hex(v2.Bytes()); got != g.v2 {
 				t.Errorf("v2 encoding digest %s, want %s", got, g.v2)
+			}
+			if !bytes.Equal(v2.Bytes(), encodeContainer(t, ts, 2)) {
+				t.Error("WriteBinary differs from the hand-built v2 container")
+			}
+			fromV1, err := dperf.ReadTraceSetData("v1", v1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := predictLAN(fromV1), predictLAN(ts); !bytes.Equal(got, want) {
+				t.Errorf("v1 container predicted on lan\n%s\nwant the generated set's\n%s", got, want)
 			}
 		})
 	}

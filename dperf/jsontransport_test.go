@@ -16,8 +16,8 @@ import (
 func ringJSON(t testing.TB) []byte {
 	t.Helper()
 	const ranks, rounds = 4, 40
-	ts := &dperf.TraceSet{Ranks: ranks, ScatterBytes: 1000, GatherBytes: 1000}
-	for r := 0; r < ranks; r++ {
+	folded := make([]*trace.Folded, ranks)
+	for r := range folded {
 		tr := &trace.Trace{Rank: r, Of: ranks}
 		for i := 0; i < rounds; i++ {
 			tr.Records = append(tr.Records,
@@ -26,8 +26,9 @@ func ringJSON(t testing.TB) []byte {
 				trace.Record{Kind: trace.KindRecv, Peer: (r + ranks - 1) % ranks, Bytes: 4096},
 				trace.Record{Kind: trace.KindConv})
 		}
-		ts.Traces = append(ts.Traces, tr)
+		folded[r] = trace.Fold(tr)
 	}
+	ts := dperf.TraceSetWithOps(&dperf.TraceSet{Ranks: ranks, ScatterBytes: 1000, GatherBytes: 1000}, folded)
 	var buf bytes.Buffer
 	if err := ts.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -45,14 +45,17 @@ func obstacleTraces(t testing.TB, a *dperf.Analysis, w dperf.ObstacleWorkload, r
 func replayObstacle(t testing.TB, traces []*trace.Trace, kind dperf.Kind, level dperf.Level, w dperf.ObstacleWorkload) *dperf.Prediction {
 	t.Helper()
 	ranks := len(traces)
-	ts := &dperf.TraceSet{
+	folded := make([]*trace.Folded, ranks)
+	for i, tr := range traces {
+		folded[i] = trace.Fold(tr)
+	}
+	ts := dperf.TraceSetWithOps(&dperf.TraceSet{
 		Workload:     w.Name(),
 		Ranks:        ranks,
 		Level:        level,
 		ScatterBytes: w.ScatterBytes(ranks),
 		GatherBytes:  w.GatherBytes(ranks),
-		Traces:       traces,
-	}
+	}, folded)
 	pred, err := ts.Predict(dperf.WithPlatform(kind))
 	if err != nil {
 		t.Fatal(err)

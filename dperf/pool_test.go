@@ -78,10 +78,6 @@ func TestReadSetPredictAllocs(t *testing.T) {
 	if err := ts.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	tpl, err := ts.Template()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := ts.WriteBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +85,9 @@ func TestReadSetPredictAllocs(t *testing.T) {
 	if err := os.WriteFile(binPath, bin.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var bare bytes.Buffer
-	if err := tpl.WriteTemplate(&bare); err != nil {
-		t.Fatal(err)
-	}
-	barePath := filepath.Join(dir, "set.trace")
-	if err := os.WriteFile(barePath, bare.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	v1 := encodeContainer(t, ts, 1)
 	rankDir := filepath.Join(dir, "ranks")
-	if err := trace.WriteAllFolded(rankDir, ts.Folded(), false); err != nil {
+	if err := trace.WriteAllFolded(rankDir, ts.Folded()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +112,7 @@ func TestReadSetPredictAllocs(t *testing.T) {
 		{"binary", func() (*dperf.TraceSet, error) { return dperf.ReadTraceSetBinary(bytes.NewReader(bin.Bytes())) }},
 		{"data", func() (*dperf.TraceSet, error) { return dperf.ReadTraceSetData("set", bin.Bytes()) }},
 		{"file", func() (*dperf.TraceSet, error) { return dperf.LoadTraceSet(binPath) }},
-		{"bare-template", func() (*dperf.TraceSet, error) { return dperf.LoadTraceSet(barePath) }},
+		{"v1", func() (*dperf.TraceSet, error) { return dperf.ReadTraceSetData("set-v1", v1) }},
 		{"directory", func() (*dperf.TraceSet, error) { return dperf.LoadTraceSet(rankDir) }},
 	}
 	for _, r := range readers {

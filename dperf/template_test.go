@@ -3,10 +3,12 @@ package dperf_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/dperf"
@@ -80,9 +82,6 @@ func TestTemplatePredictionsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Template representation via the v2 container round trip.
-			if _, err := ts.Template(); err != nil {
-				t.Fatal(err)
-			}
 			path := filepath.Join(dir, fmt.Sprintf("set-%d.bin", i))
 			if err := ts.SaveBinary(path); err != nil {
 				t.Fatal(err)
@@ -146,11 +145,12 @@ func TestTemplateObstacleDedup(t *testing.T) {
 	}
 }
 
-// TestTemplateSetSaveLoad covers the persistence matrix the template
-// layer added: v2 template containers round trip with metadata, v1
-// per-rank containers still load, and single binary trace / template
-// files load as complete sets under the same header rules as the
-// directory loader (the unified-validation fix).
+// TestTemplateSetSaveLoad covers the persistence matrix: SaveBinary
+// writes the v2 template container, which round trips with metadata,
+// whatever ran on the set before; v1 per-rank containers still load
+// to the same folded set; and bare per-rank trace or template streams
+// are not sets — LoadTraceSet refuses them, naming the formats it
+// accepts.
 func TestTemplateSetSaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	a, err := dperf.New(smallObstacle(), dperf.WithRanks(4), dperf.WithLevel(dperf.O1)).Analyze()
@@ -162,18 +162,24 @@ func TestTemplateSetSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// v1 container (not factored).
+	// v1 container, as an earlier writer or a foreign encoder built it.
 	v1 := filepath.Join(dir, "set-v1.bin")
-	if err := ts.SaveBinary(v1); err != nil {
+	if err := os.WriteFile(v1, encodeContainer(t, ts, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// v2 container (factored).
-	if _, err := ts.Template(); err != nil {
-		t.Fatal(err)
-	}
+	// v2 container, after an inspection: Stats must not change what a
+	// later save writes.
+	checkStatsSizes(t, ts)
 	v2 := filepath.Join(dir, "set-v2.bin")
 	if err := ts.SaveBinary(v2); err != nil {
 		t.Fatal(err)
+	}
+	hdr, err := os.ReadFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hdr) < 5 || hdr[4] != 2 {
+		t.Fatalf("SaveBinary wrote container version %d, want 2", hdr[4])
 	}
 
 	ld1, err := dperf.LoadTraceSet(v1)
@@ -219,87 +225,34 @@ func TestTemplateSetSaveLoad(t *testing.T) {
 		t.Fatalf("v2 container (%dB) not smaller than v1 (%dB)", s2, s1)
 	}
 
-	// Inspecting a set must not change what a later save writes: a
-	// fresh (unfactored) set stays a v1 container after Stats.
-	fresh, err := a.Traces()
+	// Bare streams: a template, a per-rank shard of a larger set and a
+	// stream that labels itself rank 0 of 1 are all refused.
+	tpl, err := trace.Factor(ts.Folded())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStatsSizes(t, fresh)
-	afterStats := filepath.Join(dir, "after-stats.bin")
-	if err := fresh.SaveBinary(afterStats); err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := os.ReadFile(afterStats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hdr) < 5 || hdr[4] != 1 {
-		t.Fatalf("Stats flipped SaveBinary to container version %d, want 1", hdr[4])
-	}
-
-	// Single-file loads: a bare template stream is a whole set; a bare
-	// per-rank v1 stream is a set only when it labels itself as one —
-	// the same rank/world rule the directory loader applies.
-	tpl, err := ts.Template()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := filepath.Join(dir, "bare-template.trace")
-	f, err := os.Create(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tpl.WriteTemplate(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ldt, err := dperf.LoadTraceSet(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ldt.Ranks != ts.Ranks || !reflect.DeepEqual(ldt.Folded(), ts.Folded()) {
-		t.Fatal("bare template file decoded to a different set")
-	}
-
-	single := filepath.Join(dir, "single.trace")
-	writeFolded := func(fd *trace.Folded) {
+	writeBare := func(name string, write func(io.Writer) error) string {
 		t.Helper()
-		f, err := os.Create(single)
-		if err != nil {
+		path := filepath.Join(dir, name)
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := fd.WriteBinary(f); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
+		return path
+	}
+	for _, path := range []string{
+		writeBare("bare-template.trace", tpl.WriteTemplate),
+		writeBare("shard.trace", ts.Folded()[2].WriteBinary),
+		writeBare("single.trace", (&trace.Folded{Rank: 0, Of: 1, Ops: []trace.Op{
+			{Count: 2, Rec: trace.Record{Kind: trace.KindCompute, NS: 500}},
+		}}).WriteBinary),
+	} {
+		_, err := dperf.LoadTraceSet(path)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "binary trace-set container") {
+			t.Errorf("%s: got %v, want a refusal naming the file and the accepted formats", path, err)
 		}
-	}
-	writeFolded(&trace.Folded{Rank: 0, Of: 1, Ops: []trace.Op{
-		{Count: 2, Rec: trace.Record{Kind: trace.KindCompute, NS: 500}},
-	}})
-	lds, err := dperf.LoadTraceSet(single)
-	if err != nil {
-		t.Fatalf("single-rank trace file rejected: %v", err)
-	}
-	if lds.Ranks != 1 {
-		t.Fatalf("single-file set claims %d ranks", lds.Ranks)
-	}
-	// A per-rank shard of a larger set must not load as a complete
-	// set through the single-file path (the silent-acceptance bug).
-	writeFolded(&trace.Folded{Rank: 0, Of: 4, Ops: []trace.Op{
-		{Count: 1, Rec: trace.Record{Kind: trace.KindBarrier}},
-	}})
-	if _, err := dperf.LoadTraceSet(single); err == nil {
-		t.Fatal("rank-0-of-4 shard loaded as a complete set")
-	}
-	writeFolded(&trace.Folded{Rank: 2, Of: 8, Ops: []trace.Op{
-		{Count: 1, Rec: trace.Record{Kind: trace.KindConv}},
-	}})
-	if _, err := dperf.LoadTraceSet(single); err == nil {
-		t.Fatal("rank-2-of-8 shard loaded as a complete set")
 	}
 }

@@ -125,7 +125,7 @@ func TestGoldenFormatsRoundTrip(t *testing.T) {
 			// A text trace directory replays to the same prediction once
 			// the deployment metadata is restored.
 			dir := t.TempDir()
-			if err := trace.WriteAllFolded(dir, ts.Folded(), false); err != nil {
+			if err := trace.WriteAllFolded(dir, ts.Folded()); err != nil {
 				t.Fatal(err)
 			}
 			fromDir, err := dperf.LoadTraceSet(dir)
@@ -193,20 +193,16 @@ func TestBinaryCompressionAcceptance(t *testing.T) {
 }
 
 // checkStatsSizes asserts that Stats reports the bytes the writers
-// actually write — the per-rank text files and the JSON document —
-// and that measuring a folded or templated set leaves its flat view
-// unbuilt.
+// actually write: the per-rank text files, the JSON document, the v1
+// container other encoders build and the v2 container WriteBinary
+// writes.
 func checkStatsSizes(t *testing.T, ts *dperf.TraceSet) *dperf.TraceStats {
 	t.Helper()
-	flat := ts.Traces != nil
 	st, err := ts.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flat && ts.Traces != nil {
-		t.Fatal("Stats materialized the flat view of a folded set")
-	}
-	var text, js bytes.Buffer
+	var text, js, v2 bytes.Buffer
 	for _, f := range ts.Folded() {
 		if err := trace.WriteText(&text, f.Rank, f.Of, f.Ops); err != nil {
 			t.Fatal(err)
@@ -215,16 +211,21 @@ func checkStatsSizes(t *testing.T, ts *dperf.TraceSet) *dperf.TraceStats {
 	if err := ts.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if st.TextBytes != int64(text.Len()) || st.JSONBytes != int64(js.Len()) {
-		t.Fatalf("Stats sized text %d B, JSON %d B; the writers wrote %d B, %d B",
-			st.TextBytes, st.JSONBytes, text.Len(), js.Len())
+	if err := ts.WriteBinary(&v2); err != nil {
+		t.Fatal(err)
+	}
+	v1 := encodeContainer(t, ts, 1)
+	if st.TextBytes != int64(text.Len()) || st.JSONBytes != int64(js.Len()) ||
+		st.BinaryBytes != int64(len(v1)) || st.TemplateBytes != int64(v2.Len()) {
+		t.Fatalf("Stats sized text %d B, JSON %d B, v1 %d B, v2 %d B; the writers wrote %d B, %d B, %d B, %d B",
+			st.TextBytes, st.JSONBytes, st.BinaryBytes, st.TemplateBytes, text.Len(), js.Len(), len(v1), v2.Len())
 	}
 	return st
 }
 
 // statsContainers re-reads a set from each container an upload can
-// arrive in: the v1 per-rank binary (a folded set), the v2 template
-// binary (a templated set) and the JSON document (a flat set).
+// arrive in: the v1 per-rank binary, the v2 template binary and the
+// JSON document.
 func statsContainers(t *testing.T, ts *dperf.TraceSet) map[string]*dperf.TraceSet {
 	t.Helper()
 	read := func(data []byte) *dperf.TraceSet {
@@ -238,23 +239,15 @@ func statsContainers(t *testing.T, ts *dperf.TraceSet) map[string]*dperf.TraceSe
 		}
 		return ld
 	}
-	var v1 bytes.Buffer
-	if err := ts.WriteBinary(&v1); err != nil {
-		t.Fatal(err)
-	}
-	factored := read(v1.Bytes())
-	if _, err := factored.Template(); err != nil {
-		t.Fatal(err)
-	}
 	var v2, js bytes.Buffer
-	if err := factored.WriteBinary(&v2); err != nil {
+	if err := ts.WriteBinary(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if err := read(v1.Bytes()).WriteJSON(&js); err != nil {
+	if err := ts.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	return map[string]*dperf.TraceSet{
-		"v1": read(v1.Bytes()), "v2": read(v2.Bytes()), "json": read(js.Bytes()),
+		"v1": read(encodeContainer(t, ts, 1)), "v2": read(v2.Bytes()), "json": read(js.Bytes()),
 	}
 }
 
@@ -309,17 +302,11 @@ func FuzzStatsSizes(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var v1, v2 bytes.Buffer
-		if err := ts.WriteBinary(&v1); err != nil {
-			f.Fatal(err)
-		}
-		if _, err := ts.Template(); err != nil {
-			f.Fatal(err)
-		}
+		var v2 bytes.Buffer
 		if err := ts.WriteBinary(&v2); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(v1.Bytes())
+		f.Add(encodeContainer(f, ts, 1))
 		f.Add(v2.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -183,37 +183,30 @@ func unfoldAll(folded []*trace.Folded) ([]*trace.Trace, error) {
 // in this process or, via SaveJSON/SaveBinary and LoadTraceSet, in
 // another one.
 //
-// Every set replays its per-rank folded ops (Source), resolved when the
-// set is built: generation and binary v1 files produce them directly,
-// JSON and text files fold their records at load, and template sets (a
-// v2 file or a bare template) instantiate each rank once. Flat and
-// Template convert (and cache) on demand for writing and inspection;
-// they never change what replays.
+// A set is a value. Its only in-memory form is its per-rank folded ops
+// (Source), fixed when the set is built: generation and the v1
+// container carry them, the v2 container instantiates its template,
+// and JSON documents and text directories fold their records at load.
+// No method writes to the set afterwards, so any number of goroutines
+// may predict, sweep, measure and write one set at once, and every
+// writer's bytes depend on the set alone. Flat, WriteJSON, WriteBinary
+// and Stats derive what they need on each call.
 // Instantiation is exact, so a template set predicts the bits of the
 // set it was factored from. A JSON or text set replays trace.Fold's
 // view of its records, whose loops need not be the ones the generator
 // recorded: with fast-forward off that never changes a prediction's
 // bits, with it on it can change the round accounting and the last
 // ulps.
-//
-// A struct-literal set holding only Traces folds them on first Source
-// or Prepare. A TraceSet's lazy conversions are not synchronized: share
-// a set across goroutines only after the representation you need
-// exists (Sweep resolves sources serially before fanning out).
 type TraceSet struct {
-	Workload string `json:"workload,omitempty"`
-	Ranks    int    `json:"ranks"`
-	Level    Level  `json:"level"`
+	Workload string
+	Ranks    int
+	Level    Level
 	// ScatterBytes/GatherBytes are the per-peer deployment payloads
 	// captured from the workload at generation time.
-	ScatterBytes float64 `json:"scatter_bytes"`
-	GatherBytes  float64 `json:"gather_bytes"`
-	// Traces is the flat per-rank view. It is nil for sets generated
-	// or loaded in folded form until Flat materializes it.
-	Traces []*trace.Trace `json:"traces"`
+	ScatterBytes float64
+	GatherBytes  float64
 
 	folded []*trace.Folded
-	tpl    *trace.Template
 	cfg    config
 }
 
@@ -246,57 +239,34 @@ func (a *Analysis) Traces(opts ...Option) (*TraceSet, error) {
 
 // Source returns the replay view of the set: each rank's folded ops,
 // shared, in O(compressed) memory. It is empty only for an empty set.
-func (ts *TraceSet) Source() trace.Source { return trace.FoldedSource(ts.Folded()) }
+func (ts *TraceSet) Source() trace.Source { return trace.FoldedSource(ts.folded) }
 
-// Prepare finalizes the set for concurrent sharing: it resolves the
-// folded ops Source hands out (folding a struct-literal set's records),
-// so later Source calls are read-only. It never unfolds records. A
-// TraceSet's lazy conversions (Flat, Folded, Template) are
-// unsynchronized, and Stats factors a template on first use; a server
-// admitting a set must call Prepare — and perform any inspection such
-// as Stats — once, before the set is shared across concurrent
-// Predict/Sweep calls. After that the set is effectively immutable and
-// replays freely. It also rejects empty sets at admission rather than
-// at first prediction.
+// errEmptySet is the error of every operation on a set with no ranks,
+// which only the zero TraceSet is.
+var errEmptySet = errors.New("dperf: empty trace set")
+
+// Prepare rejects an empty set, so a server admitting a set refuses it
+// at upload rather than at its first prediction.
 func (ts *TraceSet) Prepare() error {
-	_, err := ts.foldedOrErr()
-	return err
+	if len(ts.folded) == 0 {
+		return errEmptySet
+	}
+	return nil
 }
 
-// Flat returns the per-rank flat record traces, materializing (and
-// caching) them from the folded IR if needed.
+// Flat returns the per-rank flat record traces, unfolded from the
+// folded ops on each call.
 func (ts *TraceSet) Flat() ([]*trace.Trace, error) {
-	if ts.Traces == nil {
-		folded, err := ts.foldedOrErr()
-		if err != nil {
-			return nil, err
-		}
-		traces, err := unfoldAll(folded)
-		if err != nil {
-			return nil, err
-		}
-		ts.Traces = traces
+	if err := ts.Prepare(); err != nil {
+		return nil, err
 	}
-	return ts.Traces, nil
+	return unfoldAll(ts.folded)
 }
 
-// Folded returns the per-rank folded traces, folding a struct-literal
-// set's records (and caching them) if needed. It returns nil only for
+// Folded returns the per-rank folded traces the set replays. They are
+// the set's own: callers must not modify them. It returns nil only for
 // an empty set.
-func (ts *TraceSet) Folded() []*trace.Folded {
-	fs, _ := ts.foldedOrErr()
-	return fs
-}
-
-func (ts *TraceSet) foldedOrErr() ([]*trace.Folded, error) {
-	if ts.folded == nil {
-		if ts.Traces == nil {
-			return nil, fmt.Errorf("dperf: empty trace set")
-		}
-		ts.folded = foldAll(ts.Traces)
-	}
-	return ts.folded, nil
-}
+func (ts *TraceSet) Folded() []*trace.Folded { return ts.folded }
 
 func foldAll(traces []*trace.Trace) []*trace.Folded {
 	folded := make([]*trace.Folded, len(traces))
@@ -306,76 +276,52 @@ func foldAll(traces []*trace.Trace) []*trace.Folded {
 	return folded
 }
 
-// Template returns the rank-parameterized template of the set,
-// factoring the folded traces (and caching the result) on first use.
-// Factoring is exact: the template instantiates to the folded traces
-// it was factored from.
-//
-// Calling Template is the opt-in that makes SaveBinary/WriteBinary
-// emit the v2 template container instead of the v1 per-rank one;
-// read-only inspection (Stats) measures the template without
-// installing it, so it never changes what a later save writes. It
-// never changes what replays.
-func (ts *TraceSet) Template() (*trace.Template, error) {
-	if ts.tpl == nil {
-		tpl, err := ts.templateNoCache()
-		if err != nil {
-			return nil, err
-		}
-		ts.tpl = tpl
-	}
-	return ts.tpl, nil
-}
-
-// templateNoCache returns the cached template or factors one without
-// installing it.
-func (ts *TraceSet) templateNoCache() (*trace.Template, error) {
-	if ts.tpl != nil {
-		return ts.tpl, nil
-	}
-	folded, err := ts.foldedOrErr()
-	if err != nil {
-		return nil, err
-	}
-	return trace.Factor(folded)
-}
-
-// setTemplate installs a template and the per-rank folded ops it
-// instantiates, which are what the set replays.
-func (ts *TraceSet) setTemplate(tpl *trace.Template) error {
-	folded, err := tpl.Instantiate()
-	if err != nil {
-		return err
-	}
-	ts.tpl, ts.folded = tpl, folded
-	return nil
-}
-
 // traceSetVersion guards the on-disk JSON format.
 const traceSetVersion = 1
 
-type traceSetJSON struct {
-	Version int `json:"dperf_traceset_version"`
-	TraceSet
+// traceSetDoc is the JSON document WriteJSON writes and
+// ReadTraceSetJSON reads: the set's header fields and its flat
+// per-rank records.
+type traceSetDoc struct {
+	Version      int            `json:"dperf_traceset_version"`
+	Workload     string         `json:"workload,omitempty"`
+	Ranks        int            `json:"ranks"`
+	Level        Level          `json:"level"`
+	ScatterBytes float64        `json:"scatter_bytes"`
+	GatherBytes  float64        `json:"gather_bytes"`
+	Traces       []*trace.Trace `json:"traces"`
+}
+
+// doc returns the set's JSON document holding the given traces.
+func (ts *TraceSet) doc(traces []*trace.Trace) traceSetDoc {
+	return traceSetDoc{
+		Version:      traceSetVersion,
+		Workload:     ts.Workload,
+		Ranks:        ts.Ranks,
+		Level:        ts.Level,
+		ScatterBytes: ts.ScatterBytes,
+		GatherBytes:  ts.GatherBytes,
+		Traces:       traces,
+	}
 }
 
 // WriteJSON serializes the trace set as indented JSON with a format
 // version header. The JSON form is flat — one object per record — so
-// folded sets are materialized first; use WriteBinary for the compact
+// the records are unfolded first; use WriteBinary for the compact
 // format.
 func (ts *TraceSet) WriteJSON(w io.Writer) error {
-	if _, err := ts.Flat(); err != nil {
+	traces, err := ts.Flat()
+	if err != nil {
 		return err
 	}
-	return ts.encodeJSON(w)
+	return encodeJSON(w, ts.doc(traces))
 }
 
-// encodeJSON writes the set's JSON document as it stands, its flat
-// view included.
-func (ts *TraceSet) encodeJSON(w io.Writer) error {
+// encodeJSON writes a JSON document as WriteJSON formats it.
+func encodeJSON(w io.Writer, doc traceSetDoc) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", jsonIndent)
-	return enc.Encode(traceSetJSON{Version: traceSetVersion, TraceSet: *ts})
+	return enc.Encode(doc)
 }
 
 // ReadTraceSetJSON loads a trace set written by WriteJSON, folds each
@@ -383,9 +329,9 @@ func (ts *TraceSet) encodeJSON(w io.Writer) error {
 // cross-rank consistency, so a corrupted file fails here rather than
 // deadlocking replay.
 func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
-	var tj traceSetJSON
+	var doc traceSetDoc
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tj); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		// The stock error strings drop the decoder's position; surface
 		// it so a corrupt upload names the offending byte.
 		var syn *json.SyntaxError
@@ -398,28 +344,33 @@ func ReadTraceSetJSON(r io.Reader) (*TraceSet, error) {
 		}
 		return nil, fmt.Errorf("dperf: decoding trace set: %w", err)
 	}
-	if tj.Version != traceSetVersion {
-		return nil, fmt.Errorf("dperf: trace set version %d, want %d", tj.Version, traceSetVersion)
+	if doc.Version != traceSetVersion {
+		return nil, fmt.Errorf("dperf: trace set version %d, want %d", doc.Version, traceSetVersion)
 	}
-	ts := tj.TraceSet
-	if err := validateSetShape(ts.Ranks, len(ts.Traces)); err != nil {
+	if err := validateSetShape(doc.Ranks, len(doc.Traces)); err != nil {
 		return nil, err
 	}
-	if err := validateDeployment(ts.ScatterBytes, ts.GatherBytes); err != nil {
+	if err := validateDeployment(doc.ScatterBytes, doc.GatherBytes); err != nil {
 		return nil, err
 	}
-	for i, t := range ts.Traces {
+	for i, t := range doc.Traces {
 		if t == nil {
 			return nil, fmt.Errorf("dperf: trace set entry %d is null", i)
 		}
 	}
-	folded := foldAll(ts.Traces)
+	folded := foldAll(doc.Traces)
 	if err := trace.ValidateFolded(folded); err != nil {
 		return nil, err
 	}
-	ts.folded = folded
-	ts.cfg = readConfig()
-	return &ts, nil
+	return &TraceSet{
+		Workload:     doc.Workload,
+		Ranks:        doc.Ranks,
+		Level:        doc.Level,
+		ScatterBytes: doc.ScatterBytes,
+		GatherBytes:  doc.GatherBytes,
+		folded:       folded,
+		cfg:          readConfig(),
+	}, nil
 }
 
 // validateDeployment holds a set's deployment bytes to the rule both
@@ -458,8 +409,8 @@ func (ts *TraceSet) SaveJSON(path string) error {
 	return ts.saveTo(path, ts.WriteJSON)
 }
 
-// SaveBinary writes the trace set to a file in the compact binary
-// format, preserving folds.
+// SaveBinary writes the trace set to a file as the v2 template
+// container (see WriteBinary).
 func (ts *TraceSet) SaveBinary(path string) error {
 	return ts.saveTo(path, ts.WriteBinary)
 }
@@ -489,10 +440,8 @@ func (ts *TraceSet) saveTo(path string, write func(io.Writer) error) error {
 //	f64   := 8 bytes IEEE-754 little endian
 //
 // Version 2 stores the whole set as one template — O(roles) instead
-// of O(ranks) bodies. The reader accepts both versions; writers emit
-// version 2 when the set has been factored (Template) and version 1
-// otherwise, so files stay readable by older tooling unless the
-// caller opted into templates.
+// of O(ranks) bodies. WriteBinary writes version 2; the reader accepts
+// both, because earlier writers and other encoders produce version 1.
 const traceSetMagic = "dpts"
 
 const (
@@ -504,21 +453,45 @@ const (
 // must not drive allocation.
 const maxTraceSetBlob = 64 << 20
 
-// WriteBinary serializes the trace set in the compact binary format:
-// the v2 template container when the set has been factored (see
-// Template), the v1 per-rank container otherwise.
+// WriteBinary serializes the trace set as the v2 template container:
+// it factors the folded ranks into a rank-parameterized template, which
+// instantiates back to exactly these ops, and writes the header and
+// the template blob.
 func (ts *TraceSet) WriteBinary(w io.Writer) error {
-	return ts.writeBinary(w, ts.tpl)
+	tpl, err := ts.template()
+	if err != nil {
+		return err
+	}
+	var blob bytes.Buffer
+	if err := tpl.WriteTemplate(&blob); err != nil {
+		return err
+	}
+	b := binary.AppendUvarint(ts.header(traceSetTemplateVersion), uint64(blob.Len()))
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	_, err = w.Write(blob.Bytes())
+	return err
 }
 
-// writeBinary emits the v2 container for the given template, or the
-// v1 per-rank container when tpl is nil.
-func (ts *TraceSet) writeBinary(w io.Writer, tpl *trace.Template) error {
-	version := uint64(traceSetBinaryVersion)
-	if tpl != nil {
-		version = traceSetTemplateVersion
+// template factors the set's folded ranks.
+func (ts *TraceSet) template() (*trace.Template, error) {
+	if err := ts.Prepare(); err != nil {
+		return nil, err
 	}
-	bw := bufio.NewWriter(w)
+	tpl, err := trace.Factor(ts.folded)
+	if err != nil {
+		return nil, err
+	}
+	if tpl.World != ts.Ranks {
+		return nil, fmt.Errorf("dperf: template binds %d ranks, set has %d", tpl.World, ts.Ranks)
+	}
+	return tpl, nil
+}
+
+// header returns the binary container's header for the given format
+// version, everything before the payload.
+func (ts *TraceSet) header(version uint64) []byte {
 	var hdr []byte
 	hdr = append(hdr, traceSetMagic...)
 	hdr = binary.AppendUvarint(hdr, version)
@@ -528,48 +501,7 @@ func (ts *TraceSet) writeBinary(w io.Writer, tpl *trace.Template) error {
 	hdr = binary.AppendUvarint(hdr, uint64(ts.Level))
 	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(ts.ScatterBytes))
 	hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(ts.GatherBytes))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	var blob bytes.Buffer
-	writeBlob := func() error {
-		var lenBuf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(lenBuf[:], uint64(blob.Len()))
-		if _, err := bw.Write(lenBuf[:n]); err != nil {
-			return err
-		}
-		_, err := bw.Write(blob.Bytes())
-		return err
-	}
-	if tpl != nil {
-		if tpl.World != ts.Ranks {
-			return fmt.Errorf("dperf: template binds %d ranks, set has %d", tpl.World, ts.Ranks)
-		}
-		if err := tpl.WriteTemplate(&blob); err != nil {
-			return err
-		}
-		if err := writeBlob(); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	folded, err := ts.foldedOrErr()
-	if err != nil {
-		return err
-	}
-	if err := validateSetShape(ts.Ranks, len(folded)); err != nil {
-		return err
-	}
-	for _, f := range folded {
-		blob.Reset()
-		if err := f.WriteBinary(&blob); err != nil {
-			return err
-		}
-		if err := writeBlob(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return hdr
 }
 
 // offsetReader counts the bytes consumed from the underlying stream so
@@ -594,9 +526,9 @@ func (o *offsetReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// ReadTraceSetBinary loads a trace set written by WriteBinary and
-// validates it like ReadTraceSetJSON. The traces stay folded. Errors
-// carry the byte offset at which decoding failed.
+// ReadTraceSetBinary loads a trace set from a v1 or v2 binary
+// container and validates it like ReadTraceSetJSON. The traces stay
+// folded. Errors carry the byte offset at which decoding failed.
 func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 	br := &offsetReader{br: bufio.NewReader(r)}
 	var magic [4]byte
@@ -652,14 +584,6 @@ func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 	if err := validateDeployment(scatter, gather); err != nil {
 		return nil, err
 	}
-	ts := &TraceSet{
-		Workload:     string(name),
-		Ranks:        int(ranks),
-		Level:        level,
-		ScatterBytes: scatter,
-		GatherBytes:  gather,
-		cfg:          readConfig(),
-	}
 	readBlob := func(what string) ([]byte, int64, error) {
 		blobLen, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -675,6 +599,7 @@ func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 		}
 		return blob, start, nil
 	}
+	var folded []*trace.Folded
 	if version == traceSetTemplateVersion {
 		blob, start, err := readBlob("template")
 		if err != nil {
@@ -687,49 +612,45 @@ func ReadTraceSetBinary(r io.Reader) (*TraceSet, error) {
 		if tpl.World != int(ranks) {
 			return nil, fmt.Errorf("dperf: trace set claims %d ranks but template binds %d", ranks, tpl.World)
 		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("dperf: trailing data after trace set at byte offset %d", br.off)
-		}
-		if err := ts.setTemplate(tpl); err != nil {
+		if folded, err = tpl.Instantiate(); err != nil {
 			return nil, err
 		}
-		// Cross-rank consistency — a corrupted file fails here rather
-		// than deadlocking replay.
-		if err := trace.ValidateFolded(ts.folded); err != nil {
-			return nil, err
+	} else {
+		folded = make([]*trace.Folded, ranks)
+		for i := range folded {
+			blob, start, err := readBlob(fmt.Sprintf("rank %d trace", i))
+			if err != nil {
+				return nil, err
+			}
+			if folded[i], err = trace.ReadBinary(bytes.NewReader(blob)); err != nil {
+				return nil, fmt.Errorf("dperf: rank %d trace blob at byte offset %d: %w", i, start, err)
+			}
 		}
-		return ts, nil
-	}
-	folded := make([]*trace.Folded, ranks)
-	for i := range folded {
-		blob, start, err := readBlob(fmt.Sprintf("rank %d trace", i))
-		if err != nil {
-			return nil, err
-		}
-		f, err := trace.ReadBinary(bytes.NewReader(blob))
-		if err != nil {
-			return nil, fmt.Errorf("dperf: rank %d trace blob at byte offset %d: %w", i, start, err)
-		}
-		folded[i] = f
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("dperf: trailing data after trace set at byte offset %d", br.off)
 	}
+	// Cross-rank consistency — a corrupted file fails here rather than
+	// deadlocking replay.
 	if err := trace.ValidateFolded(folded); err != nil {
 		return nil, err
 	}
-	ts.folded = folded
-	return ts, nil
+	return &TraceSet{
+		Workload:     string(name),
+		Ranks:        int(ranks),
+		Level:        level,
+		ScatterBytes: scatter,
+		GatherBytes:  gather,
+		folded:       folded,
+		cfg:          readConfig(),
+	}, nil
 }
 
-// LoadTraceSet reads a trace set from disk, auto-detecting the
-// format: a JSON file (SaveJSON), a compact binary file (SaveBinary,
-// v1 per-rank or v2 template container), a single per-rank binary
-// trace or template stream (trace.Magic), or a directory of per-rank
-// rank-<i>.trace files (text or binary, as written by -emit-traces).
-// Directory, bare-trace and bare-template sets carry no workload or
-// deployment metadata: workload name empty, level O0, zero
-// scatter/gather bytes.
+// LoadTraceSet reads a trace set from disk: a single file in one of
+// the formats ReadTraceSetData accepts, or a directory of per-rank
+// rank-<i>.trace text files (as -emit-traces writes them). A directory
+// carries no workload or deployment metadata: its set has an empty
+// workload name, level O0 and zero scatter/gather bytes.
 func LoadTraceSet(path string) (*TraceSet, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -749,68 +670,35 @@ func LoadTraceSet(path string) (*TraceSet, error) {
 	return ReadTraceSetData(path, data)
 }
 
+// traceSetFormats names the single-file trace-set formats, for the
+// errors that refuse anything else.
+const traceSetFormats = "a JSON trace set (WriteJSON) or a binary trace-set container (WriteBinary, version 1 or 2)"
+
 // ReadTraceSetData parses a trace set from an in-memory artifact,
-// auto-detecting the same single-file formats LoadTraceSet accepts
-// (JSON, binary container, bare binary trace or template). name labels
-// errors — a path, an upload digest, a request id — so a failure names
-// both its artifact and, for the binary formats, the offending byte
-// offset. It is the admission path of a trace-set store: the CLI's
-// file loads go through the same parser, so store and CLI accept
-// byte-identical inputs.
+// auto-detecting a JSON document or a binary container. A bare
+// per-rank trace or template stream (trace.Magic) is not a set and is
+// refused, as is anything else, by an error naming the accepted
+// formats. name labels errors — a path, an upload digest, a request id
+// — so a failure names both its artifact and, for the binary format,
+// the offending byte offset. It is the admission path of a trace-set
+// store: the CLI's file loads go through the same parser, so store and
+// CLI accept byte-identical inputs.
 func ReadTraceSetData(name string, data []byte) (*TraceSet, error) {
+	var (
+		ts  *TraceSet
+		err error
+	)
 	switch {
 	case len(data) >= 4 && string(data[:4]) == traceSetMagic:
-		ts, err := ReadTraceSetBinary(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return ts, nil
+		ts, err = ReadTraceSetBinary(bytes.NewReader(data))
 	case len(data) >= 4 && string(data[:4]) == trace.Magic:
-		return readBareTraceData(name, data)
+		return nil, fmt.Errorf("dperf: %s is a bare per-rank trace or template stream, not a trace set; want %s", name, traceSetFormats)
 	case len(data) > 0 && (data[0] == '{' || data[0] == ' ' || data[0] == '\n' || data[0] == '\t' || data[0] == '\r'):
-		ts, err := ReadTraceSetJSON(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return ts, nil
+		ts, err = ReadTraceSetJSON(bytes.NewReader(data))
+	default:
+		return nil, fmt.Errorf("dperf: %s is not a trace set; want %s", name, traceSetFormats)
 	}
-	return nil, fmt.Errorf("dperf: %s is neither a JSON trace set, a binary trace set, nor a binary trace or template", name)
-}
-
-// readBareTraceData loads a single trace.Magic stream as a complete
-// set: a v2 stream is a whole templated set; a v1 stream is a
-// single-rank set and must label itself as one — the same rank/world
-// rule the directory loader enforces (the rank-3-of-8 file that a
-// directory load would reject cannot sneak in through the single-file
-// path).
-func readBareTraceData(name string, data []byte) (*TraceSet, error) {
-	version, err := trace.SniffBinaryVersion(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if version == 1 {
-		fd, err := trace.ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if err := trace.ValidateLabel(0, 1, fd.Rank, fd.Of); err != nil {
-			return nil, fmt.Errorf("%s: not a complete trace set: %w", name, err)
-		}
-		folded := []*trace.Folded{fd}
-		if err := trace.ValidateFolded(folded); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return &TraceSet{Ranks: 1, folded: folded, cfg: readConfig()}, nil
-	}
-	tpl, err := trace.ReadTemplate(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	ts := &TraceSet{Ranks: tpl.World, cfg: readConfig()}
-	if err := ts.setTemplate(tpl); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if err := trace.ValidateFolded(ts.folded); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return ts, nil
@@ -887,27 +775,20 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // Stats measures the set: raw vs folded record counts, the template
 // factoring and its dedup ratio, and the serialized byte size of each
-// format. It folds the set and factors a template as needed, and sizes
-// every format in O(folded ops): it never unfolds the records, so
-// neither its time nor its memory grows with repeat counts.
+// format. It sizes every format in O(folded ops): it never unfolds the
+// records, so neither its time nor its memory grows with repeat counts.
 func (ts *TraceSet) Stats() (*TraceStats, error) {
-	st := &TraceStats{Workload: ts.Workload, Ranks: ts.Ranks}
-	folded, err := ts.foldedOrErr()
+	tpl, err := ts.template()
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range folded {
+	st := &TraceStats{Workload: ts.Workload, Ranks: ts.Ranks}
+	for _, f := range ts.folded {
 		st.Records += f.NumRecords()
 		st.Ops += f.NumOps()
 	}
 	if st.Ops > 0 {
 		st.FoldRatio = float64(st.Records) / float64(st.Ops)
-	}
-	// Measure the template without installing it: inspecting a set
-	// must not flip a later SaveBinary from the v1 container to v2.
-	tpl, err := ts.templateNoCache()
-	if err != nil {
-		return nil, err
 	}
 	st.Roles = len(tpl.Roles)
 	st.Classes = len(tpl.Classes)
@@ -918,23 +799,38 @@ func (ts *TraceSet) Stats() (*TraceStats, error) {
 	} else {
 		st.AnalyticEligible = true
 	}
-	if st.TextBytes, st.JSONBytes, err = ts.formatSizes(folded); err != nil {
+	if st.TextBytes, st.JSONBytes, err = ts.formatSizes(); err != nil {
 		return nil, err
 	}
-	var cw countingWriter
-	if err := ts.writeBinary(&cw, nil); err != nil {
+	// BinaryBytes sizes the v1 per-rank container, which readers still
+	// accept; TemplateBytes the v2 container WriteBinary writes.
+	st.BinaryBytes = int64(len(ts.header(traceSetBinaryVersion)))
+	for _, f := range ts.folded {
+		n, err := blobSize(f.WriteBinary)
+		if err != nil {
+			return nil, err
+		}
+		st.BinaryBytes += n
+	}
+	n, err := blobSize(tpl.WriteTemplate)
+	if err != nil {
 		return nil, err
 	}
-	st.BinaryBytes = cw.n
-	cw.n = 0
-	if err := ts.writeBinary(&cw, tpl); err != nil {
-		return nil, err
-	}
-	st.TemplateBytes = cw.n
+	st.TemplateBytes = int64(len(ts.header(traceSetTemplateVersion))) + n
 	if st.TemplateBytes > 0 {
 		st.DedupRatio = float64(st.BinaryBytes) / float64(st.TemplateBytes)
 	}
 	return st, nil
+}
+
+// blobSize is the container size of the blob write produces: its
+// bytes plus their uvarint length prefix.
+func blobSize(write func(io.Writer) error) (int64, error) {
+	var cw countingWriter
+	if err := write(&cw); err != nil {
+		return 0, err
+	}
+	return int64(len(binary.AppendUvarint(nil, uint64(cw.n)))) + cw.n, nil
 }
 
 // WriteJSON indents its document by jsonIndent per level. A record
@@ -953,21 +849,13 @@ const (
 // record's depth — and counted with its saturating multiplicity; the
 // JSON document around the records is encoded for real with every
 // records array empty.
-func (ts *TraceSet) formatSizes(folded []*trace.Folded) (text, js int64, err error) {
-	// The skeleton: the document WriteJSON would write with each rank's
-	// records elided. A flat set keeps its own arrays' nil-ness (a nil
-	// array encodes as null); the flat view of a folded set has none.
-	doc := *ts
-	doc.Traces = make([]*trace.Trace, len(folded))
-	for i, f := range folded {
-		recs := []trace.Record{}
-		if ts.Traces != nil && ts.Traces[i].Records == nil {
-			recs = nil
-		}
-		doc.Traces[i] = &trace.Trace{Rank: f.Rank, Of: f.Of, Records: recs}
+func (ts *TraceSet) formatSizes() (text, js int64, err error) {
+	skeleton := make([]*trace.Trace, len(ts.folded))
+	for i, f := range ts.folded {
+		skeleton[i] = &trace.Trace{Rank: f.Rank, Of: f.Of, Records: []trace.Record{}}
 	}
 	var cw countingWriter
-	if err := doc.encodeJSON(&cw); err != nil {
+	if err := encodeJSON(&cw, ts.doc(skeleton)); err != nil {
 		return 0, 0, err
 	}
 	js = cw.n
@@ -982,7 +870,7 @@ func (ts *TraceSet) formatSizes(folded []*trace.Folded) (text, js int64, err err
 	type recordSize struct{ text, js int64 }
 	sizes := make(map[recordKey]recordSize)
 	var buf []byte
-	for _, f := range folded {
+	for _, f := range ts.folded {
 		text = trace.SatAdd(text, int64(len(trace.AppendTextHeader(buf[:0], f.Rank, f.Of))))
 		var recs int64
 		err := trace.WalkOps(f.Ops, 1, func(r trace.Record, mult int64) error {

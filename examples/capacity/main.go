@@ -2,10 +2,12 @@
 // peer-to-peer desktop machines match the computing power of a
 // cluster?" — upgraded from a six-point search to the full
 // procurement grid. Every candidate configuration (NIC bandwidth ×
-// switch latency × machine grade × scheme × peer count × problem
-// size: one million points) is answered by the analytic prediction
-// tier in microseconds, with no DES run on the prediction path; a
-// sampled DES fast-forward replay cross-checks the tier bit for bit.
+// switch latency × machine grade × peer count × problem size: half a
+// million points) is answered by the analytic prediction tier in
+// microseconds, with no DES run on the prediction path; a sampled DES
+// fast-forward replay cross-checks the tier bit for bit. The grid has
+// no scheme axis: no predicted time depends on the P2PSAP scheme, so
+// a scheme loop would only evaluate every point twice.
 //
 // On top of the coarse grid, the symbolic stage refines each winning
 // cell through guarded evaluation tapes (dperf.Scan): a dense local
@@ -61,12 +63,11 @@ func linspace(lo, hi float64, k int) []float64 {
 
 func main() {
 	// The procurement grid: 40 NIC bandwidths × 25 switch latencies ×
-	// 5 machine grades × 2 schemes × a peers/problem-size plan of 100
-	// points per cell = 1,000,000 configurations.
+	// 5 machine grades × a peers/problem-size plan of 100 points per
+	// cell = 500,000 configurations.
 	bws := logspace(40*platform.Mbps, 8*platform.Gbps, 40)
 	lats := logspace(50e-6, 1.5e-3, 25)
 	speeds := []float64{1.5e9, 2e9, 2.5e9, 3e9, 3.5e9}
-	schemes := []p2psap.Scheme{p2psap.Synchronous, p2psap.Asynchronous}
 	// Problem sizes: 70 master values; larger peer counts scan nested
 	// subsequences sized so rounds stay compute-led across the whole
 	// grid (per-rank work shrinks with the peer count, and fast
@@ -116,7 +117,7 @@ func main() {
 	fmt.Printf("target: %d cluster nodes solve N=%d in %.3f s\n\n", clusterPeers, refN, target[refN])
 
 	// Sources depend only on (peers, N, speed): build each once and
-	// reuse it across the 2,000 platform/scheme combinations.
+	// reuse it across the 1,000 platforms.
 	type srcKey struct {
 		peers, n int
 		speed    float64
@@ -155,29 +156,27 @@ func main() {
 					log.Fatal(err)
 				}
 				for _, s := range speeds {
-					for _, scheme := range schemes {
-						for _, i := range pp.idx {
-							n := master[i]
-							spec := capfamily.Spec(plat, pp.peers, n, scheme, sources[srcKey{pp.peers, n, s}])
-							res, err := model.Evaluate(spec)
-							if err != nil {
-								log.Fatal(err)
-							}
-							points++
-							if res.PredictedSeconds <= target[n] {
-								beats++
-								if n == refN && s == refSpeed && scheme == p2psap.Synchronous {
-									cur, ok := frontier[pp.peers]
-									if !ok || bw < cur.bw {
-										frontier[pp.peers] = frontierVal{bw, lat, res.PredictedSeconds}
-									}
+					for _, i := range pp.idx {
+						n := master[i]
+						spec := capfamily.Spec(plat, pp.peers, n, p2psap.Synchronous, sources[srcKey{pp.peers, n, s}])
+						res, err := model.Evaluate(spec)
+						if err != nil {
+							log.Fatal(err)
+						}
+						points++
+						if res.PredictedSeconds <= target[n] {
+							beats++
+							if n == refN && s == refSpeed {
+								cur, ok := frontier[pp.peers]
+								if !ok || bw < cur.bw {
+									frontier[pp.peers] = frontierVal{bw, lat, res.PredictedSeconds}
 								}
 							}
-							if points%200000 == 0 {
-								el := time.Since(start)
-								fmt.Printf("  %7d points in %6.1f s (%.0f points/s)\n",
-									points, el.Seconds(), float64(points)/el.Seconds())
-							}
+						}
+						if points%100000 == 0 {
+							el := time.Since(start)
+							fmt.Printf("  %7d points in %6.1f s (%.0f points/s)\n",
+								points, el.Seconds(), float64(points)/el.Seconds())
 						}
 					}
 				}
@@ -191,7 +190,7 @@ func main() {
 	fmt.Printf("%d of %d configurations (%.1f%%) beat the cluster\n\n",
 		beats, points, 100*float64(beats)/float64(points))
 
-	fmt.Printf("capacity answer at N=%d, %.1f GHz desktops, synchronous:\n", refN, refSpeed/1e9)
+	fmt.Printf("capacity answer at N=%d, %.1f GHz desktops:\n", refN, refSpeed/1e9)
 	for _, pp := range plan {
 		if f, ok := frontier[pp.peers]; ok {
 			fmt.Printf("  %d peers beat the cluster from %.0f Mbps NICs (%.0f µs drops): %.3f s vs %.3f s\n",

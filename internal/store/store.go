@@ -5,15 +5,14 @@
 // cached response keyed by (digest, platform, spec) can never go stale,
 // because the digest pins the input bits.
 //
-// Admission does all mutation up front: the artifact is parsed
-// (dperf.ReadTraceSetData — the same parser the CLI uses, so store and
-// CLI accept byte-identical inputs), prepared for concurrent sharing
-// (TraceSet.Prepare, which resolves the read-only replay view) and
-// measured (TraceSet.Stats, which sizes every format from the folded
-// IR in O(folded ops) and never unfolds the records, so admission
-// costs track the artifact's folded size, not the record count it
-// claims). After Put returns, the entry is immutable and its set
-// replays freely from any number of goroutines.
+// Admission parses the artifact (dperf.ReadTraceSetData — the same
+// parser the CLI uses, so store and CLI accept byte-identical inputs),
+// checks it (TraceSet.Prepare refuses an empty set) and measures it
+// (TraceSet.Stats, which sizes every format from the folded IR in
+// O(folded ops) and never unfolds the records, so admission costs
+// track the artifact's folded size, not the record count it claims).
+// A trace set is immutable from the moment it is read, so an entry's
+// set replays freely from any number of goroutines.
 //
 // With a directory the store persists each artifact under its digest
 // via an atomic temp-file rename, and reopening verifies every file
@@ -40,13 +39,10 @@ type Entry struct {
 	Digest string
 	// Size is the artifact's serialized length in bytes.
 	Size int64
-	// Set is the parsed, Prepare()d trace set, safe for concurrent
-	// replay.
+	// Set is the parsed trace set, safe for concurrent replay.
 	Set *dperf.TraceSet
-	// Stats is the admission-time measurement of the set, taken in
-	// O(folded ops) without unfolding it (computed once here precisely
-	// so no request-time path has to touch the set's lazy
-	// conversions).
+	// Stats is the admission-time measurement of the set, taken once
+	// in O(folded ops) without unfolding it.
 	Stats *dperf.TraceStats
 }
 
@@ -115,7 +111,7 @@ func isDigestName(name string) bool {
 	return true
 }
 
-// Put admits an artifact: parse, prepare, measure, persist. It returns
+// Put admits an artifact: parse, check, measure, persist. It returns
 // the entry plus whether it was newly created — re-uploading known
 // bytes is an O(hash) no-op returning the existing entry.
 func (s *Store) Put(data []byte) (*Entry, bool, error) {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,31 +14,12 @@ func rankFile(dir string, rank int) string {
 	return filepath.Join(dir, fmt.Sprintf("rank-%d.trace", rank))
 }
 
-// WriteAll writes one text trace file per rank into dir (created if
-// needed), named rank-<i>.trace — the layout the dPerf pipeline hands
-// to the simulation stage ("a set of trace files for each execution
-// and per participating process").
-func WriteAll(dir string, traces []*Trace) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, t := range traces {
-		if t.Rank != i {
-			return fmt.Errorf("trace: slot %d holds rank %d", i, t.Rank)
-		}
-		if err := writeRankFile(rankFile(dir, i), func(f *os.File) error {
-			return t.Write(f)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteAllFolded writes one trace file per rank from folded traces,
-// in the text format (written from the ops, never materializing the
-// flat records) or the compact binary format.
-func WriteAllFolded(dir string, fs []*Folded, binary bool) error {
+// WriteAllFolded writes one text trace file per rank into dir (created
+// if needed), named rank-<i>.trace — the layout the dPerf pipeline
+// hands to the simulation stage ("a set of trace files for each
+// execution and per participating process"). Each file is written
+// from the folded ops, never materializing the flat records.
+func WriteAllFolded(dir string, fs []*Folded) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -48,9 +28,6 @@ func WriteAllFolded(dir string, fs []*Folded, binary bool) error {
 			return fmt.Errorf("trace: slot %d holds rank %d", i, tr.Rank)
 		}
 		if err := writeRankFile(rankFile(dir, i), func(f *os.File) error {
-			if binary {
-				return tr.WriteBinary(f)
-			}
 			return WriteText(f, tr.Rank, tr.Of, tr.Ops)
 		}); err != nil {
 			return err
@@ -117,30 +94,24 @@ func scanRankFiles(dir string) (int, error) {
 	return max + 1, nil
 }
 
-// LoadFile reads one trace file, auto-detecting the text or binary
-// format, and returns it folded (text input is run-length folded).
+// LoadFile reads one text trace file and returns it run-length
+// folded.
 func LoadFile(path string) (*Folded, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic {
-		f, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", path, err)
-		}
-		return f, nil
-	}
-	t, err := Parse(bytes.NewReader(data))
+	defer f.Close()
+	t, err := Parse(f)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
 	return Fold(t), nil
 }
 
-// LoadAllFolded reads rank-0.trace .. rank-(n-1).trace from dir
-// (text or binary per file), validates the set — contiguous ranks, no
-// duplicates, headers agreeing on the total rank count, matching
+// LoadAllFolded reads the text files rank-0.trace .. rank-(n-1).trace
+// from dir, validates the set — contiguous ranks, no duplicates,
+// headers agreeing on the total rank count, matching
 // send/recv/conv/barrier counts — and returns it folded.
 func LoadAllFolded(dir string) ([]*Folded, error) {
 	n, err := scanRankFiles(dir)
@@ -167,22 +138,4 @@ func LoadAllFolded(dir string) ([]*Folded, error) {
 		return nil, err
 	}
 	return fs, nil
-}
-
-// LoadAll reads a directory of per-rank trace files like
-// LoadAllFolded and returns the set unfolded.
-func LoadAll(dir string) ([]*Trace, error) {
-	fs, err := LoadAllFolded(dir)
-	if err != nil {
-		return nil, err
-	}
-	traces := make([]*Trace, len(fs))
-	for i, f := range fs {
-		t, err := f.Unfold()
-		if err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", rankFile(dir, i), err)
-		}
-		traces[i] = t
-	}
-	return traces, nil
 }

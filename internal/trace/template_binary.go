@@ -589,21 +589,3 @@ func readTemplateBody(br *bufio.Reader) (*Template, error) {
 	}
 	return t, nil
 }
-
-// SniffBinaryVersion reports the stream version of a "dptb" prefix
-// (1: one rank's folded ops, 2: a template), or an error when the
-// data is not a dptb stream. Only the prefix is examined.
-func SniffBinaryVersion(data []byte) (int, error) {
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return 0, fmt.Errorf("trace: not a binary trace stream")
-	}
-	v, n := binary.Uvarint(data[len(Magic):])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: truncated binary version")
-	}
-	switch v {
-	case binaryVersion, templateVersion:
-		return int(v), nil
-	}
-	return 0, fmt.Errorf("trace: unsupported binary version %d", v)
-}

@@ -1,6 +1,10 @@
 package repro
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/trace"
+)
 
 // BenchmarkTemplateInstantiate measures materializing a whole folded
 // set from its rank-parameterized template — the per-rank cost a
@@ -8,7 +12,7 @@ import "testing"
 // BENCH_template.json are ns/rank and B/rank here.
 func BenchmarkTemplateInstantiate(b *testing.B) {
 	ts := traceBenchSet(b, 8)
-	tpl, err := ts.Template()
+	tpl, err := trace.Factor(ts.Folded())
 	if err != nil {
 		b.Fatal(err)
 	}

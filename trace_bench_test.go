@@ -161,8 +161,9 @@ func BenchmarkTraceSetEncode(b *testing.B) {
 // BenchmarkTraceSetStats measures trace-set admission as dperfd's
 // store runs it — decode, Prepare and Stats — on the paper-scale
 // obstacle workload at 8 ranks, at O0 (its rounds settle) and O2 (they
-// never do), from the v1 container an upload carries. With -benchmem
-// the allocations are admission's memory cost.
+// never do), from the v2 container WriteBinary writes (dperfbench's
+// new-trace workload times v1 uploads end to end). With -benchmem the
+// allocations are admission's memory cost.
 func BenchmarkTraceSetStats(b *testing.B) {
 	a, err := dperf.New(dperf.DefaultObstacleWorkload(), dperf.WithRanks(8)).Analyze()
 	if err != nil {
