@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,6 +43,12 @@ const maxUploadBytes = 256 << 20
 // successful reply stays in the result cache for the server's
 // lifetime, so a request may not ask for more.
 const maxSweepConfigs = 1024
+
+// maxScanPoints bounds one scan's grid (bandwidths × latencies ×
+// speeds): 64 scans of 256 points. Every point costs a replay and about
+// 270 reply bytes, and a successful reply stays in the result cache for
+// the server's lifetime, so a request may not ask for more.
+const maxScanPoints = 16384
 
 // server is the dperfd state shared by every request: the
 // content-addressed trace-set store, the analytic predictor (platform
@@ -446,7 +455,7 @@ type scanRequest struct {
 	SpeedsHz      []float64 `json:"speeds_hz,omitempty"`
 }
 
-func (sr *scanRequest) normalize() {
+func (sr *scanRequest) normalize() error {
 	if len(sr.BandwidthsBps) == 0 {
 		sr.BandwidthsBps = []float64{200 * platform.Mbps, 204 * platform.Mbps, 208 * platform.Mbps}
 	}
@@ -456,6 +465,12 @@ func (sr *scanRequest) normalize() {
 	if len(sr.SpeedsHz) == 0 {
 		sr.SpeedsHz = []float64{3e9, 3.06e9}
 	}
+	// Checked before the grid is built or keyed.
+	if n := len(sr.BandwidthsBps) * len(sr.LatenciesS) * len(sr.SpeedsHz); n > maxScanPoints {
+		return fmt.Errorf("scan grid has %d points (%d bandwidths × %d latencies × %d speeds), max %d",
+			n, len(sr.BandwidthsBps), len(sr.LatenciesS), len(sr.SpeedsHz), maxScanPoints)
+	}
+	return nil
 }
 
 func (sr *scanRequest) cacheKey() string {
@@ -506,7 +521,10 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	req.normalize()
+	if err := req.normalize(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.cached(w, req.cacheKey(), func() ([]byte, error) {
 		np := s.scanFam.NumParams
 		pts := make([]float64, 0, len(req.BandwidthsBps)*len(req.LatenciesS)*len(req.SpeedsHz)*np)
@@ -532,22 +550,134 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		resp := scanResponse{
+		return renderScan(&scanResponse{
 			Version: scanVersion,
 			Family:  "ghost-exchange",
 			Peers:   scanPeers,
 			N:       scanN,
 			Rounds:  scanRounds,
 			Results: results,
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(resp); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		})
 	})
+}
+
+// scanPointBytes bounds one rendered point: 163 bytes of keys,
+// punctuation and indentation plus seven numbers of at most 25 bytes.
+const scanPointBytes = 163 + 7*25
+
+// scanBufs holds the scratch buffers scan replies are rendered into.
+var scanBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// renderScan renders resp into a pooled scratch buffer sized for its
+// points and returns a copy exactly as long as the reply, which is what
+// the result cache keeps.
+func renderScan(resp *scanResponse) ([]byte, error) {
+	bp := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(bp)
+	b := slices.Grow((*bp)[:0], 256+len(resp.Results)*scanPointBytes)
+	b, err := appendScanResponse(b, resp)
+	*bp = b
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
+}
+
+// scanPointKeys open the seven members of a rendered point, in
+// scanPoint's field order.
+var scanPointKeys = [7]string{
+	"\n      \"bandwidth_bps\": ",
+	"\n      \"latency_s\": ",
+	"\n      \"speed_hz\": ",
+	"\n      \"predicted_s\": ",
+	"\n      \"scatter_s\": ",
+	"\n      \"compute_s\": ",
+	"\n      \"gather_s\": ",
+}
+
+// appendScanResponse appends resp to b byte for byte as a json.Encoder
+// with SetIndent("", "  ") encodes it, trailing newline included, for
+// non-nil Results (the encoder writes a nil slice as null). Like the
+// encoder it refuses the first NaN or infinite number with a
+// *json.UnsupportedValueError.
+func appendScanResponse(b []byte, resp *scanResponse) ([]byte, error) {
+	family, err := json.Marshal(resp.Family)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, "{\n  \"dperfd_scan_version\": "...)
+	b = strconv.AppendInt(b, int64(resp.Version), 10)
+	b = append(b, ",\n  \"family\": "...)
+	b = append(b, family...)
+	b = append(b, ",\n  \"peers\": "...)
+	b = strconv.AppendInt(b, int64(resp.Peers), 10)
+	b = append(b, ",\n  \"n\": "...)
+	b = strconv.AppendInt(b, int64(resp.N), 10)
+	b = append(b, ",\n  \"rounds\": "...)
+	b = strconv.AppendInt(b, int64(resp.Rounds), 10)
+	b = append(b, ",\n  \"results\": "...)
+	if len(resp.Results) == 0 {
+		b = append(b, "[]"...)
+	} else {
+		// A grid repeats its axis values from point to point, and so do
+		// the members that depend on only some axes: a member equal to
+		// the previous point's copies that point's bytes instead of
+		// formatting the number again.
+		var prev [7]struct {
+			bits   uint64
+			lo, hi int
+		}
+		b = append(b, '[')
+		for i := range resp.Results {
+			p := &resp.Results[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {"...)
+			for k, v := range [7]float64{p.BandwidthBps, p.LatencyS, p.SpeedHz, p.PredictedS, p.ScatterS, p.ComputeS, p.GatherS} {
+				if k > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, scanPointKeys[k]...)
+				bits := math.Float64bits(v)
+				if i > 0 && bits == prev[k].bits {
+					b = append(b, b[prev[k].lo:prev[k].hi]...)
+					continue
+				}
+				lo := len(b)
+				if b, err = appendJSONFloat(b, v); err != nil {
+					return b, err
+				}
+				prev[k].bits, prev[k].lo, prev[k].hi = bits, lo, len(b)
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or the 'e' form with a one-digit negative exponent
+// unpadded when |f| < 1e-6 or |f| >= 1e21. NaN and ±Inf are refused
+// with the encoder's error.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 becomes e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // sortedKeys is a test hook: the result-cache keys in deterministic

@@ -2,6 +2,8 @@ package dperf
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/analytic"
@@ -92,10 +94,12 @@ func (s *tapeSet) fetch(seen int) ([]*Tape, int) {
 	return out, len(s.tapes)
 }
 
-func (s *tapeSet) add(t *Tape) {
+// add appends t and returns the set's new size.
+func (s *tapeSet) add(t *Tape) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tapes = append(s.tapes, t)
+	return len(s.tapes)
 }
 
 func (s *tapeSet) size() int {
@@ -121,19 +125,133 @@ func (p *Predictor) tapeSetFor(f *ScanFamily) *tapeSet {
 	return s
 }
 
-// Scan evaluates the family at every grid point and streams the
-// results in point order. points holds NumParams floats per point,
-// row-major; visit receives each point's index and result (res is
-// reused across calls — copy what you keep).
+// scanner serves grid points through an MRU-ordered tape list, writing
+// each accepted point's result into res. One scanner belongs to one
+// goroutine; the points of different scanners never overlap.
+type scanner struct {
+	mru    []*Tape
+	points []float64
+	np     int
+	res    []analytic.Result
+	lanes  []float64 // one batch's parameters, gathered
+	bres   [analytic.BatchLanes]analytic.Result
+	bok    [analytic.BatchLanes]bool
+}
+
+func newScanner(mru []*Tape, points []float64, np int, res []analytic.Result) *scanner {
+	return &scanner{mru: mru, points: points, np: np, res: res, lanes: make([]float64, analytic.BatchLanes*np)}
+}
+
+// run serves the points idx names, in order, batch-first: each full
+// batch of BatchLanes points replays through the MRU tape, and every
+// lane it rejects, like every point of a short tail, goes to miss.
+func (sc *scanner) run(idx []int, miss func(i int) error) error {
+	np := sc.np
+	for j := 0; j < len(idx); {
+		if len(sc.mru) == 0 || len(idx)-j < analytic.BatchLanes {
+			if err := miss(idx[j]); err != nil {
+				return err
+			}
+			j++
+			continue
+		}
+		batch := idx[j : j+analytic.BatchLanes]
+		for l, i := range batch {
+			copy(sc.lanes[l*np:(l+1)*np], sc.points[i*np:(i+1)*np])
+		}
+		sc.mru[0].ReplayBatch(sc.lanes, &sc.bres, &sc.bok)
+		for l, i := range batch {
+			if sc.bok[l] {
+				sc.res[i] = sc.bres[l]
+			} else if err := miss(i); err != nil {
+				return err
+			}
+		}
+		j += analytic.BatchLanes
+	}
+	return nil
+}
+
+// replay tries point i on every tape in MRU order and moves the one
+// that accepts it to the front.
+func (sc *scanner) replay(i int) bool {
+	pt := sc.points[i*sc.np : (i+1)*sc.np]
+	for k, tp := range sc.mru {
+		if tp.Replay(pt, &sc.res[i]) {
+			copy(sc.mru[1:k+1], sc.mru[:k])
+			sc.mru[0] = tp
+			return true
+		}
+	}
+	return false
+}
+
+// replayStarting replays the grid through the tapes cached when the
+// scan started, on up to GOMAXPROCS workers. Each takes a contiguous
+// chunk of whole batches (the last one also the short tail) and its own
+// MRU copy of the tapes, and defers every point no tape accepts. It
+// returns the deferred points in point order.
+func replayStarting(start []*Tape, points []float64, np int, res []analytic.Result, all []int) []int {
+	batches := len(all) / analytic.BatchLanes
+	w := max(1, min(runtime.GOMAXPROCS(0), batches))
+	deferred := make([][]int, w)
+	work := func(k int) {
+		lo := k * batches / w * analytic.BatchLanes
+		hi := (k + 1) * batches / w * analytic.BatchLanes
+		if k == w-1 {
+			hi = len(all)
+		}
+		sc := newScanner(slices.Clone(start), points, np, res)
+		// This miss never fails: a worker defers what it cannot replay.
+		_ = sc.run(all[lo:hi], func(i int) error {
+			if !sc.replay(i) {
+				deferred[k] = append(deferred[k], i)
+			}
+			return nil
+		})
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < w-1; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(k)
+		}()
+	}
+	work(w - 1)
+	wg.Wait()
+	return slices.Concat(deferred...)
+}
+
+// Scan evaluates the family at every grid point, then visits the
+// results in point order on the calling goroutine. points holds
+// NumParams floats per point, row-major; visit receives each point's
+// index and result (res is reused across calls — copy what you keep).
+// On error visit is never called.
 //
-// The scan maintains a most-recently-used list of guarded tapes
-// (compiled regions of the family's parameter space). Runs of points
-// inside one region replay batched through the MRU tape — a
-// branch-free array walk — and a point every cached tape rejects
-// falls back to one full recording evaluation, which both answers the
-// point and contributes the new region's tape. Replayed or fallback,
-// every visited result is bit-identical to a full analytic evaluation
-// of the family at that point.
+// Tapes are compiled regions of the family's parameter space. The scan
+// makes two passes:
+//
+//   - The tapes the family had cached when the scan started replay the
+//     grid on up to GOMAXPROCS cores. Each worker takes a contiguous
+//     chunk of whole 8-point batches and its own MRU-ordered copy of
+//     the tapes: a batch replays through the MRU tape (Tape.ReplayBatch,
+//     a branch-free array walk), and each lane it rejects tries the
+//     other tapes in turn. A worker never compiles; it defers every
+//     point no starting tape accepts.
+//   - The caller then serves the deferred points in point order, the
+//     same batch-first way, through the tapes that were not cached at
+//     the start: those this pass records and those concurrent scans add
+//     meanwhile. A point none of them accepts falls back to one full
+//     recording evaluation, which both answers the point and
+//     contributes the new region's tape.
+//
+// Replayed or fallback, every result is bit-identical to a full
+// analytic evaluation of the family at that point. Unless a concurrent
+// scan adds tapes meanwhile, a point falls back exactly when it would
+// in a single pass over the grid in point order, so ScanStats does not
+// depend on GOMAXPROCS; a cold scan, with no starting tapes, is that
+// single pass.
 //
 // Scan is safe for concurrent use with Predict and other Scan calls
 // on a shared Predictor; keyed families share discovered regions
@@ -154,95 +272,71 @@ func (p *Predictor) Scan(f ScanFamily, points []float64, visit func(i int, res *
 	}
 	n := len(points) / np
 	set := p.tapeSetFor(&f)
-	local, seen := set.fetch(0) // MRU-ordered working list
-	stats := &ScanStats{Points: n}
-
-	var er EngineResult
-	emit := func(i int, r *analytic.Result) {
-		er = EngineResult{
-			PredictedSeconds:    r.PredictedSeconds,
-			ScatterSeconds:      r.ScatterSeconds,
-			ComputeSeconds:      r.ComputeSeconds,
-			GatherSeconds:       r.GatherSeconds,
-			RoundsSimulated:     r.RoundsSimulated,
-			RoundsFastForwarded: r.RoundsFastForwarded,
-		}
-		if visit != nil {
-			visit(i, &er)
-		}
+	start, seen := set.fetch(0)
+	res := make([]analytic.Result, n)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	deferred := all
+	if len(start) > 0 {
+		deferred = replayStarting(start, points, np, res, all)
 	}
 
-	// scalar serves one point: cached tapes in MRU order, then tapes
-	// concurrent scans discovered meanwhile, then the full fallback.
-	scalar := func(i int) error {
-		pt := points[i*np : i*np+np]
-		var r analytic.Result
-		for k, tp := range local {
-			if tp.Replay(pt, &r) {
-				if k != 0 {
-					copy(local[1:k+1], local[:k])
-					local[0] = tp
-				}
-				stats.Replayed++
-				emit(i, &r)
-				return nil
-			}
+	// The deferred points never re-try a starting tape: each already
+	// rejected them all. A miss tries the tapes this pass has seen in
+	// MRU order, then those concurrent scans added meanwhile, then
+	// records a new one.
+	sc := newScanner(nil, points, np, res)
+	fallbacks := 0
+	err := sc.run(deferred, func(i int) error {
+		if sc.replay(i) {
+			return nil
 		}
+		pt := points[i*np : i*np+np]
 		var fresh []*Tape
 		fresh, seen = set.fetch(seen)
 		for k, tp := range fresh {
-			if tp.Replay(pt, &r) {
-				local = append([]*Tape{tp}, local...)
-				local = append(local, fresh[k+1:]...)
-				stats.Replayed++
-				emit(i, &r)
+			if tp.Replay(pt, &res[i]) {
+				sc.mru = append([]*Tape{tp}, sc.mru...)
+				sc.mru = append(sc.mru, fresh[k+1:]...)
 				return nil
 			}
-			local = append(local, tp)
+			sc.mru = append(sc.mru, tp)
 		}
 		tp, err := analytic.CompileTape(f.Platform, pt, f.Build)
 		if err != nil {
 			return fmt.Errorf("dperf: scan fallback at point %d: %w", i, err)
 		}
-		if !tp.Replay(pt, &r) {
+		if !tp.Replay(pt, &res[i]) {
 			return fmt.Errorf("dperf: freshly recorded tape rejects its own record point %d", i)
 		}
-		set.add(tp)
-		seen++ // our own append; don't re-fetch it
-		local = append([]*Tape{tp}, local...)
-		stats.Fallbacks++
-		emit(i, &r)
+		if set.add(tp) == seen+1 {
+			seen++ // nothing else was added: don't re-fetch our own tape
+		}
+		sc.mru = append([]*Tape{tp}, sc.mru...)
+		fallbacks++
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	var bres [analytic.BatchLanes]analytic.Result
-	var bok [analytic.BatchLanes]bool
-	i := 0
-	for i < n {
-		if len(local) == 0 || n-i < analytic.BatchLanes {
-			if err := scalar(i); err != nil {
-				return nil, err
+	if visit != nil {
+		var er EngineResult
+		for i := range res {
+			r := &res[i]
+			er = EngineResult{
+				PredictedSeconds:    r.PredictedSeconds,
+				ScatterSeconds:      r.ScatterSeconds,
+				ComputeSeconds:      r.ComputeSeconds,
+				GatherSeconds:       r.GatherSeconds,
+				RoundsSimulated:     r.RoundsSimulated,
+				RoundsFastForwarded: r.RoundsFastForwarded,
 			}
-			i++
-			continue
+			visit(i, &er)
 		}
-		// Full batch against the MRU tape; lanes it rejects take the
-		// scalar path individually.
-		local[0].ReplayBatch(points[i*np:(i+analytic.BatchLanes)*np], &bres, &bok)
-		for l := 0; l < analytic.BatchLanes; l++ {
-			if bok[l] {
-				stats.Replayed++
-				emit(i+l, &bres[l])
-				continue
-			}
-			if err := scalar(i + l); err != nil {
-				return nil, err
-			}
-		}
-		i += analytic.BatchLanes
 	}
-	stats.Regions = set.size()
-	return stats, nil
+	return &ScanStats{Points: n, Replayed: n - fallbacks, Fallbacks: fallbacks, Regions: set.size()}, nil
 }
 
 // Scan evaluates a symbolic family over a parameter grid through a

@@ -1,7 +1,10 @@
 package dperf_test
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,6 +333,87 @@ func TestSymbolicScanSpeedup(t *testing.T) {
 	rate := float64(npts) / best.Seconds()
 	t.Logf("symbolic scan: %d points in %v — %.0f points/s vs %.0f points/s full evaluation, %.1fx (sink %g, evalSink %g)",
 		npts, best, rate, evalRate, rate/evalRate, sink, evalSink)
+}
+
+// goroutineID returns the running goroutine's id, read from the
+// header line of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	line := buf[:runtime.Stack(buf[:], false)]
+	return strings.Fields(string(line))[1]
+}
+
+// TestScanCoresDeterministic runs TestSymbolicScanSpeedup's 6400-point
+// cell at GOMAXPROCS 1 and 4 on fresh predictors, in three passes: a
+// 32-point corner of the cell, then the whole cell with the corner's
+// regions cached (its workers defer the points those reject), then the
+// whole cell warm. In every pass visit must see indices 0…n−1 in order
+// on the calling goroutine, each result's bits must be the same at both
+// settings, and both must count the work a serial scan counts.
+func TestScanCoresDeterministic(t *testing.T) {
+	const w, n, rounds = 2, 256, 40
+	bws := linspace(196*platform.Mbps, 206*platform.Mbps, 40)
+	lats := linspace(98e-6, 103e-6, 20)
+	speeds := linspace(2.98e9, 3.05e9, 8)
+	passes := [][]float64{grid(bws[:2], lats[:2], speeds), grid(bws, lats, speeds), grid(bws, lats, speeds)}
+	type run struct {
+		stats []dperf.ScanStats
+		bits  [][]uint64
+	}
+	scanAt := func(procs int) run {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p := dperf.NewPredictor()
+		f := ghostFamily(t, w, n, rounds, "ghost-cores")
+		caller := goroutineID()
+		var out run
+		for pass, pts := range passes {
+			var bits []uint64
+			var bad string
+			stats, err := p.Scan(f, pts, func(i int, res *dperf.EngineResult) {
+				if i != len(bits)/6 && bad == "" {
+					bad = fmt.Sprintf("visit saw point %d after %d points", i, len(bits)/6)
+				}
+				if id := goroutineID(); id != caller && bad == "" {
+					bad = fmt.Sprintf("visit ran on goroutine %s, the caller is %s", id, caller)
+				}
+				bits = append(bits,
+					math.Float64bits(res.PredictedSeconds), math.Float64bits(res.ScatterSeconds),
+					math.Float64bits(res.ComputeSeconds), math.Float64bits(res.GatherSeconds),
+					uint64(res.RoundsSimulated), uint64(res.RoundsFastForwarded))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bad != "" {
+				t.Fatalf("GOMAXPROCS %d pass %d: %s", procs, pass, bad)
+			}
+			if len(bits) != 6*len(pts)/3 {
+				t.Fatalf("GOMAXPROCS %d pass %d: visited %d of %d points", procs, pass, len(bits)/6, len(pts)/3)
+			}
+			out.stats = append(out.stats, *stats)
+			out.bits = append(out.bits, bits)
+		}
+		return out
+	}
+	one, four := scanAt(1), scanAt(4)
+	// A single serial pass over each grid in point order counts the
+	// same: the half-warm pass records the 11 regions its 7 starting
+	// tapes miss, and 7 + 11 is the cold cell's 18.
+	want := []dperf.ScanStats{
+		{Points: 32, Replayed: 25, Fallbacks: 7, Regions: 7},
+		{Points: 6400, Replayed: 6389, Fallbacks: 11, Regions: 18},
+		{Points: 6400, Replayed: 6400, Fallbacks: 0, Regions: 18},
+	}
+	for pass := range passes {
+		if one.stats[pass] != want[pass] || four.stats[pass] != want[pass] {
+			t.Fatalf("pass %d: GOMAXPROCS 1 %+v, GOMAXPROCS 4 %+v, want %+v", pass, one.stats[pass], four.stats[pass], want[pass])
+		}
+		for k, v := range one.bits[pass] {
+			if four.bits[pass][k] != v {
+				t.Fatalf("pass %d: point %d differs between GOMAXPROCS 1 and 4", pass, k/6)
+			}
+		}
+	}
 }
 
 // BenchmarkSymbolicScan measures the warm scan path end to end

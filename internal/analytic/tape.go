@@ -269,6 +269,10 @@ type Tape struct {
 	// sorted by it so replay can check each guard as soon as its
 	// operands exist (and while they are cache-hot).
 	gmax []int32
+	// gblk[k] ends the guards whose operands all lie in the parameters,
+	// the constants or the first (k+1)·replayBlock instruction results:
+	// scalar Replay checks guards[gblk[k-1]:gblk[k]] after block k.
+	gblk []int32
 	outs [4]int32 // predicted, scatter, compute, gather
 
 	// Region-constant integer outputs (control flow is fixed within
@@ -372,6 +376,18 @@ func (r *recorder) finalize(outs [4]sval, roundsSim, roundsFF, jumps int64) *Tap
 	for i, o := range outs {
 		t.outs[i] = remap[o.reg]
 	}
+	base := t.np + len(t.consts)
+	gi := 0
+	for lo := 0; ; lo += replayBlock {
+		hi := min(lo+replayBlock, len(t.instrs))
+		for gi < len(t.gmax) && int(t.gmax[gi]) < base+hi {
+			gi++
+		}
+		t.gblk = append(t.gblk, int32(gi))
+		if hi == len(t.instrs) {
+			break
+		}
+	}
 	t.roundsSim, t.roundsFF, t.jumps = roundsSim, roundsFF, jumps
 	t.nregs = int(next)
 	np, nc := t.np, len(t.consts)
@@ -395,51 +411,68 @@ func (r *recorder) finalize(outs [4]sval, roundsSim, roundsFF, jumps int64) *Tap
 	return t
 }
 
+// replayBlock is how many instructions scalar Replay runs between
+// guard checks. ReplayBatch checks after every instruction, a cost its
+// eight lanes share; one lane checking that often replays an accepting
+// tape about 1.4× slower.
+const replayBlock = 16
+
 // Replay evaluates the tape at params. When every guard re-evaluates
 // to its recorded outcome it fills res with the bit-identical result a
-// full evaluation at params would produce and returns true; on a guard
-// violation it returns false and res is unspecified.
+// full evaluation at params would produce and returns true. It checks
+// each guard once the block of replayBlock instructions that writes its
+// highest operand has run, and stops at the first violation, returning
+// false with res untouched: a point outside the region costs only the
+// prefix of the tape up to its first failing guard, as a dead batch
+// does in ReplayBatch.
 func (t *Tape) Replay(params []float64, res *Result) bool {
 	if len(params) != t.np {
 		panic(fmt.Sprintf("analytic: Replay with %d params, tape has %d", len(params), t.np))
 	}
 	bp := t.bufs.Get().(*[]float64)
-	rs := *bp
-	copy(rs, params)
-	base := t.np + len(t.consts)
-	for i, in := range t.instrs {
-		a, b := rs[in.a], rs[in.b]
-		var v float64
-		switch in.op {
-		case topAdd:
-			v = a + b
-		case topSub:
-			v = a - b
-		case topMul:
-			v = a * b
-		default:
-			v = a / b
-		}
-		rs[base+i] = v
-	}
-	ok := true
-	for _, g := range t.guards {
-		if !checkGuard(g, rs[g.a], rs[g.b]) {
-			ok = false
-			break
-		}
-	}
-	if ok {
-		res.PredictedSeconds = rs[t.outs[0]]
-		res.ScatterSeconds = rs[t.outs[1]]
-		res.ComputeSeconds = rs[t.outs[2]]
-		res.GatherSeconds = rs[t.outs[3]]
-		res.RoundsSimulated = t.roundsSim
-		res.RoundsFastForwarded = t.roundsFF
-		res.Jumps = t.jumps
-	}
+	ok := t.replay(*bp, params, res)
 	t.bufs.Put(bp)
 	return ok
+}
+
+func (t *Tape) replay(rs, params []float64, res *Result) bool {
+	copy(rs, params)
+	base := t.np + len(t.consts)
+	instrs, guards := t.instrs, t.guards
+	gi := 0
+	for blk, gend := range t.gblk {
+		lo := blk * replayBlock
+		hi := min(lo+replayBlock, len(instrs))
+		for i, in := range instrs[lo:hi] {
+			a, b := rs[in.a], rs[in.b]
+			var v float64
+			switch in.op {
+			case topAdd:
+				v = a + b
+			case topSub:
+				v = a - b
+			case topMul:
+				v = a * b
+			default:
+				v = a / b
+			}
+			rs[base+lo+i] = v
+		}
+		for _, g := range guards[gi:gend] {
+			if !checkGuard(g, rs[g.a], rs[g.b]) {
+				return false
+			}
+		}
+		gi = int(gend)
+	}
+	res.PredictedSeconds = rs[t.outs[0]]
+	res.ScatterSeconds = rs[t.outs[1]]
+	res.ComputeSeconds = rs[t.outs[2]]
+	res.GatherSeconds = rs[t.outs[3]]
+	res.RoundsSimulated = t.roundsSim
+	res.RoundsFastForwarded = t.roundsFF
+	res.Jumps = t.jumps
+	return true
 }
 
 // BatchLanes is the lane count of ReplayBatch: points are replayed

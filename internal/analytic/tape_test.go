@@ -402,6 +402,50 @@ func BenchmarkTapeReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkTapeReplayReject: scalar replay of a 2-peer tape at points
+// outside its region, one point per op, cycling through them. A
+// rejecting replay stops at the first violated guard, so it costs a
+// prefix of the tape: near points, from a dense cell around the record
+// point, leave the region at guards late in the tape; far points, past
+// the 0.5 ms profile threshold, fail a guard on the parameters alone.
+func BenchmarkTapeReplayReject(b *testing.B) {
+	const w, n, rounds = 2, 256, 40
+	plat := starPlatform(b, w)
+	tape := compileGhost(b, plat, w, n, rounds, []float64{196 * platform.Mbps, 98e-6, 2.98e9})
+	for _, c := range []struct {
+		name string
+		lat  float64 // the cell's lowest latency
+	}{{"near", 98e-6}, {"far", 900e-6}} {
+		var rejected [][]float64
+		var res Result
+		for i := 0; i < 40; i++ {
+			for j := 0; j < 20; j++ {
+				for k := 0; k < 8; k++ {
+					pt := []float64{
+						(196 + 10*float64(i)/39) * platform.Mbps,
+						c.lat * (1 + 0.05*float64(j)/19),
+						2.98e9 + 0.07e9*float64(k)/7,
+					}
+					if !tape.Replay(pt, &res) {
+						rejected = append(rejected, pt)
+					}
+				}
+			}
+		}
+		if len(rejected) == 0 {
+			b.Fatalf("%s: the tape accepts the whole cell", c.name)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if tape.Replay(rejected[i%len(rejected)], &res) {
+					b.Fatal("a rejected point was accepted")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTapeCompile: the cost of recording one region.
 func BenchmarkTapeCompile(b *testing.B) {
 	const w, n, rounds = 4, 512, 60
