@@ -458,14 +458,11 @@ func runSweep(fs *flag.FlagSet, src dperf.TraceSource, stdout io.Writer, fastFor
 	}
 	if schemes != "" {
 		for _, s := range strings.Split(schemes, ",") {
-			switch strings.TrimSpace(s) {
-			case "sync", "synchronous":
-				space.Schemes = append(space.Schemes, dperf.Synchronous)
-			case "async", "asynchronous":
-				space.Schemes = append(space.Schemes, dperf.Asynchronous)
-			default:
-				return fmt.Errorf("bad -sweep-schemes entry %q (want sync or async)", s)
+			scheme, err := dperf.ParseScheme(s)
+			if err != nil {
+				return fmt.Errorf("-sweep-schemes: %w", err)
 			}
+			space.Schemes = append(space.Schemes, scheme)
 		}
 	}
 

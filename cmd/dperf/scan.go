@@ -7,36 +7,22 @@ import (
 	"repro/dperf"
 	"repro/internal/capfamily"
 	"repro/internal/p2psap"
-	"repro/internal/platform"
 )
 
-// Scan smoke-path fixture: the shared capacity-planning ghost-exchange
-// family on a small fat-region configuration, over a grid whose
-// latitude axis straddles the 0.5 ms profile threshold — so the scan
-// deterministically exercises both tape replay and guard fallback.
-const (
-	scanPeers  = 2
-	scanN      = 256
-	scanRounds = 40
-)
-
-// runScan is the -scan smoke path: compile the symbolic family, scan
-// the fixed grid through guarded evaluation tapes, cross-check every
-// point bit for bit against the full analytic evaluator, and print the
-// deterministic region/fallback fingerprint.
+// runScan is the -scan smoke path: compile capfamily's demo family,
+// scan its default grid through guarded evaluation tapes, cross-check
+// every point bit for bit against the full analytic evaluator, and
+// print the deterministic region/fallback fingerprint.
 func runScan(stdout io.Writer) error {
-	bws := []float64{200 * platform.Mbps, 204 * platform.Mbps, 208 * platform.Mbps}
-	lats := []float64{100e-6, 103e-6, 900e-6, 927e-6}
-	speeds := []float64{3e9, 3.06e9}
-
-	plat, err := capfamily.Star(scanPeers)
+	bws, lats, speeds := capfamily.DemoGrid()
+	plat, err := capfamily.Star(capfamily.DemoPeers)
 	if err != nil {
 		return err
 	}
 	fam := dperf.ScanFamily{
 		Platform:  plat,
 		NumParams: capfamily.NumParams,
-		Build:     capfamily.Family(plat, scanPeers, scanN, scanRounds, p2psap.Synchronous),
+		Build:     capfamily.Family(plat, capfamily.DemoPeers, capfamily.DemoN, capfamily.DemoRounds, p2psap.Synchronous),
 	}
 	pts := make([]float64, 0, len(bws)*len(lats)*len(speeds)*capfamily.NumParams)
 	for _, bw := range bws {
@@ -67,7 +53,7 @@ func runScan(stdout io.Writer) error {
 	match := 0
 	for i := range results {
 		bw, lat, s := pts[i*3], pts[i*3+1], pts[i*3+2]
-		want, err := capfamily.Evaluate(scanPeers, scanN, scanRounds, p2psap.Synchronous, bw, lat, s)
+		want, err := capfamily.Evaluate(capfamily.DemoPeers, capfamily.DemoN, capfamily.DemoRounds, p2psap.Synchronous, bw, lat, s)
 		if err != nil {
 			return err
 		}
@@ -82,7 +68,7 @@ func runScan(stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "symbolic scan: ghost-exchange family, %d peers, N=%d, %d rounds\n",
-		scanPeers, scanN, scanRounds)
+		capfamily.DemoPeers, capfamily.DemoN, capfamily.DemoRounds)
 	fmt.Fprintf(stdout, "  grid: %d bandwidths x %d latencies x %d speeds = %d points\n",
 		len(bws), len(lats), len(speeds), stats.Points)
 	fmt.Fprintf(stdout, "  tape replayed %d points, %d guard fallbacks, %d tape regions\n",

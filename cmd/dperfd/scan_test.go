@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/capfamily"
 	"repro/internal/platform"
 	"repro/internal/store"
 )
@@ -119,7 +120,7 @@ func FuzzScanResponseJSON(f *testing.F) {
 		for i := range pts {
 			pts[i] = scanPoint{next(), next(), next(), next(), next(), next(), next()}
 		}
-		resp := &scanResponse{Version: scanVersion, Family: "ghost-exchange", Peers: scanPeers, N: scanN, Rounds: scanRounds, Results: pts}
+		resp := &scanResponse{Version: scanVersion, Family: "ghost-exchange", Peers: capfamily.DemoPeers, N: capfamily.DemoN, Rounds: capfamily.DemoRounds, Results: pts}
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		enc.SetIndent("", "  ")

@@ -18,22 +18,14 @@ import (
 	"repro/dperf"
 	"repro/internal/capfamily"
 	"repro/internal/p2psap"
-	"repro/internal/platform"
 	"repro/internal/store"
 )
 
-// Scan fixture: the same capacity-planning ghost-exchange family the
-// CLI's -scan smoke path fixes, so the served family is cross-checked
-// by the same bit-identity contract.
-const (
-	scanPeers  = 2
-	scanN      = 256
-	scanRounds = 40
-	// scanFamilyKey names the family's shared tape cache on the
-	// predictor; concurrent and repeated scans replay each other's
-	// discovered regions.
-	scanFamilyKey = "capfamily/ghost-exchange/p2/n256/r40"
-)
+// scanFamilyKey names the shared tape cache of the scan fixture,
+// capfamily's demo family (the one the CLI's -scan smoke path
+// cross-checks), on the predictor; concurrent and repeated scans
+// replay each other's discovered regions.
+const scanFamilyKey = "capfamily/ghost-exchange/p2/n256/r40"
 
 // maxUploadBytes bounds one trace-set upload.
 const maxUploadBytes = 256 << 20
@@ -74,7 +66,7 @@ type server struct {
 
 // newServer assembles the service around an opened store.
 func newServer(st *store.Store) (*server, error) {
-	plat, err := capfamily.Star(scanPeers)
+	plat, err := capfamily.Star(capfamily.DemoPeers)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +77,7 @@ func newServer(st *store.Store) (*server, error) {
 		scanFam: dperf.ScanFamily{
 			Platform:  plat,
 			NumParams: capfamily.NumParams,
-			Build:     capfamily.Family(plat, scanPeers, scanN, scanRounds, p2psap.Synchronous),
+			Build:     capfamily.Family(plat, capfamily.DemoPeers, capfamily.DemoN, capfamily.DemoRounds, p2psap.Synchronous),
 			Key:       scanFamilyKey,
 		},
 		results: make(map[string][]byte),
@@ -380,25 +372,13 @@ func (sr *sweepRequest) normalize() (dperf.PredictMode, error) {
 	return dperf.ParsePredictMode(sr.PredictMode)
 }
 
-func (sr *sweepRequest) cacheKey() string {
-	ranks := make([]string, len(sr.Ranks))
-	for i, r := range sr.Ranks {
-		ranks[i] = strconv.Itoa(r)
-	}
-	return fmt.Sprintf("sweep|%s|%s|%s|%s|%t|%s",
-		sr.Digest, strings.Join(sr.Platforms, ","), strings.Join(ranks, ","),
-		strings.Join(sr.Schemes, ","), sr.NoFastForward, sr.PredictMode)
-}
-
-// parseScheme mirrors the CLI's -sweep-schemes vocabulary.
-func parseScheme(s string) (dperf.Scheme, error) {
-	switch strings.TrimSpace(s) {
-	case "sync", "synchronous":
-		return dperf.Synchronous, nil
-	case "async", "asynchronous":
-		return dperf.Asynchronous, nil
-	}
-	return 0, fmt.Errorf("bad scheme %q (want sync or async)", s)
+// sweepKey keys a sweep reply by what the sweep runs: the trimmed
+// platform kinds and the parsed schemes, not the request's spellings.
+// Each list is encoded with %q or %v, so no two distinct sweeps share
+// a key, even where a platform name contains a comma.
+func sweepKey(digest string, space dperf.Space, noFastForward bool, mode dperf.PredictMode) string {
+	return fmt.Sprintf("sweep|%s|%q|%v|%q|%t|%s",
+		digest, space.Platforms, space.Ranks, space.Schemes, noFastForward, mode)
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -416,7 +396,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		space.Platforms = append(space.Platforms, dperf.Kind(strings.TrimSpace(p)))
 	}
 	for _, sch := range req.Schemes {
-		scheme, err := parseScheme(sch)
+		scheme, err := dperf.ParseScheme(sch)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -428,7 +408,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown trace set %q", req.Digest))
 		return
 	}
-	s.cached(w, req.cacheKey(), func() ([]byte, error) {
+	s.cached(w, sweepKey(req.Digest, space, req.NoFastForward, mode), func() ([]byte, error) {
 		opts := []dperf.SweepOption{
 			dperf.SweepOptions(s.replayOptions(mode, req.NoFastForward)...),
 		}
@@ -456,14 +436,15 @@ type scanRequest struct {
 }
 
 func (sr *scanRequest) normalize() error {
+	bws, lats, speeds := capfamily.DemoGrid()
 	if len(sr.BandwidthsBps) == 0 {
-		sr.BandwidthsBps = []float64{200 * platform.Mbps, 204 * platform.Mbps, 208 * platform.Mbps}
+		sr.BandwidthsBps = bws
 	}
 	if len(sr.LatenciesS) == 0 {
-		sr.LatenciesS = []float64{100e-6, 103e-6, 900e-6, 927e-6}
+		sr.LatenciesS = lats
 	}
 	if len(sr.SpeedsHz) == 0 {
-		sr.SpeedsHz = []float64{3e9, 3.06e9}
+		sr.SpeedsHz = speeds
 	}
 	// Checked before the grid is built or keyed.
 	if n := len(sr.BandwidthsBps) * len(sr.LatenciesS) * len(sr.SpeedsHz); n > maxScanPoints {
@@ -553,9 +534,9 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return renderScan(&scanResponse{
 			Version: scanVersion,
 			Family:  "ghost-exchange",
-			Peers:   scanPeers,
-			N:       scanN,
-			Rounds:  scanRounds,
+			Peers:   capfamily.DemoPeers,
+			N:       capfamily.DemoN,
+			Rounds:  capfamily.DemoRounds,
 			Results: results,
 		})
 	})

@@ -341,6 +341,39 @@ func TestSweepBounds(t *testing.T) {
 	}
 }
 
+// TestSweepCacheKeysDistinct: a sweep of the one platform named
+// "grid5000,lan" and a sweep of grid5000 and lan are distinct
+// requests. On a fresh server, in either order, each gets the reply it
+// gets when served alone, and each keeps its own result-cache entry.
+func TestSweepCacheKeysDistinct(t *testing.T) {
+	platforms := [][]string{{"grid5000,lan"}, {"grid5000", "lan"}}
+	alone := make([][]byte, len(platforms))
+	for i, plats := range platforms {
+		_, hs := newTestServer(t)
+		code, body := postJSON(t, hs.URL+"/v1/sweep", sweepRequest{Digest: upload(t, hs), Platforms: plats})
+		if code != http.StatusOK {
+			t.Fatalf("%q alone: status %d: %s", plats, code, body)
+		}
+		alone[i] = body
+	}
+	if bytes.Equal(alone[0], alone[1]) {
+		t.Fatalf("both sweeps replied alike:\n%s", alone[0])
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		s, hs := newTestServer(t)
+		digest := upload(t, hs)
+		for _, i := range order {
+			code, body := postJSON(t, hs.URL+"/v1/sweep", sweepRequest{Digest: digest, Platforms: platforms[i]})
+			if code != http.StatusOK || !bytes.Equal(body, alone[i]) {
+				t.Fatalf("order %v: %q: status %d reply\n%s\nwant the reply served alone\n%s", order, platforms[i], code, body, alone[i])
+			}
+		}
+		if keys := s.sortedKeys(); len(keys) != 2 {
+			t.Fatalf("order %v: result cache holds %d entries, want 2: %q", order, len(keys), keys)
+		}
+	}
+}
+
 func TestScanDifferential(t *testing.T) {
 	_, hs := newTestServer(t)
 
@@ -363,7 +396,7 @@ func TestScanDifferential(t *testing.T) {
 	// Every served point must be bit-identical to a from-scratch
 	// analytic evaluation — the same cross-check the CLI -scan asserts.
 	for _, pt := range resp.Results {
-		ref, err := capfamily.Evaluate(scanPeers, scanN, scanRounds, p2psap.Synchronous, pt.BandwidthBps, pt.LatencyS, pt.SpeedHz)
+		ref, err := capfamily.Evaluate(capfamily.DemoPeers, capfamily.DemoN, capfamily.DemoRounds, p2psap.Synchronous, pt.BandwidthBps, pt.LatencyS, pt.SpeedHz)
 		if err != nil {
 			t.Fatal(err)
 		}

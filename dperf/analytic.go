@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,18 +18,16 @@ import (
 type PredictMode int
 
 const (
-	// PredictDES (the default) always replays through the configured
-	// DES engine.
+	// PredictDES (the default) always replays on the session pool.
 	PredictDES PredictMode = iota
 	// PredictAuto serves eligible, steady-state-certified
-	// configurations from the analytic tier and falls back to the
-	// configured engine for everything else. The engine that would
-	// otherwise answer first replays the configuration once with
-	// fast-forward forced on. Only when that replay jumped is the
-	// configuration certified, and the certificate serves only if the
-	// two agree bit for bit. A replay that never jumped is already the
-	// answer when fast-forward is on. The check runs once per
-	// certificate and engine name.
+	// configurations from the analytic tier and replays everything
+	// else on the session pool. The pool first replays the
+	// configuration once with fast-forward forced on. Only when that
+	// replay jumped is the configuration certified, and the
+	// certificate serves only if the two agree bit for bit. A replay
+	// that never jumped is already the answer when fast-forward is on.
+	// The check runs once per certificate.
 	PredictAuto
 	// PredictAnalytic forces the analytic tier; ineligible
 	// configurations fail instead of falling back.
@@ -70,7 +67,7 @@ const (
 
 // WithPredictMode selects the prediction tier (default PredictDES).
 // The analytic tier evaluates under fast-forward semantics: its
-// results are bit-identical to the DES engine with
+// results are bit-identical to the DES replay with
 // WithFastForward(true), and can differ from a non-fast-forward replay
 // by float64 rounding in the last ulps.
 func WithPredictMode(m PredictMode) Option {
@@ -90,17 +87,17 @@ func WithPredictor(p *Predictor) Option {
 
 // errNotSteadyState marks a configuration whose fast-forward replay
 // never jumped: no certificate can match it, so auto mode lets the
-// engine answer.
+// replay answer.
 var errNotSteadyState = errors.New("dperf: fast-forward replay found no steady state")
 
 // Predictor is the analytic tier's serving cache: platform models and
 // configuration certificates, safe for concurrent use. Certifying a
 // configuration runs the closed-form evaluation once. In auto mode one
-// verification replay on the engine that would otherwise answer comes
-// first, and the evaluation runs only if that replay jumped. Every
-// subsequent prediction for the configuration is answered from the
-// stored outcome. The Predictor holds no replay sessions: a
-// SessionPool engine verifies on its own warm sessions.
+// verification replay on the session pool comes first, and the
+// evaluation runs only if that replay jumped. Every subsequent
+// prediction for the configuration is answered from the stored
+// outcome. The Predictor holds no replay sessions: the pool verifies
+// on its own warm sessions.
 type Predictor struct {
 	mu     sync.Mutex
 	plats  map[platKey]*Platform
@@ -121,16 +118,16 @@ type certEntry struct {
 	// src pins the source the key names by address (see analyticKey):
 	// while the entry lives, no other source can take that address and
 	// be served this certificate.
-	src       trace.Source
+	src       trace.FoldedSource
 	mu        sync.Mutex
-	cert      *analytic.Certificate
+	cert      *analytic.Result
 	err       error
 	certified bool
-	// verified holds auto mode's verdict per engine name: nil when the
-	// certificate matched the engine's replay and serves, otherwise why
-	// the engine answers instead. Each engine that answers the
-	// configuration checks it once.
-	verified map[string]error
+	// verified marks auto mode's verdict as checked, and verr holds
+	// it: nil when the certificate matched the pool's replay and
+	// serves, otherwise why the pool answers instead.
+	verified bool
+	verr     error
 }
 
 // NewPredictor returns an empty analytic serving cache.
@@ -151,25 +148,20 @@ type platKey struct {
 	ranks int
 }
 
-// platformFor resolves the configuration's target platform and its
-// report label through the predictor's cache. Sessions, models and
-// certificates are keyed by platform identity, so repeated predictions
-// must see the same *Platform for the same built-in kind and size —
-// without this cache every call would build a fresh graph, realize a
-// fresh session and re-certify from scratch. Custom platforms already
-// carry stable identity (the caller owns the pointer).
-func (p *Predictor) platformFor(cfg *config, ranks int) (*Platform, string, error) {
-	if cfg.custom != nil {
-		return cfg.custom, cfg.custom.Name, nil
-	}
-	key := platKey{kind: cfg.kind, ranks: platform.SizeKey(cfg.kind, ranks)}
+// platformFor resolves a built-in platform through the predictor's
+// cache. Sessions, models and certificates are keyed by platform
+// identity, so repeated predictions must see the same *Platform for
+// the same kind and size — without this cache every call would build
+// a fresh graph, realize a fresh session and re-certify from scratch.
+func (p *Predictor) platformFor(kind Kind, ranks int) (*Platform, error) {
+	key := platKey{kind: kind, ranks: platform.SizeKey(kind, ranks)}
 	p.mu.Lock()
 	plat := p.plats[key]
 	p.mu.Unlock()
 	if plat == nil {
-		built, err := platform.ForKind(cfg.kind, ranks)
+		built, err := platform.ForKind(kind, ranks)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		p.mu.Lock()
 		if plat = p.plats[key]; plat == nil {
@@ -178,7 +170,7 @@ func (p *Predictor) platformFor(cfg *config, ranks int) (*Platform, string, erro
 		} // else a concurrent call won the build race; keep its identity
 		p.mu.Unlock()
 	}
-	return plat, string(cfg.kind), nil
+	return plat, nil
 }
 
 func (p *Predictor) model(plat *platform.Platform) (*analytic.Model, error) {
@@ -195,7 +187,7 @@ func (p *Predictor) model(plat *platform.Platform) (*analytic.Model, error) {
 	return m, nil
 }
 
-func (p *Predictor) entry(key string, src trace.Source) *certEntry {
+func (p *Predictor) entry(key string, src trace.FoldedSource) *certEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.certs[key]
@@ -207,7 +199,7 @@ func (p *Predictor) entry(key string, src trace.Source) *certEntry {
 }
 
 // analyticSpec maps the engine spec onto the analytic tier's spec.
-func analyticSpec(spec *EngineSpec) analytic.Spec {
+func analyticSpec(spec *engineSpec) analytic.Spec {
 	return analytic.Spec{
 		Platform:     spec.Platform,
 		Hosts:        spec.Hosts,
@@ -218,35 +210,18 @@ func analyticSpec(spec *EngineSpec) analytic.Spec {
 	}
 }
 
-// sourceID renders a trace source's identity. Only reference kinds
-// have one; anything else disables certificate caching rather than
-// risk keying two distinct sources alike.
-func sourceID(src trace.Source) string {
-	v := reflect.ValueOf(src)
-	switch v.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
-		return fmt.Sprintf("%s@%x", v.Type(), v.Pointer())
-	}
-	return ""
-}
-
 // analyticKey identifies a certifiable configuration. Platform and
-// source are keyed by identity, so an entry must keep both alive: the
-// model cache pins the platform and the entry itself the source. An
-// unkeyable source disables caching rather than risk serving a wrong
-// certificate.
-func analyticKey(spec *EngineSpec) string {
-	src := sourceID(spec.Source)
-	if src == "" {
-		return ""
-	}
-	return fmt.Sprintf("%p|%016x|%016x|%s|%s",
+// source are keyed by identity (a source by the address of its first
+// rank's ops), so an entry must keep both alive: the model cache pins
+// the platform and the entry itself the source.
+func analyticKey(spec *engineSpec) string {
+	return fmt.Sprintf("%p|%016x|%016x|%s|%p",
 		spec.Platform,
 		math.Float64bits(spec.ScatterBytes), math.Float64bits(spec.GatherBytes),
-		strings.Join(spec.Hosts, ","), src)
+		strings.Join(spec.Hosts, ","), spec.Source)
 }
 
-func analyticResult(res analytic.Result) *EngineResult {
+func analyticResult(res *analytic.Result) *EngineResult {
 	return &EngineResult{
 		PredictedSeconds:    res.PredictedSeconds,
 		ScatterSeconds:      res.ScatterSeconds,
@@ -260,18 +235,15 @@ func analyticResult(res analytic.Result) *EngineResult {
 
 // entryFor returns the spec's certificate entry once the spec is
 // eligible for the analytic tier.
-func (p *Predictor) entryFor(spec *EngineSpec) (*certEntry, error) {
+func (p *Predictor) entryFor(spec *engineSpec) (*certEntry, error) {
 	if err := analytic.Eligible(spec.Source); err != nil {
 		return nil, err
 	}
-	if key := analyticKey(spec); key != "" {
-		return p.entry(key, spec.Source), nil
-	}
-	return &certEntry{}, nil // an unkeyable source certifies privately
+	return p.entry(analyticKey(spec), spec.Source), nil
 }
 
 // certify returns the entry's certificate, evaluating it on first use.
-func (p *Predictor) certify(e *certEntry, spec *EngineSpec) (*analytic.Certificate, error) {
+func (p *Predictor) certify(e *certEntry, spec *engineSpec) (*analytic.Result, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.certified {
@@ -281,7 +253,7 @@ func (p *Predictor) certify(e *certEntry, spec *EngineSpec) (*analytic.Certifica
 			e.err = err
 		} else {
 			p.certifications.Add(1)
-			e.cert, e.err = m.Certify(analyticSpec(spec))
+			e.cert, e.err = m.Evaluate(analyticSpec(spec))
 		}
 	}
 	return e.cert, e.err
@@ -289,7 +261,7 @@ func (p *Predictor) certify(e *certEntry, spec *EngineSpec) (*analytic.Certifica
 
 // predictAnalytic is analytic mode's tier policy: it serves the spec's
 // certificate, certifying it on first use, steady state or not.
-func (p *Predictor) predictAnalytic(spec *EngineSpec) (*EngineResult, error) {
+func (p *Predictor) predictAnalytic(spec *engineSpec) (*EngineResult, error) {
 	e, err := p.entryFor(spec)
 	if err != nil {
 		return nil, err
@@ -298,41 +270,38 @@ func (p *Predictor) predictAnalytic(spec *EngineSpec) (*EngineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyticResult(cert.Res), nil
+	return analyticResult(cert), nil
 }
 
 // predictAuto is auto mode's tier policy. It returns the result and
 // the tier that produced it. An eligible spec is first replayed once
-// on the engine with fast-forward forced on. A certificate serves only
+// on the pool with fast-forward forced on. A certificate serves only
 // when its Jumps is above zero and equal to that replay's, so the
 // configuration is certified only after the replay jumped; a replay
-// that never jumped is already the engine's answer when fast-forward
-// is on. The verdict is kept per engine name, so later predictions of
-// the configuration either serve the certificate or replay once. Any
-// failure (ineligibility, no jump, a certification error, a mismatch)
-// lets the engine answer.
-func (p *Predictor) predictAuto(spec *EngineSpec, engine Engine) (*EngineResult, string, error) {
+// that never jumped is already the answer when fast-forward is on. The
+// verdict is kept, so later predictions of the configuration either
+// serve the certificate or replay once. Any failure (ineligibility, no
+// jump, a certification error, a mismatch) lets the pool answer.
+func (p *Predictor) predictAuto(spec *engineSpec, pool *SessionPool) (*EngineResult, string, error) {
 	e, err := p.entryFor(spec)
 	if err != nil {
-		return replayTier(engine, spec)
+		return replayTier(pool, spec)
 	}
-	name := engine.Name()
 	e.mu.Lock()
-	verr, verified := e.verified[name]
-	cert := e.cert
+	verified, verr, cert := e.verified, e.verr, e.cert
 	e.mu.Unlock()
 	if verified {
 		if verr != nil {
-			return replayTier(engine, spec)
+			return replayTier(pool, spec)
 		}
-		return analyticResult(cert.Res), TierAnalytic, nil
+		return analyticResult(cert), TierAnalytic, nil
 	}
-	// The replay runs outside the entry's lock because the engine may
-	// be caller code, so concurrent first uses may each replay; a
-	// deterministic engine gives each the same verdict.
+	// The replay runs outside the entry's lock, so concurrent first
+	// uses may each replay; replay is deterministic, so each reaches
+	// the same verdict.
 	vs := *spec
 	vs.FastForward = true
-	res, rerr := engine.Replay(vs)
+	res, rerr := pool.replay(vs)
 	switch {
 	case rerr != nil:
 		verr = fmt.Errorf("dperf: analytic verification replay failed: %w", rerr)
@@ -344,16 +313,13 @@ func (p *Predictor) predictAuto(spec *EngineSpec, engine Engine) (*EngineResult,
 		}
 	}
 	e.mu.Lock()
-	if e.verified == nil {
-		e.verified = make(map[string]error)
-	}
-	e.verified[name] = verr
+	e.verified, e.verr = true, verr
 	e.mu.Unlock()
 	switch {
 	case verr == nil:
-		return analyticResult(cert.Res), TierAnalytic, nil
+		return analyticResult(cert), TierAnalytic, nil
 	case !spec.FastForward:
-		return replayTier(engine, spec)
+		return replayTier(pool, spec)
 	case rerr != nil:
 		return nil, "", rerr
 	}
@@ -361,21 +327,17 @@ func (p *Predictor) predictAuto(spec *EngineSpec, engine Engine) (*EngineResult,
 	return res, TierDES, nil
 }
 
-// replayTier lets the engine answer the spec.
-func replayTier(engine Engine, spec *EngineSpec) (*EngineResult, string, error) {
-	res, err := engine.Replay(*spec)
+// replayTier lets the pool answer the spec.
+func replayTier(pool *SessionPool, spec *engineSpec) (*EngineResult, string, error) {
+	res, err := pool.replay(*spec)
 	return res, TierDES, err
 }
 
 // matchReplay requires the certificate to match a fast-forward replay
-// of its spec bit for bit: every phase time, both round counts and
-// the jump count. This is the auto tier's guardrail before a
-// certificate serves predictions without further simulation. The
-// replay ran on the engine that would otherwise answer, so a
-// SessionPool verifies on a warm session and a custom engine is its
-// own oracle.
-func matchReplay(cert *analytic.Certificate, res *EngineResult) error {
-	c := cert.Res
+// of its spec on the pool bit for bit: every phase time, both round
+// counts and the jump count. This is the auto tier's guardrail before
+// a certificate serves predictions without further simulation.
+func matchReplay(c *analytic.Result, res *EngineResult) error {
 	if res.PredictedSeconds != c.PredictedSeconds ||
 		res.ScatterSeconds != c.ScatterSeconds ||
 		res.ComputeSeconds != c.ComputeSeconds ||

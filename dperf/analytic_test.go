@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,10 +153,10 @@ func TestSweepAnalyticTier(t *testing.T) {
 	}
 	for _, cr := range res.Results {
 		if cr.Error != "" {
-			t.Fatalf("%s failed: %s", cr.Config.Label(), cr.Error)
+			t.Fatalf("%+v failed: %s", cr.Config, cr.Error)
 		}
 		if cr.Prediction.Tier != dperf.TierAnalytic {
-			t.Fatalf("%s served tier %q, want analytic", cr.Config.Label(), cr.Prediction.Tier)
+			t.Fatalf("%+v served tier %q, want analytic", cr.Config, cr.Prediction.Tier)
 		}
 		direct, err := ts.Predict(
 			dperf.WithPlatform(cr.Config.Platform),
@@ -167,8 +166,8 @@ func TestSweepAnalyticTier(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !predEqual(direct, cr.Prediction) {
-			t.Fatalf("%s: sweep prediction diverged from direct analytic predict:\nsweep  %+v\ndirect %+v",
-				cr.Config.Label(), cr.Prediction, direct)
+			t.Fatalf("%+v: sweep prediction diverged from direct analytic predict:\nsweep  %+v\ndirect %+v",
+				cr.Config, cr.Prediction, direct)
 		}
 	}
 }
@@ -182,12 +181,12 @@ const analyticPredictAllocs = 14
 // TestAnalyticPaperScaleSpeedup is the analytic tier's acceptance gate
 // on the paper-scale obstacle, in work counters. Certifying a
 // configuration in auto mode runs exactly one replay, the
-// verification, on the engine that would otherwise answer, and leaves
-// that engine's session warm in its pool; analytic mode replays
-// nothing. Once certified, a prediction in either mode is served from
-// the certificate — bit-identical to the fast-forward DES replay —
-// with no engine replay and at most analyticPredictAllocs allocations.
-// The wall-clock ratio against that replay is logged, not gated.
+// verification, on the serving session pool, and leaves that session
+// warm in the pool; analytic mode replays nothing. Once certified, a
+// prediction in either mode is served from the certificate —
+// bit-identical to the fast-forward DES replay — with no replay and at
+// most analyticPredictAllocs allocations. The wall-clock ratio against
+// that replay is logged, not gated.
 func TestAnalyticPaperScaleSpeedup(t *testing.T) {
 	ts := paperSet(t)
 	desOpts := []dperf.Option{dperf.WithPlatform(dperf.KindCluster), dperf.WithFastForward(true)}
@@ -196,13 +195,11 @@ func TestAnalyticPaperScaleSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []dperf.PredictMode{dperf.PredictAnalytic, dperf.PredictAuto} {
-		var replays atomic.Int64
 		pool := dperf.NewSessionPool()
-		eng := countingEngine{inner: pool, calls: &replays}
 		opts := append(desOpts,
 			dperf.WithPredictMode(mode),
 			dperf.WithPredictor(dperf.NewPredictor()),
-			dperf.WithEngine(eng))
+			dperf.WithEngine(pool))
 		cold, err := ts.Predict(opts...) // certify (and, in auto mode, verify) once
 		if err != nil {
 			t.Fatal(err)
@@ -217,20 +214,19 @@ func TestAnalyticPaperScaleSpeedup(t *testing.T) {
 		if mode == dperf.PredictAuto {
 			want = 1
 		}
-		if got := replays.Load(); got != want {
-			t.Fatalf("%v: cold prediction ran %d engine replays, want %d", mode, got, want)
+		if got := pool.Replays(); got != want {
+			t.Fatalf("%v: cold prediction ran %d replays, want %d", mode, got, want)
 		}
 		if got := pool.Idle(); int64(got) != want {
 			t.Fatalf("%v: cold prediction left %d idle sessions, want %d", mode, got, want)
 		}
-		replays.Store(0)
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := ts.Predict(opts...); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got := replays.Load(); got != 0 {
-			t.Fatalf("%v: warm predictions ran %d engine replays, want 0", mode, got)
+		if got := pool.Replays() - want; got != 0 {
+			t.Fatalf("%v: warm predictions ran %d replays, want 0", mode, got)
 		}
 		// The race detector's instrumentation allocates on its own.
 		if !raceEnabled && allocs > analyticPredictAllocs {
@@ -258,12 +254,12 @@ func TestAnalyticPaperScaleSpeedup(t *testing.T) {
 
 // autoOpts are the options dperfd predicts with in auto mode: one
 // shared Predictor and one SessionPool serve every request.
-func autoOpts(p *dperf.Predictor, eng dperf.Engine) []dperf.Option {
+func autoOpts(p *dperf.Predictor, pool *dperf.SessionPool) []dperf.Option {
 	return []dperf.Option{
 		dperf.WithFastForward(true),
 		dperf.WithPredictMode(dperf.PredictAuto),
 		dperf.WithPredictor(p),
-		dperf.WithEngine(eng),
+		dperf.WithEngine(pool),
 	}
 }
 
@@ -290,41 +286,40 @@ func TestAutoVerifyPooledSessions(t *testing.T) {
 }
 
 // TestAutoVerifySweep: an auto-mode sweep verifies each certified
-// platform with one replay on the sweep's engine, shared by its two
-// scheme rows, and a repeat on the same Predictor replays nothing. The
-// sweep runs at one worker: concurrent first uses of one certificate
-// may each replay (see TestPredictionWorkCounters).
+// platform with one replay on the sweep's session pool, shared by its
+// two scheme rows, and a repeat on the same Predictor replays nothing.
+// The sweep runs at one worker: concurrent first uses of one
+// certificate may each replay (see TestPredictionWorkCounters).
 func TestAutoVerifySweep(t *testing.T) {
 	ts := paperSet(t)
-	var replays atomic.Int64
-	eng := countingEngine{inner: dperf.NewSessionPool(), calls: &replays}
-	opts := dperf.SweepOptions(autoOpts(dperf.NewPredictor(), eng)...)
+	pool := dperf.NewSessionPool()
+	opts := dperf.SweepOptions(autoOpts(dperf.NewPredictor(), pool)...)
 	space := dperf.Space{
 		Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindLAN},
 		Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
 	}
 	for pass, want := range []int64{2, 0} {
-		replays.Store(0)
+		before := pool.Replays()
 		res, err := dperf.Sweep(ts, space, opts, dperf.SweepWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cr := range res.Results {
 			if cr.Error != "" {
-				t.Fatalf("pass %d: %s failed: %s", pass, cr.Config.Label(), cr.Error)
+				t.Fatalf("pass %d: %+v failed: %s", pass, cr.Config, cr.Error)
 			}
 			if cr.Prediction.Tier != dperf.TierAnalytic {
-				t.Fatalf("pass %d: %s served tier %q, want analytic", pass, cr.Config.Label(), cr.Prediction.Tier)
+				t.Fatalf("pass %d: %+v served tier %q, want analytic", pass, cr.Config, cr.Prediction.Tier)
 			}
 		}
-		if got := replays.Load(); got != want {
-			t.Fatalf("pass %d: the sweep ran %d engine replays, want %d", pass, got, want)
+		if got := pool.Replays() - before; got != want {
+			t.Fatalf("pass %d: the sweep ran %d replays, want %d", pass, got, want)
 		}
 	}
 }
 
 // TestPredictionWorkCounters pins what each distinct prediction costs,
-// on a fresh Predictor and a counting engine:
+// on a fresh Predictor and session pool:
 //   - an auto sweep of {cluster, lan} × {sync, async} on paperSet runs
 //     one verification replay and one certification per platform, 2
 //     and 2, because a platform's two scheme rows share its
@@ -342,11 +337,10 @@ func TestPredictionWorkCounters(t *testing.T) {
 		Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindLAN},
 		Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
 	}
-	count := func(run func(p *dperf.Predictor, eng dperf.Engine)) (replays, certs int64) {
-		var calls atomic.Int64
-		p := dperf.NewPredictor()
-		run(p, countingEngine{inner: dperf.NewSessionPool(), calls: &calls})
-		return calls.Load(), p.Certifications()
+	count := func(run func(p *dperf.Predictor, pool *dperf.SessionPool)) (replays, certs int64) {
+		p, pool := dperf.NewPredictor(), dperf.NewSessionPool()
+		run(p, pool)
+		return pool.Replays(), p.Certifications()
 	}
 	for _, c := range []struct {
 		mode                   dperf.PredictMode
@@ -359,9 +353,9 @@ func TestPredictionWorkCounters(t *testing.T) {
 		{dperf.PredictDES, 1, 4, 4, 0},
 		{dperf.PredictDES, 2, 4, 4, 0},
 	} {
-		replays, certs := count(func(p *dperf.Predictor, eng dperf.Engine) {
+		replays, certs := count(func(p *dperf.Predictor, pool *dperf.SessionPool) {
 			opts := []dperf.Option{dperf.WithFastForward(true), dperf.WithPredictMode(c.mode),
-				dperf.WithPredictor(p), dperf.WithEngine(eng)}
+				dperf.WithPredictor(p), dperf.WithEngine(pool)}
 			res, err := dperf.Sweep(paperSet(t), space, dperf.SweepOptions(opts...), dperf.SweepWorkers(c.workers))
 			if err != nil {
 				t.Fatal(err)
@@ -379,8 +373,8 @@ func TestPredictionWorkCounters(t *testing.T) {
 		ff          bool
 		wantReplays int64
 	}{{true, 1}, {false, 2}} {
-		replays, certs := count(func(p *dperf.Predictor, eng dperf.Engine) {
-			opts := append(autoOpts(p, eng), dperf.WithFastForward(c.ff), dperf.WithPlatform(dperf.KindCluster))
+		replays, certs := count(func(p *dperf.Predictor, pool *dperf.SessionPool) {
+			opts := append(autoOpts(p, pool), dperf.WithFastForward(c.ff), dperf.WithPlatform(dperf.KindCluster))
 			pred, err := unsettledSet(t).Predict(opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -396,85 +390,38 @@ func TestPredictionWorkCounters(t *testing.T) {
 	}
 }
 
-// skewedEngine answers like its inner engine, jumps included, one
-// nanosecond later.
-type skewedEngine struct {
-	inner dperf.Engine
-	calls atomic.Int64
-}
-
-func (e *skewedEngine) Name() string { return "skewed" }
-func (e *skewedEngine) Replay(spec dperf.EngineSpec) (*dperf.EngineResult, error) {
-	e.calls.Add(1)
-	res, err := e.inner.Replay(spec)
-	if err != nil {
-		return nil, err
-	}
-	res.PredictedSeconds += 1e-9
-	return res, nil
-}
-
-// TestAutoVerifyCustomEngine: a custom engine is auto mode's
-// verification oracle. An engine whose answer differs from the
-// analytic tier's answers every configuration itself, with tier des —
-// also in a sweep where the default engine, verified on the same
-// Predictor, serves the same configuration analytically. The stub
-// never jumps, so with fast-forward on its verification replay is
-// already its answer and no certification runs. The skewed engine
-// jumps like the pool it wraps, so its verification replay is followed
-// by a certification, which the bit-for-bit match then refuses; the
-// verdict is kept, so a second predict replays once and certifies
-// nothing.
-func TestAutoVerifyCustomEngine(t *testing.T) {
+// TestAutoVerifyRefusesMismatch: auto mode serves a certificate only
+// if it matches the pool's verification replay bit for bit. Here the
+// configuration's certificate is moved by 1e-9 s before any auto
+// predict, so the verification replay (which jumps) refuses it: each
+// predict answers with the fast-forward DES replay's bits and tier
+// des. The verdict is kept, so the second predict replays once more
+// and certifies nothing.
+func TestAutoVerifyRefusesMismatch(t *testing.T) {
 	ts := paperSet(t)
-	stub := &stubEngine{}
-	pred, err := ts.Predict(append(autoOpts(dperf.NewPredictor(), stub), dperf.WithPlatform(dperf.KindCluster))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Tier != dperf.TierDES || pred.Engine != "stub" || pred.Predicted != 42 {
-		t.Fatalf("auto mode did not answer from the disagreeing engine: %+v", pred)
-	}
-	if got := stub.calls.Load(); got != 1 {
-		t.Fatalf("stub saw %d replays, want 1 (the verification replay is the answer)", got)
-	}
-
-	ref, err := ts.Predict(dperf.WithPlatform(dperf.KindCluster), dperf.WithFastForward(true))
+	cluster := dperf.WithPlatform(dperf.KindCluster)
+	ref, err := ts.Predict(cluster, dperf.WithFastForward(true), dperf.WithEngine(dperf.NewSessionPool()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.RoundsFastForwarded == 0 {
 		t.Fatalf("the reference replay never jumped: %+v", ref)
 	}
-	p := dperf.NewPredictor()
-	skew := &skewedEngine{inner: dperf.NewSessionPool()}
-	for i, wantReplays := range []int64{1, 2} {
-		pred, err := ts.Predict(append(autoOpts(p, skew), dperf.WithPlatform(dperf.KindCluster))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred.Tier != dperf.TierDES || pred.Engine != "skewed" || pred.Predicted != ref.Predicted+1e-9 {
-			t.Fatalf("predict %d: auto mode did not answer from the skewed engine: %+v (reference %v s)", i, pred, ref.Predicted)
-		}
-		if got, certs := skew.calls.Load(), p.Certifications(); got != wantReplays || certs != 1 {
-			t.Fatalf("predict %d: %d replays and %d certifications, want %d and 1", i, got, certs, wantReplays)
-		}
+	p, pool := dperf.NewPredictor(), dperf.NewSessionPool()
+	opts := append(autoOpts(p, pool), cluster)
+	if err := dperf.SkewCertificate(p, ts, 1e-9, opts...); err != nil {
+		t.Fatal(err)
 	}
-
-	for _, workers := range []int{1, 2} {
-		res, err := dperf.Sweep(ts, dperf.Space{
-			Platforms: []dperf.Kind{dperf.KindCluster},
-			Engines:   []dperf.Engine{nil, stub},
-		}, dperf.SweepOptions(dperf.WithFastForward(true), dperf.WithPredictMode(dperf.PredictAuto)), dperf.SweepWorkers(workers))
+	for i, wantReplays := range []int64{1, 2} {
+		pred, err := ts.Predict(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		def, custom := res.Results[0].Prediction, res.Results[1].Prediction
-		if def == nil || def.Tier != dperf.TierAnalytic || def.Engine != "replay" {
-			t.Fatalf("workers %d: default engine point: %+v (%s)", workers, def, res.Results[0].Error)
+		if pred.Tier != dperf.TierDES || !predEqual(ref, pred) {
+			t.Fatalf("predict %d: auto mode served %+v, want the fast-forward replay %+v with tier des", i, pred, ref)
 		}
-		if custom == nil || custom.Tier != dperf.TierDES || custom.Predicted != 42 {
-			t.Fatalf("workers %d: stub engine point: %+v (%s)", workers, custom, res.Results[1].Error)
+		if got, certs := pool.Replays(), p.Certifications(); got != wantReplays || certs != 1 {
+			t.Fatalf("predict %d: %d replays and %d certifications, want %d and 1", i, got, certs, wantReplays)
 		}
 	}
 }
@@ -570,7 +517,7 @@ func BenchmarkAutoPredictCold(b *testing.B) {
 			}
 			for _, cr := range res.Results {
 				if cr.Prediction == nil || cr.Prediction.Tier != dperf.TierAnalytic {
-					b.Fatalf("%s: %+v (%s), want an analytic prediction", cr.Config.Label(), cr.Prediction, cr.Error)
+					b.Fatalf("%+v: %+v (%s), want an analytic prediction", cr.Config, cr.Prediction, cr.Error)
 				}
 			}
 		})

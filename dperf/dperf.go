@@ -21,18 +21,18 @@
 // analyze+benchmark half can run in one process and the cheap replay
 // half in many others.
 //
-// Extension points:
-//
-//   - Workload abstracts the program under prediction: its source,
-//     scale parameters and deployment byte shape. ObstacleWorkload is
-//     the paper's workload; ProgramWorkload adapts any mini-C source.
-//   - Engine abstracts the replay stage. DefaultEngine is the
-//     in-process replay/p2pdc/netsim stack, a SessionPool that reuses
-//     realized networks across replays; alternative engines (sharded
-//     or distributed replay) plug in via WithEngine.
+// The one extension point is Workload, which abstracts the program
+// under prediction: its source, scale parameters and deployment byte
+// shape. ObstacleWorkload is the paper's workload; ProgramWorkload
+// adapts any mini-C source. Every replay runs on a SessionPool, the
+// in-process replay/p2pdc/netsim stack, which reuses realized networks
+// across replays; WithEngine shares one across calls.
 package dperf
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/costmodel"
 	"repro/internal/p2psap"
 	"repro/internal/platform"
@@ -77,3 +77,16 @@ const (
 
 // ParseLevel accepts "0", "O0", "o3", "s", "Os", ...
 func ParseLevel(s string) (Level, error) { return costmodel.ParseLevel(s) }
+
+// ParseScheme accepts "sync", "synchronous", "async" and
+// "asynchronous", ignoring surrounding spaces: the scheme vocabulary of
+// the dperf CLI's -sweep-schemes flag and dperfd's sweep requests.
+func ParseScheme(s string) (Scheme, error) {
+	switch strings.TrimSpace(s) {
+	case "sync", "synchronous":
+		return Synchronous, nil
+	case "async", "asynchronous":
+		return Asynchronous, nil
+	}
+	return Synchronous, fmt.Errorf("bad scheme %q (want sync or async)", s)
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"repro/dperf"
@@ -173,49 +172,6 @@ func TestReadTraceSetRejectsGarbage(t *testing.T) {
 	nulls := []byte(`{"dperf_traceset_version":1,"ranks":2,"traces":[null,null]}`)
 	if _, err := dperf.ReadTraceSetJSON(bytes.NewReader(nulls)); err == nil {
 		t.Fatal("null trace entries accepted")
-	}
-}
-
-// stubEngine proves the Engine seam: Predict must route replay
-// through whatever engine the caller supplies. Its fixed answer agrees
-// with no real replay.
-type stubEngine struct{ calls atomic.Int64 }
-
-func (e *stubEngine) Name() string { return "stub" }
-func (e *stubEngine) Replay(spec dperf.EngineSpec) (*dperf.EngineResult, error) {
-	e.calls.Add(1)
-	return &dperf.EngineResult{PredictedSeconds: 42, ScatterSeconds: 1, ComputeSeconds: 40, GatherSeconds: 1}, nil
-}
-
-func TestCustomEngine(t *testing.T) {
-	eng := &stubEngine{}
-	pred, err := dperf.New(smallObstacle(), dperf.WithRanks(2), dperf.WithEngine(eng)).Predict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.calls.Load() != 1 {
-		t.Fatalf("engine called %d times", eng.calls.Load())
-	}
-	if pred.Predicted != 42 || pred.Engine != "stub" {
-		t.Fatalf("prediction not from the stub engine: %+v", pred)
-	}
-}
-
-func TestCustomPlatform(t *testing.T) {
-	plat, err := platform.Cluster(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := dperf.New(smallObstacle(),
-		dperf.WithCustomPlatform(plat), dperf.WithRanks(3)).Predict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Platform != plat.Name {
-		t.Fatalf("platform label %q, want %q", pred.Platform, plat.Name)
-	}
-	if pred.Predicted <= 0 {
-		t.Fatal("non-positive prediction on custom platform")
 	}
 }
 

@@ -20,13 +20,18 @@ type PeriodCache struct{}
 // Deprecated: see PeriodCache.
 func NewPeriodCache() *PeriodCache { return &PeriodCache{} }
 
-// EngineSpec is everything a replay engine needs to turn a
+// engineName labels every prediction and sweep row. It is "replay",
+// the in-process engine's name since before pooling, so predictions
+// keep their bytes.
+const engineName = "replay"
+
+// engineSpec is everything a replay needs to turn a
 // platform-independent trace set into a platform-specific prediction.
 // It holds no P2PSAP scheme: no replay result depends on one (sends
 // are eager and receives block under both schemes), so the scheme only
 // labels a prediction (Prediction.Scheme), and configurations that
 // differ only in scheme share one certificate and one verification.
-type EngineSpec struct {
+type engineSpec struct {
 	Platform *platform.Platform
 	// Hosts maps rank -> host name; one entry per trace.
 	Hosts []string
@@ -35,10 +40,10 @@ type EngineSpec struct {
 	// ScatterBytes/GatherBytes are the per-peer deployment payloads.
 	ScatterBytes float64
 	GatherBytes  float64
-	// Source supplies each rank's folded ops. They replay in
+	// Source is the set's per-rank folded ops. They replay in
 	// O(compressed) memory and may be shared across concurrent
 	// replays (a replay only reads them).
-	Source trace.Source
+	Source trace.FoldedSource
 	// FastForward enables steady-state fast-forward replay: once the
 	// rounds of a folded Repeat loop settle into an exactly periodic
 	// steady state, the remaining iterations are costed in closed
@@ -71,35 +76,7 @@ type EngineResult struct {
 	Jumps int64
 }
 
-// Engine is the replay stage seam. The default engine simulates
-// in-process over the replay/p2pdc/netsim stack; alternative engines
-// (sharded or distributed replay) implement the same contract and
-// plug in via WithEngine. An Engine must be safe for concurrent Replay
-// calls from multiple goroutines: Sweep fans configurations out over a
-// worker pool.
-//
-// In auto mode the engine is also the analytic tier's verification
-// oracle: a certificate serves only after one Replay of its spec,
-// with FastForward forced on, matches it bit for bit. An engine that
-// disagrees with the analytic tier therefore answers every
-// configuration itself.
-type Engine interface {
-	// Name labels predictions produced by this engine.
-	Name() string
-	// Replay simulates the traces on the platform and returns the
-	// predicted time.
-	Replay(spec EngineSpec) (*EngineResult, error)
-}
-
-// DefaultEngine returns the in-process trace-replay engine, the
-// SimGrid-MSG equivalent built on replay, p2pdc and netsim. It is a
-// fresh SessionPool, so the replays of whoever holds it — a Pipeline
-// and the artifacts it produces, a set a reader built, or one Sweep
-// call's workers — reuse the realized networks of earlier replays on
-// the same platform.
-func DefaultEngine() Engine { return NewSessionPool() }
-
-func replaySpec(spec EngineSpec) replay.Spec {
+func replaySpec(spec engineSpec) replay.Spec {
 	mode := replay.FFOff
 	if spec.FastForward {
 		mode = replay.FFOn

@@ -121,7 +121,7 @@ func TestFastForwardPaperScale(t *testing.T) {
 		}
 	}
 
-	cert, err := analytic.Certify(analytic.Spec{
+	got, err := analytic.Evaluate(analytic.Spec{
 		Platform:     plat,
 		Hosts:        spec.Hosts,
 		Submitter:    spec.Submitter,
@@ -133,7 +133,7 @@ func TestFastForwardPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cert.Res; got.RoundsSimulated != 8 || got.RoundsFastForwarded != 111 || got.Jumps != 1 {
+	if got.RoundsSimulated != 8 || got.RoundsFastForwarded != 111 || got.Jumps != 1 {
 		t.Fatalf("analytic work %d/%d/%d simulated/fast-forwarded/jumps, want 8/111/1",
 			got.RoundsSimulated, got.RoundsFastForwarded, got.Jumps)
 	}

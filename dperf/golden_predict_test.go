@@ -132,9 +132,9 @@ func TestGoldenPredictions(t *testing.T) {
 		for _, mode := range []dperf.PredictMode{dperf.PredictDES, dperf.PredictAuto, dperf.PredictAnalytic} {
 			for _, ff := range []bool{false, true} {
 				group := fmt.Sprintf("%s/%s/ff=%t", set.name, mode, ff)
-				opts := func(p *dperf.Predictor, eng dperf.Engine) []dperf.Option {
+				opts := func(p *dperf.Predictor, pool *dperf.SessionPool) []dperf.Option {
 					return []dperf.Option{dperf.WithPredictMode(mode), dperf.WithFastForward(ff),
-						dperf.WithPredictor(p), dperf.WithEngine(eng)}
+						dperf.WithPredictor(p), dperf.WithEngine(pool)}
 				}
 				p, pool := dperf.NewPredictor(), dperf.NewSessionPool()
 				res, err := dperf.Sweep(set.ts, space, dperf.SweepOptions(opts(p, pool)...))

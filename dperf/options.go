@@ -13,9 +13,8 @@ type config struct {
 	// instead of being silently replaced.
 	ranksSet    bool
 	kind        Kind
-	custom      *Platform
 	scheme      Scheme
-	engine      Engine
+	pool        *SessionPool
 	fastForward bool
 	predictMode PredictMode
 	predictor   *Predictor
@@ -23,20 +22,19 @@ type config struct {
 }
 
 // normalized fills unset fields with the documented defaults: level
-// O0, 4 ranks, the cluster platform, the synchronous scheme, the
-// in-process replay engine and a fresh Predictor. The Predictor
-// resolves every platform, so all calls sharing a config see one
-// *Platform per (kind, size), and a session pool keyed on it reuses
-// its sessions.
+// O0, 4 ranks, the cluster platform, the synchronous scheme, a fresh
+// SessionPool and a fresh Predictor. The Predictor resolves every
+// platform, so all calls sharing a config see one *Platform per (kind,
+// size), and the session pool keyed on it reuses its sessions.
 func (c config) normalized() config {
 	if c.ranks == 0 && !c.ranksSet {
 		c.ranks = 4
 	}
-	if c.kind == "" && c.custom == nil {
+	if c.kind == "" {
 		c.kind = KindCluster
 	}
-	if c.engine == nil {
-		c.engine = DefaultEngine()
+	if c.pool == nil {
+		c.pool = NewSessionPool()
 	}
 	if c.predictor == nil {
 		c.predictor = NewPredictor()
@@ -71,21 +69,7 @@ func WithRanks(n int) Option {
 
 // WithPlatform targets one of the built-in evaluation platforms
 // (default KindCluster).
-func WithPlatform(k Kind) Option {
-	return func(c *config) {
-		c.kind = k
-		c.custom = nil
-	}
-}
-
-// WithCustomPlatform targets a caller-built platform graph. The
-// platform must designate a Frontend host to submit from.
-func WithCustomPlatform(p *Platform) Option {
-	return func(c *config) {
-		c.custom = p
-		c.kind = ""
-	}
-}
+func WithPlatform(k Kind) Option { return func(c *config) { c.kind = k } }
 
 // WithScheme sets the P2PSAP computation scheme a prediction is
 // labelled with (default Synchronous). No trace prediction depends on
@@ -95,10 +79,13 @@ func WithCustomPlatform(p *Platform) Option {
 // the pooled sessions.
 func WithScheme(s Scheme) Option { return func(c *config) { c.scheme = s } }
 
-// WithEngine replaces the replay engine (default: the in-process
-// replay/p2pdc/netsim stack). In auto mode the engine also verifies
-// the analytic tier's certificates (see Engine).
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
+// WithEngine shares a SessionPool, the replay engine, across Predict
+// and Sweep calls, so their replays (and, in auto mode, the
+// verification replays of the analytic tier's certificates) reuse its
+// warm sessions. Without it, a Pipeline's artifacts share the pool the
+// pipeline made, a trace set a reader builds gets its own when it is
+// read, and a Sweep call gets one for the whole sweep.
+func WithEngine(p *SessionPool) Option { return func(c *config) { c.pool = p } }
 
 // WithPeriodCache does nothing.
 //

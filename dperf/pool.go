@@ -2,19 +2,24 @@ package dperf
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/platform"
 	"repro/internal/replay"
 )
 
-// SessionPool is the in-process replay engine: it keeps per-platform
-// replay.Session instances hot and hands each Replay an exclusive
+// SessionPool is dperf's replay engine, the SimGrid-MSG equivalent
+// built on replay, p2pdc and netsim. It keeps per-platform
+// replay.Session instances hot and hands each replay an exclusive
 // session, so the realized network, route caches and mailboxes survive
-// across replays instead of being rebuilt per call. DefaultEngine
-// returns a fresh pool; a long-running caller (a prediction server)
-// installs one with WithEngine so it serves every request, alongside a
-// shared *Predictor for stable platform identity (the pool keys
-// sessions by *Platform).
+// across replays instead of being rebuilt per call. Whoever holds a
+// pool — a Pipeline and the artifacts it produces, a set a reader
+// built, or one Sweep call's workers — shares it; a long-running
+// caller (a prediction server) installs one with WithEngine so it
+// serves every request, alongside a shared *Predictor for stable
+// platform identity (the pool keys sessions by *Platform). In auto
+// mode the pool also runs the verification replay of every
+// certificate (see PredictAuto).
 //
 // Sessions self-heal: a failed replay marks its session dirty and the
 // next checkout rebuilds the environment, so a poisoned request never
@@ -27,17 +32,14 @@ import (
 type SessionPool struct {
 	mu   sync.Mutex
 	idle map[*platform.Platform][]*replay.Session
+	// replays counts replays run, a deterministic work counter.
+	replays atomic.Int64
 }
 
 // NewSessionPool returns an empty session pool.
 func NewSessionPool() *SessionPool {
 	return &SessionPool{idle: make(map[*platform.Platform][]*replay.Session)}
 }
-
-// Name implements Engine. The label is serialized into predictions,
-// and it stays "replay", the in-process engine's name since before
-// pooling, so predictions keep their bytes.
-func (p *SessionPool) Name() string { return "replay" }
 
 // checkout hands the caller an exclusive session for the platform,
 // reusing an idle one when available.
@@ -93,8 +95,9 @@ func (p *SessionPool) CloseIdle() int {
 	return n
 }
 
-// Replay implements Engine with a pooled session.
-func (p *SessionPool) Replay(spec EngineSpec) (*EngineResult, error) {
+// replay runs the spec on a pooled session.
+func (p *SessionPool) replay(spec engineSpec) (*EngineResult, error) {
+	p.replays.Add(1)
 	s, err := p.checkout(spec.Platform)
 	if err != nil {
 		return nil, err

@@ -55,32 +55,30 @@ func (p *Prediction) WriteJSON(w io.Writer) error {
 }
 
 // resolve turns the configuration and the trace set into the spec
-// handed to the engine and the analytic tier, plus the platform label
-// used in reports. The configuration's Predictor resolves the
+// handed to the session pool and the analytic tier, plus the platform
+// label used in reports. The configuration's Predictor resolves the
 // platform. The label is returned whenever the platform resolved, even
 // if the spec then fails.
-func (cfg config) resolve(ts *TraceSet) (EngineSpec, string, error) {
-	if ts.Source().Ranks() == 0 {
-		return EngineSpec{}, "", fmt.Errorf("dperf: empty trace set")
+func (cfg config) resolve(ts *TraceSet) (engineSpec, string, error) {
+	if len(ts.folded) == 0 {
+		return engineSpec{}, "", fmt.Errorf("dperf: empty trace set")
 	}
-	plat, label, err := cfg.predictor.platformFor(&cfg, ts.Ranks)
+	plat, err := cfg.predictor.platformFor(cfg.kind, ts.Ranks)
 	if err != nil {
-		return EngineSpec{}, "", err
+		return engineSpec{}, "", err
 	}
-	if plat.Frontend == "" {
-		return EngineSpec{}, label, fmt.Errorf("dperf: platform %s has no frontend host to submit from", plat.Name)
-	}
+	label := string(cfg.kind)
 	hosts, err := hostsFor(plat, ts.Ranks)
 	if err != nil {
-		return EngineSpec{}, label, err
+		return engineSpec{}, label, err
 	}
-	spec := EngineSpec{
+	spec := engineSpec{
 		Platform:     plat,
 		Hosts:        hosts,
 		Submitter:    plat.Frontend,
 		ScatterBytes: ts.ScatterBytes,
 		GatherBytes:  ts.GatherBytes,
-		Source:       ts.Source(),
+		Source:       ts.folded,
 		FastForward:  cfg.fastForward,
 		Debug:        cfg.ffDebug,
 	}
@@ -89,12 +87,12 @@ func (cfg config) resolve(ts *TraceSet) (EngineSpec, string, error) {
 
 // predict is the tier policy, the one path from a resolved spec to a
 // prediction for Predict and every Sweep job. DES mode always
-// replays on the engine. Analytic mode serves the Predictor's
+// replays on the session pool. Analytic mode serves the Predictor's
 // certificate and fails instead of falling back. Auto mode serves a
-// certificate only after one fast-forward replay on the configured
-// engine jumped and matched it, and otherwise lets that engine answer
-// (see PredictAuto).
-func (cfg config) predict(ts *TraceSet, spec *EngineSpec, label string) (*Prediction, error) {
+// certificate only after one fast-forward replay on the pool jumped
+// and matched it, and otherwise lets the pool answer (see
+// PredictAuto).
+func (cfg config) predict(ts *TraceSet, spec *engineSpec, label string) (*Prediction, error) {
 	var (
 		res  *EngineResult
 		tier = TierDES
@@ -105,9 +103,9 @@ func (cfg config) predict(ts *TraceSet, spec *EngineSpec, label string) (*Predic
 		res, err = cfg.predictor.predictAnalytic(spec)
 		tier = TierAnalytic
 	case PredictAuto:
-		res, tier, err = cfg.predictor.predictAuto(spec, cfg.engine)
+		res, tier, err = cfg.predictor.predictAuto(spec, cfg.pool)
 	default:
-		res, err = cfg.engine.Replay(*spec)
+		res, err = cfg.pool.replay(*spec)
 	}
 	if err != nil {
 		return nil, err
@@ -120,7 +118,7 @@ func (cfg config) newPrediction(ts *TraceSet, label string, res *EngineResult, t
 	return &Prediction{
 		Workload:            ts.Workload,
 		Platform:            label,
-		Engine:              cfg.engine.Name(),
+		Engine:              engineName,
 		Ranks:               ts.Ranks,
 		Level:               ts.Level,
 		Scheme:              cfg.scheme,
@@ -138,9 +136,9 @@ func (cfg config) newPrediction(ts *TraceSet, label string, res *EngineResult, t
 // Predict produces the prediction for the trace set on the configured
 // platform — through the DES replay engine, the analytic tier, or
 // auto-selection between them (WithPredictMode). The same trace set
-// can be predicted on many platforms — pass
-// WithPlatform/WithCustomPlatform per call. Trace sets loaded from
-// JSON use the package defaults for anything not overridden here.
+// can be predicted on many platforms — pass WithPlatform per call.
+// Trace sets loaded from JSON use the package defaults for anything
+// not overridden here.
 func (ts *TraceSet) Predict(opts ...Option) (*Prediction, error) {
 	cfg := ts.cfg.apply(opts)
 	spec, label, err := cfg.resolve(ts)

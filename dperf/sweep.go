@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -44,115 +43,55 @@ func (a *Analysis) SweepTraces(ranks int) (*TraceSet, error) {
 }
 
 // Config is one point of a sweep space: which platform to replay on,
-// at how many ranks, under which communication scheme, through which
-// engine. Zero fields mean "the sweep's default".
+// at how many ranks, under which communication scheme. Zero fields
+// mean "the sweep's default".
 type Config struct {
 	// Platform selects a built-in platform kind ("" = default).
 	Platform Kind `json:"platform,omitempty"`
-	// Custom overrides Platform with a caller-built platform graph.
-	Custom *Platform `json:"-"`
 	// Ranks is the peer count; 0 uses the sweep default (SweepOptions
 	// WithRanks, else the trace source's own default).
 	Ranks int `json:"ranks,omitempty"`
 	// Scheme is the P2PSAP computation scheme the configuration's
 	// prediction is labelled with (see WithScheme); no predicted time
-	// depends on it. A non-zero scheme is
-	// always explicit; because the zero Scheme is Synchronous, set
-	// SchemeSet to choose Synchronous over a non-default sweep base.
-	// Space.Expand sets it for configurations from the Schemes
-	// dimension.
-	Scheme    Scheme `json:"scheme"`
-	SchemeSet bool   `json:"-"`
-	// Engine overrides the replay engine for this configuration.
-	// Name() labels the engine in results, so distinct engines are
-	// easiest to tell apart with distinct names; the configuration
-	// replays on this instance whatever its name.
-	Engine Engine `json:"-"`
-}
-
-// Label renders a compact configuration identifier, e.g.
-// "grid5000/r8/asynchronous".
-func (c Config) Label() string {
-	plat := string(c.Platform)
-	if c.Custom != nil {
-		plat = c.Custom.Name
-	}
-	if plat == "" {
-		plat = "default"
-	}
-	s := fmt.Sprintf("%s/r%d/%s", plat, c.Ranks, c.Scheme)
-	if c.Engine != nil {
-		s += "/" + c.Engine.Name()
-	}
-	return s
+	// depends on it. It applies only when the space has a Schemes
+	// dimension; otherwise it is Synchronous and the sweep's base
+	// scheme labels the prediction.
+	Scheme Scheme `json:"scheme"`
 }
 
 // Space spans a sweep as the cross product of its dimensions, in
-// deterministic order: platforms (built-ins, then customs) × ranks ×
-// schemes × engines, followed by the explicit Configs. Empty
-// dimensions collapse to a single default element (default platform,
-// source-default ranks, the synchronous scheme, the default engine).
+// deterministic order: platforms × ranks × schemes. Empty dimensions
+// collapse to a single default element (the sweep's base platform,
+// ranks and scheme). A Schemes dimension overrides the base scheme.
 type Space struct {
 	Platforms []Kind
-	Custom    []*Platform
 	Ranks     []int
 	Schemes   []Scheme
-	Engines   []Engine
-	// Configs are explicit extra points appended after the product.
-	Configs []Config
 }
 
 // Expand enumerates the space's configurations in deterministic order.
 func (s Space) Expand() []Config {
-	// A space of only explicit configs has no product to expand.
-	if len(s.Platforms)+len(s.Custom)+len(s.Ranks)+len(s.Schemes)+len(s.Engines) == 0 && len(s.Configs) > 0 {
-		return append([]Config(nil), s.Configs...)
-	}
-	type platChoice struct {
-		kind   Kind
-		custom *Platform
-	}
-	var plats []platChoice
-	for _, k := range s.Platforms {
-		plats = append(plats, platChoice{kind: k})
-	}
-	for _, p := range s.Custom {
-		plats = append(plats, platChoice{custom: p})
-	}
+	plats := s.Platforms
 	if len(plats) == 0 {
-		plats = []platChoice{{}}
+		plats = []Kind{""}
 	}
 	ranks := s.Ranks
 	if len(ranks) == 0 {
 		ranks = []int{0}
 	}
 	schemes := s.Schemes
-	schemeSet := len(schemes) > 0
-	if !schemeSet {
+	if len(schemes) == 0 {
 		schemes = []Scheme{Synchronous} // placeholder; resolution uses the sweep default
-	}
-	engines := s.Engines
-	if len(engines) == 0 {
-		engines = []Engine{nil}
 	}
 	var out []Config
 	for _, p := range plats {
 		for _, r := range ranks {
 			for _, sch := range schemes {
-				for _, e := range engines {
-					out = append(out, Config{
-						Platform:  p.kind,
-						Custom:    p.custom,
-						Ranks:     r,
-						Scheme:    sch,
-						SchemeSet: schemeSet,
-						Engine:    e,
-					})
-				}
+				out = append(out, Config{Platform: p, Ranks: r, Scheme: sch})
 			}
 		}
 	}
-	return append(out, s.Configs...)
+	return out
 }
 
 // ConfigResult is one row of a sweep: the configuration (resolved to
@@ -191,13 +130,8 @@ type Metric struct {
 	Of   func(*Prediction) float64
 }
 
-// Built-in metrics over the prediction's phase decomposition.
-var (
-	MetricPredicted = Metric{"predicted", func(p *Prediction) float64 { return p.Predicted }}
-	MetricScatter   = Metric{"scatter", func(p *Prediction) float64 { return p.Scatter }}
-	MetricCompute   = Metric{"compute", func(p *Prediction) float64 { return p.Compute }}
-	MetricGather    = Metric{"gather", func(p *Prediction) float64 { return p.Gather }}
-)
+// MetricPredicted ranks by t_predicted.
+var MetricPredicted = Metric{"predicted", func(p *Prediction) float64 { return p.Predicted }}
 
 // RankBy returns the successful results ordered by the metric,
 // ascending, ties broken by configuration index.
@@ -315,19 +249,6 @@ func (r *SweepResult) WriteTable(w io.Writer) error {
 	return tw.Flush()
 }
 
-// SaveJSON writes the sweep result to a file.
-func (r *SweepResult) SaveJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // SweepOption adjusts sweep execution.
 type SweepOption func(*sweepSettings)
 
@@ -344,7 +265,7 @@ func SweepWorkers(n int) SweepOption {
 
 // SweepOptions applies replay-side pipeline options (WithPlatform,
 // WithScheme, WithEngine, WithRanks, ...) as the defaults every
-// configuration starts from; explicit Config fields override them.
+// configuration starts from; the space's dimensions override them.
 // Trace generation itself always uses the trace source's own
 // configuration — the workload and level are properties of an
 // *Analysis or a stored *TraceSet, not of the sweep.
@@ -357,7 +278,7 @@ func SweepOptions(opts ...Option) SweepOption {
 type sweepJob struct {
 	cfg   config
 	ts    *TraceSet
-	spec  EngineSpec
+	spec  engineSpec
 	label string
 }
 
@@ -413,18 +334,11 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 	jobs := make([]sweepJob, len(configs))
 	for i, c := range configs {
 		cfg := base
-		if c.Custom != nil {
-			cfg.custom = c.Custom
-			cfg.kind = ""
-		} else if c.Platform != "" {
+		if c.Platform != "" {
 			cfg.kind = c.Platform
-			cfg.custom = nil
 		}
-		if c.SchemeSet || c.Scheme != Synchronous {
+		if len(space.Schemes) > 0 {
 			cfg.scheme = c.Scheme
-		}
-		if c.Engine != nil {
-			cfg.engine = c.Engine
 		}
 		jobs[i].cfg = cfg
 
@@ -439,7 +353,7 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 		cr.Index = i
 		cr.Config = c
 		cr.Scheme = cfg.scheme.String()
-		cr.Engine = cfg.engine.Name()
+		cr.Engine = engineName
 		cr.Ranks = ranks
 
 		entryStart := time.Now()
@@ -468,7 +382,7 @@ func Sweep(src TraceSource, space Space, opts ...SweepOption) (*SweepResult, err
 			fail(err)
 			continue
 		}
-		if ts.Source().Ranks() == 0 {
+		if len(ts.folded) == 0 {
 			fail(fmt.Errorf("dperf: empty trace set"))
 			continue
 		}

@@ -3,8 +3,6 @@ package dperf_test
 import (
 	"bytes"
 	"fmt"
-	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/dperf"
@@ -45,11 +43,6 @@ func TestSpaceExpand(t *testing.T) {
 	if n := len((dperf.Space{}).Expand()); n != 1 {
 		t.Fatalf("empty space expanded to %d configs, want 1", n)
 	}
-	// Explicit configs ride along after the product.
-	s.Configs = []dperf.Config{{Platform: dperf.KindDaisy, Ranks: 2}}
-	if got := s.Expand(); len(got) != 9 || got[8].Platform != dperf.KindDaisy {
-		t.Fatalf("explicit config not appended: %+v", got[len(got)-1])
-	}
 }
 
 // TestSweepMatchesPredict is the golden equivalence: every sweep cell
@@ -83,8 +76,8 @@ func TestSweepMatchesPredict(t *testing.T) {
 		got := cr.Prediction
 		if got.Predicted != want.Predicted || got.Scatter != want.Scatter ||
 			got.Compute != want.Compute || got.Gather != want.Gather {
-			t.Fatalf("config %d (%s): sweep %+v != predict %+v",
-				cr.Index, cr.Config.Label(), got, want)
+			t.Fatalf("config %d (%+v): sweep %+v != predict %+v",
+				cr.Index, cr.Config, got, want)
 		}
 	}
 }
@@ -209,13 +202,12 @@ func TestSweepQueries(t *testing.T) {
 }
 
 // TestSweepBaseOptions: SweepOptions supplies the defaults empty
-// space dimensions fall back to, and explicit Config fields win.
+// space dimensions fall back to, and a Schemes dimension overrides the
+// base scheme.
 func TestSweepBaseOptions(t *testing.T) {
 	a := sweepAnalysis(t)
-	res, err := dperf.Sweep(a, dperf.Space{
-		Platforms: []dperf.Kind{dperf.KindCluster},
-		Configs:   []dperf.Config{{Platform: dperf.KindCluster, SchemeSet: true}},
-	}, dperf.SweepOptions(dperf.WithScheme(dperf.Asynchronous), dperf.WithRanks(4)))
+	base := dperf.SweepOptions(dperf.WithScheme(dperf.Asynchronous), dperf.WithRanks(4))
+	res, err := dperf.Sweep(a, dperf.Space{Platforms: []dperf.Kind{dperf.KindCluster}}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,86 +222,20 @@ func TestSweepBaseOptions(t *testing.T) {
 	if got := res.Results[0].Ranks; got != 4 {
 		t.Fatalf("base ranks ignored: %d", got)
 	}
-	// SchemeSet forces Synchronous over the asynchronous base.
-	if got := res.Results[1].Scheme; got != "synchronous" {
-		t.Fatalf("SchemeSet override ignored: %s", got)
-	}
-	// A non-zero Config scheme is explicit without SchemeSet.
-	res2, err := dperf.Sweep(a, dperf.Space{
-		Configs: []dperf.Config{{Ranks: 2, Scheme: dperf.Asynchronous}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res2.Results[0].Scheme; got != "asynchronous" {
-		t.Fatalf("explicit config scheme ignored: %s", got)
-	}
-}
-
-// countingEngine wraps another engine, counting Replay calls from any
-// number of goroutines.
-type countingEngine struct {
-	inner dperf.Engine
-	calls *atomic.Int64
-}
-
-func (e countingEngine) Name() string { return "counting" }
-func (e countingEngine) Replay(spec dperf.EngineSpec) (*dperf.EngineResult, error) {
-	e.calls.Add(1)
-	return e.inner.Replay(spec)
-}
-
-func TestSweepEngineDimensionAndFallback(t *testing.T) {
-	a := sweepAnalysis(t)
-	var calls atomic.Int64
-	eng := countingEngine{inner: dperf.DefaultEngine(), calls: &calls}
-	res, err := dperf.Sweep(a, dperf.Space{
+	// A Schemes dimension overrides the asynchronous base, Synchronous
+	// included.
+	res, err = dperf.Sweep(a, dperf.Space{
 		Platforms: []dperf.Kind{dperf.KindCluster},
-		Ranks:     []int{2, 4},
-		Engines:   []dperf.Engine{nil, eng},
-	}, dperf.SweepWorkers(1))
+		Schemes:   []dperf.Scheme{dperf.Synchronous, dperf.Asynchronous},
+	}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Failed() != 0 {
 		t.Fatalf("failures: %v", firstErrors(res))
 	}
-	if calls.Load() != 2 {
-		t.Fatalf("custom engine saw %d replays, want 2", calls.Load())
-	}
-	var names []string
-	for _, cr := range res.Results {
-		names = append(names, cr.Engine)
-	}
-	if got := strings.Join(names, ","); got != "replay,counting,replay,counting" {
-		t.Fatalf("engine labels = %s", got)
-	}
-	// The default and wrapped engines replay identically.
-	if res.Results[0].Prediction.Predicted != res.Results[1].Prediction.Predicted {
-		t.Fatal("engines disagree on the same configuration")
-	}
-}
-
-// TestSweepEngineNameCollision: each configuration replays on its own
-// engine instance, so two engines sharing a Name() each replay their
-// own specs.
-func TestSweepEngineNameCollision(t *testing.T) {
-	a := sweepAnalysis(t)
-	var c1, c2 atomic.Int64
-	e1 := countingEngine{inner: dperf.DefaultEngine(), calls: &c1}
-	e2 := countingEngine{inner: dperf.DefaultEngine(), calls: &c2}
-	res, err := dperf.Sweep(a, dperf.Space{
-		Ranks:   []int{2},
-		Engines: []dperf.Engine{e1, e2},
-	}, dperf.SweepWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() != 0 {
-		t.Fatalf("failures: %v", firstErrors(res))
-	}
-	if c1.Load() != 1 || c2.Load() != 1 {
-		t.Fatalf("replays misrouted across same-name engines: e1=%d e2=%d", c1.Load(), c2.Load())
+	if got0, got1 := res.Results[0].Scheme, res.Results[1].Scheme; got0 != "synchronous" || got1 != "asynchronous" {
+		t.Fatalf("Schemes dimension labelled its rows %s, %s; want synchronous, asynchronous", got0, got1)
 	}
 }
 

@@ -399,9 +399,10 @@ func validateSetShape(ranks, traces int) error {
 }
 
 // readConfig is the config of a set a reader builds: the defaults,
-// with the engine and Predictor made once, when the set is read. Every
-// Predict on the set then shares them, as a Pipeline's sets share the
-// pipeline's, instead of realizing the platform again per call.
+// with the SessionPool and Predictor made once, when the set is read.
+// Every Predict on the set then shares them, as a Pipeline's sets
+// share the pipeline's, instead of realizing the platform again per
+// call.
 func readConfig() config { return config{}.normalized() }
 
 // SaveJSON writes the trace set to a file in the JSON format.

@@ -21,8 +21,8 @@
 // and in dperf assert exactly that.
 //
 // The engine is generic over its number type and has two
-// instantiations. At float64 (f64.go) it serves Evaluate and Certify;
-// a cached Certificate then answers repeated predictions in
+// instantiations. At float64 (f64.go) it serves Evaluate, whose cached
+// Result (dperf's certificate) then answers repeated predictions in
 // nanoseconds. At the tape recorder's symbolic values (tape.go) the
 // same evaluation records a guarded straight-line tape that replays a
 // whole region of platform parameters.
@@ -91,19 +91,6 @@ type Result struct {
 	Jumps               int64
 }
 
-// Certificate is a completed evaluation packaged for cached serving:
-// the prediction tiers certify a configuration once and answer every
-// subsequent prediction for it from the stored result. Auto-tier
-// selection trusts it only when Res.Jumps is above zero — the
-// evaluation proved a periodic steady state and served part of the run
-// in closed form — and equals a verification replay's.
-type Certificate struct {
-	Res Result
-}
-
-// Result returns the certified prediction.
-func (c *Certificate) Result() Result { return c.Res }
-
 // Eligible reports whether a trace source qualifies for the analytic
 // tier: every rank must contain at least one top-level manageable
 // Repeat (replay.Manageable — the same rule the DES fast-forward
@@ -140,18 +127,6 @@ func Evaluate(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	return m.Evaluate(spec)
-}
-
-// Certify is Evaluate packaged as a Certificate.
-func Certify(spec Spec) (*Certificate, error) {
-	if spec.Platform == nil {
-		return nil, fmt.Errorf("analytic: spec has no platform")
-	}
-	m, err := NewModel(spec.Platform)
-	if err != nil {
-		return nil, err
-	}
-	return m.Certify(spec)
 }
 
 // Model is the reusable, platform-bound half of the evaluator: the
@@ -215,11 +190,6 @@ func (m *Model) Evaluate(spec Spec) (*Result, error) {
 	}, nil
 }
 
-// Certify evaluates and packages the outcome for cached serving.
-func (m *Model) Certify(spec Spec) (*Certificate, error) {
-	res, err := m.Evaluate(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Certificate{Res: *res}, nil
-}
+// Certify is Evaluate. It is kept only because dperfbench's traced
+// run calls it.
+func (m *Model) Certify(spec Spec) (*Result, error) { return m.Evaluate(spec) }

@@ -1,8 +1,9 @@
 // Package capfamily is the capacity-planning configuration family
-// shared by examples/capacity, the dperf scan tests and the cmd/dperf
-// -scan smoke path: a star LAN of w desktops behind one switch running
-// the iterative ghost-exchange kernel, with NIC bandwidth, drop
-// latency and node speed as the three free scan parameters.
+// shared by examples/capacity, the dperf scan tests, the cmd/dperf
+// -scan smoke path and dperfd's /v1/scan: a star LAN of w desktops
+// behind one switch running the iterative ghost-exchange kernel, with
+// NIC bandwidth, drop latency and node speed as the three free scan
+// parameters.
 //
 // The symbolic family (Family) and the concrete builders (Concrete,
 // Source) construct the *same* configuration: evaluating the family's
@@ -36,6 +37,24 @@ const (
 	ParamSpeed     = 2
 	NumParams      = 3
 )
+
+// The demo scan: the family the dperf CLI's -scan smoke path and
+// dperfd's /v1/scan evaluate, a small fat-region configuration.
+const (
+	DemoPeers  = 2
+	DemoN      = 256
+	DemoRounds = 40
+)
+
+// DemoGrid returns the demo scan's default axes, 3 bandwidths × 4
+// latencies × 2 speeds. The latency axis straddles the 0.5 ms profile
+// threshold, so a scan of the grid exercises both tape replay and
+// guard fallback.
+func DemoGrid() (bandwidths, latencies, speeds []float64) {
+	return []float64{200 * platform.Mbps, 204 * platform.Mbps, 208 * platform.Mbps},
+		[]float64{100e-6, 103e-6, 900e-6, 927e-6},
+		[]float64{3e9, 3.06e9}
+}
 
 // Star builds the symbolic scan platform: w peers behind one switch
 // on drop links whose bandwidth/latency the family overrides
