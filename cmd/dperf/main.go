@@ -71,10 +71,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "dperf:", err)
-		os.Exit(1)
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli runs the command and returns its exit status: 1 after printing
+// the error run returns, 0 otherwise.
+func cli(args []string, stdout, stderr io.Writer) int {
+	if err := run(args, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "dperf:", err)
+		return 1
 	}
+	return 0
 }
 
 // run is the whole CLI: flag parsing, pipeline staging and output,
@@ -171,6 +178,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return badFlag
 		}
 	}
+	// Parse the sweep flags before any stage runs: a typo must neither
+	// cost a pipeline run nor touch -sweep-out.
+	var plan *sweepPlan
+	if *sweep {
+		p, err := parseSweep(fs, *sweepPlats, *sweepRanks, *sweepSchms, *sweepFormat)
+		if err != nil {
+			return err
+		}
+		p.workers, p.outPath = *sweepWork, *sweepOut
+		plan = p
+	}
 
 	// -json prints nothing but the serialized prediction, so it only
 	// composes with the modes whose output IS one prediction.
@@ -228,9 +246,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *traceStats {
 			return printTraceStats(stdout, ts)
 		}
-		if *sweep {
-			return runSweep(fs, ts, stdout, !*noFF, mode, ffDebug,
-				*sweepPlats, *sweepRanks, *sweepSchms, *sweepWork, *sweepFormat, *sweepOut)
+		if plan != nil {
+			return runSweep(ts, plan, stdout, !*noFF, mode, ffDebug)
 		}
 		opts := []dperf.Option{dperf.WithPlatform(kind), dperf.WithFastForward(!*noFF),
 			dperf.WithPredictMode(mode)}
@@ -288,9 +305,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	if *sweep {
-		return runSweep(fs, a, stdout, !*noFF, mode, ffDebug,
-			*sweepPlats, *sweepRanks, *sweepSchms, *sweepWork, *sweepFormat, *sweepOut)
+	if plan != nil {
+		return runSweep(a, plan, stdout, !*noFF, mode, ffDebug)
 	}
 
 	fmt.Fprintf(stdout, "dPerf analysis: %d basic blocks, %d communication sites\n",
@@ -408,32 +424,25 @@ func printTraceStats(w io.Writer, ts *dperf.TraceSet) error {
 	return nil
 }
 
-// runSweep expands the sweep flags into a dperf.Space, runs the sweep
-// and writes the requested output format.
-func runSweep(fs *flag.FlagSet, src dperf.TraceSource, stdout io.Writer, fastForward bool,
-	mode dperf.PredictMode, ffDebug io.Writer,
-	plats, ranks, schemes string, workers int, format, outPath string) error {
-	// Validate the output side first: a typo in -sweep-format or an
-	// unwritable -sweep-out must not cost a full sweep.
+// sweepPlan is a parsed -sweep invocation.
+type sweepPlan struct {
+	space   dperf.Space
+	workers int
+	format  string
+	outPath string
+}
+
+// parseSweep validates -sweep-format and expands the sweep flags into a
+// dperf.Space.
+func parseSweep(fs *flag.FlagSet, plats, ranks, schemes, format string) (*sweepPlan, error) {
 	switch format {
 	case "table", "json", "csv":
 	default:
-		return fmt.Errorf("unknown -sweep-format %q (want table, json or csv)", format)
+		return nil, fmt.Errorf("unknown -sweep-format %q (want table, json or csv)", format)
 	}
-	out := stdout
-	var outFile *os.File
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		outFile = f
-		out = f
-	}
-
-	space := dperf.Space{
-		Platforms: []dperf.Kind{dperf.KindCluster, dperf.KindDaisy, dperf.KindLAN},
-	}
+	plan := &sweepPlan{format: format}
+	space := &plan.space
+	space.Platforms = []dperf.Kind{dperf.KindCluster, dperf.KindDaisy, dperf.KindLAN}
 	if plats != "" {
 		space.Platforms = nil
 		for _, p := range strings.Split(plats, ",") {
@@ -451,7 +460,7 @@ func runSweep(fs *flag.FlagSet, src dperf.TraceSource, stdout io.Writer, fastFor
 		for _, r := range strings.Split(ranks, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(r))
 			if err != nil {
-				return fmt.Errorf("bad -sweep-ranks entry %q: %w", r, err)
+				return nil, fmt.Errorf("bad -sweep-ranks entry %q: %w", r, err)
 			}
 			space.Ranks = append(space.Ranks, v)
 		}
@@ -460,47 +469,84 @@ func runSweep(fs *flag.FlagSet, src dperf.TraceSource, stdout io.Writer, fastFor
 		for _, s := range strings.Split(schemes, ",") {
 			scheme, err := dperf.ParseScheme(s)
 			if err != nil {
-				return fmt.Errorf("-sweep-schemes: %w", err)
+				return nil, fmt.Errorf("-sweep-schemes: %w", err)
 			}
 			space.Schemes = append(space.Schemes, scheme)
 		}
 	}
+	return plan, nil
+}
 
+// runSweep runs the planned sweep and writes the requested output
+// format to stdout or -sweep-out.
+func runSweep(src dperf.TraceSource, plan *sweepPlan, stdout io.Writer, fastForward bool,
+	mode dperf.PredictMode, ffDebug io.Writer) error {
 	baseOpts := []dperf.Option{dperf.WithFastForward(fastForward), dperf.WithPredictMode(mode)}
 	if ffDebug != nil {
 		baseOpts = append(baseOpts, dperf.WithFFDebug(ffDebug))
 	}
 	opts := []dperf.SweepOption{dperf.SweepOptions(baseOpts...)}
-	if workers > 0 {
-		opts = append(opts, dperf.SweepWorkers(workers))
+	if plan.workers > 0 {
+		opts = append(opts, dperf.SweepWorkers(plan.workers))
 	}
-	res, err := dperf.Sweep(src, space, opts...)
-	if err == nil {
-		switch format {
+	var res *dperf.SweepResult
+	sweep := func(out io.Writer) error {
+		var err error
+		if res, err = dperf.Sweep(src, plan.space, opts...); err != nil {
+			return err
+		}
+		switch plan.format {
 		case "table":
-			err = writeSweepTable(out, res)
+			return writeSweepTable(out, res)
 		case "json":
-			err = res.WriteJSON(out)
-		default: // "csv", validated above
-			err = res.WriteCSV(out)
+			return res.WriteJSON(out)
+		default: // "csv", validated by parseSweep
+			return res.WriteCSV(out)
 		}
 	}
-	// A failed close means a truncated output file; never swallow it.
-	if outFile != nil {
-		if cerr := outFile.Close(); err == nil {
-			err = cerr
-		}
+	var err error
+	if plan.outPath == "" {
+		err = sweep(stdout)
+	} else {
+		err = replaceFile(plan.outPath, sweep)
 	}
 	if err != nil {
 		return err
 	}
 	// Partial failures are visible per row; a sweep with zero
 	// successes (a platform typo, a broken source) must not exit 0.
-	if res != nil && res.Failed() == len(res.Results) {
+	if res.Failed() == len(res.Results) {
 		return fmt.Errorf("all %d sweep configurations failed; first error: %s",
 			len(res.Results), res.Results[0].Error)
 	}
 	return nil
+}
+
+// replaceFile writes path through write: into a temporary file in the
+// same directory, renamed over path only once write and Close succeed,
+// so an unwritable directory fails before write runs and a failed
+// write leaves any existing file as it was.
+func replaceFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = f.Chmod(0o644) // os.Create's mode under the usual umask, not CreateTemp's 0600
+	if err == nil {
+		err = write(f)
+	}
+	// A failed close means a truncated output file; never swallow it.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 func writeSweepTable(out io.Writer, res *dperf.SweepResult) error {

@@ -221,6 +221,48 @@ func TestRunSweepCSV(t *testing.T) {
 	}
 }
 
+// TestRunSweepOutSurvivesBadFlags: a bad sweep flag exits 1 before
+// anything touches -sweep-out, so an existing file keeps its bytes; a
+// sweep that succeeds replaces it and leaves no temporary file.
+func TestRunSweepOutSurvivesBadFlags(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "keep.json")
+	want := []byte("{\"kept\": true}\n")
+	if err := os.WriteFile(out, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]string{
+		{"-sweep-schemes", "bogus"},
+		{"-sweep-ranks", "two"},
+		{"-sweep-format", "yaml"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-sweep", "-sweep-out", out}, bad...)
+		if code := cli(append(args, fast...), &stdout, &stderr); code != 1 {
+			t.Fatalf("%v: exit status %d, want 1", bad, code)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v: -sweep-out now holds %q (%v), want %q", bad, got, err, want)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := cli(append(fast, "-sweep", "-sweep-out", out, "-sweep-platforms", "grid5000",
+		"-sweep-ranks", "2", "-sweep-format", "json"), &stdout, &stderr); code != 0 {
+		t.Fatalf("good sweep: exit status %d: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Results []json.RawMessage }
+	if err := json.Unmarshal(data, &doc); err != nil || len(doc.Results) != 1 {
+		t.Fatalf("good sweep wrote %d results (%v):\n%s", len(doc.Results), err, data)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("sweep directory holds %d entries (%v), want only the output", len(entries), err)
+	}
+}
+
 func TestRunSweepFromLoadedTraces(t *testing.T) {
 	set := filepath.Join(t.TempDir(), "set.json")
 	if _, err := runCLI(t, append(fast, "-save-traces", set, "-peers", "2")...); err != nil {

@@ -109,6 +109,8 @@ type Predictor struct {
 	// certifications counts closed-form evaluations, a deterministic
 	// work counter.
 	certifications atomic.Int64
+	// rejects counts the scans' tape replays that rejected a point.
+	rejects scanRejects
 }
 
 // certEntry is one certified configuration. Its own lock serializes

@@ -21,6 +21,12 @@ func TraceSetWithOps(ts *TraceSet, folded []*trace.Folded) *TraceSet {
 // Predictor has run.
 func (p *Predictor) Certifications() int64 { return p.certifications.Load() }
 
+// ScanRejects reports how many batch and scalar tape replays the
+// Predictor's scans ran that rejected a point.
+func (p *Predictor) ScanRejects() (batch, scalar int64) {
+	return p.rejects.batch.Load(), p.rejects.scalar.Load()
+}
+
 // Replays reports how many replays the pool has run.
 func (p *SessionPool) Replays() int64 { return p.replays.Load() }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/analytic"
 )
@@ -73,6 +74,12 @@ type ScanStats struct {
 	Regions int
 }
 
+// scanRejects counts the tape replays scans ran that rejected a point:
+// batch replays that rejected at least one lane, and scalar replays.
+// Which tape a worker tries first depends on where its chunk of the
+// grid starts, so unlike ScanStats these counts move with GOMAXPROCS.
+type scanRejects struct{ batch, scalar atomic.Int64 }
+
 // tapeSet is a family's shared tape cache: an append-only list of
 // compiled regions. Tapes are immutable and safe for concurrent
 // replay; the lock only orders appends and snapshots.
@@ -129,17 +136,18 @@ func (p *Predictor) tapeSetFor(f *ScanFamily) *tapeSet {
 // each accepted point's result into res. One scanner belongs to one
 // goroutine; the points of different scanners never overlap.
 type scanner struct {
-	mru    []*Tape
-	points []float64
-	np     int
-	res    []analytic.Result
-	lanes  []float64 // one batch's parameters, gathered
-	bres   [analytic.BatchLanes]analytic.Result
-	bok    [analytic.BatchLanes]bool
+	mru     []*Tape
+	points  []float64
+	np      int
+	res     []analytic.Result
+	rejects *scanRejects
+	lanes   []float64 // one batch's parameters, gathered
+	bres    [analytic.BatchLanes]analytic.Result
+	bok     [analytic.BatchLanes]bool
 }
 
-func newScanner(mru []*Tape, points []float64, np int, res []analytic.Result) *scanner {
-	return &scanner{mru: mru, points: points, np: np, res: res, lanes: make([]float64, analytic.BatchLanes*np)}
+func newScanner(mru []*Tape, points []float64, np int, res []analytic.Result, rejects *scanRejects) *scanner {
+	return &scanner{mru: mru, points: points, np: np, res: res, rejects: rejects, lanes: make([]float64, analytic.BatchLanes*np)}
 }
 
 // run serves the points idx names, in order, batch-first: each full
@@ -159,7 +167,9 @@ func (sc *scanner) run(idx []int, miss func(i int) error) error {
 		for l, i := range batch {
 			copy(sc.lanes[l*np:(l+1)*np], sc.points[i*np:(i+1)*np])
 		}
-		sc.mru[0].ReplayBatch(sc.lanes, &sc.bres, &sc.bok)
+		if sc.mru[0].ReplayBatch(sc.lanes, &sc.bres, &sc.bok) < analytic.BatchLanes {
+			sc.rejects.batch.Add(1)
+		}
 		for l, i := range batch {
 			if sc.bok[l] {
 				sc.res[i] = sc.bres[l]
@@ -182,6 +192,7 @@ func (sc *scanner) replay(i int) bool {
 			sc.mru[0] = tp
 			return true
 		}
+		sc.rejects.scalar.Add(1)
 	}
 	return false
 }
@@ -191,7 +202,7 @@ func (sc *scanner) replay(i int) bool {
 // chunk of whole batches (the last one also the short tail) and its own
 // MRU copy of the tapes, and defers every point no tape accepts. It
 // returns the deferred points in point order.
-func replayStarting(start []*Tape, points []float64, np int, res []analytic.Result, all []int) []int {
+func replayStarting(start []*Tape, points []float64, np int, res []analytic.Result, all []int, rejects *scanRejects) []int {
 	batches := len(all) / analytic.BatchLanes
 	w := max(1, min(runtime.GOMAXPROCS(0), batches))
 	deferred := make([][]int, w)
@@ -201,7 +212,12 @@ func replayStarting(start []*Tape, points []float64, np int, res []analytic.Resu
 		if k == w-1 {
 			hi = len(all)
 		}
-		sc := newScanner(slices.Clone(start), points, np, res)
+		sc := newScanner(slices.Clone(start), points, np, res, rejects)
+		// Walking the chunk's first point orders the MRU copy, so the
+		// first batch replays through the tape that accepts that point,
+		// not through whichever region was cached first. Accepted here
+		// or not, the point is then served or deferred like any other.
+		sc.replay(all[lo])
 		// This miss never fails: a worker defers what it cannot replay.
 		_ = sc.run(all[lo:hi], func(i int) error {
 			if !sc.replay(i) {
@@ -235,10 +251,11 @@ func replayStarting(start []*Tape, points []float64, np int, res []analytic.Resu
 //   - The tapes the family had cached when the scan started replay the
 //     grid on up to GOMAXPROCS cores. Each worker takes a contiguous
 //     chunk of whole 8-point batches and its own MRU-ordered copy of
-//     the tapes: a batch replays through the MRU tape (Tape.ReplayBatch,
-//     a branch-free array walk), and each lane it rejects tries the
-//     other tapes in turn. A worker never compiles; it defers every
-//     point no starting tape accepts.
+//     the tapes, which its first point orders first: a batch replays
+//     through the MRU tape (Tape.ReplayBatch, a branch-free array
+//     walk), and each lane it rejects tries the other tapes in turn. A
+//     worker never compiles; it defers every point no starting tape
+//     accepts.
 //   - The caller then serves the deferred points in point order, the
 //     same batch-first way, through the tapes that were not cached at
 //     the start: those this pass records and those concurrent scans add
@@ -280,14 +297,14 @@ func (p *Predictor) Scan(f ScanFamily, points []float64, visit func(i int, res *
 	}
 	deferred := all
 	if len(start) > 0 {
-		deferred = replayStarting(start, points, np, res, all)
+		deferred = replayStarting(start, points, np, res, all, &p.rejects)
 	}
 
 	// The deferred points never re-try a starting tape: each already
 	// rejected them all. A miss tries the tapes this pass has seen in
 	// MRU order, then those concurrent scans added meanwhile, then
 	// records a new one.
-	sc := newScanner(nil, points, np, res)
+	sc := newScanner(nil, points, np, res, &p.rejects)
 	fallbacks := 0
 	err := sc.run(deferred, func(i int) error {
 		if sc.replay(i) {
@@ -302,6 +319,7 @@ func (p *Predictor) Scan(f ScanFamily, points []float64, visit func(i int, res *
 				sc.mru = append(sc.mru, fresh[k+1:]...)
 				return nil
 			}
+			p.rejects.scalar.Add(1)
 			sc.mru = append(sc.mru, tp)
 		}
 		tp, err := analytic.CompileTape(f.Platform, pt, f.Build)

@@ -449,3 +449,97 @@ func BenchmarkSymbolicScan(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(pts)/3)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
+
+// scanGridCells are the corners of the cells the served benchmark's
+// scan-grid workload scans; each cell spans 3% of its corner on every
+// axis.
+var scanGridCells = [][3]float64{
+	{100 * platform.Mbps, 300e-6, 2e9},
+	{50 * platform.Mbps, 2e-3, 3e9},
+	{20 * platform.Mbps, 10e-3, 1e9},
+}
+
+// cellGrid returns an 8×8×4 grid inside cell, the k-th of n values on
+// an axis at(k, n) of the way across the cell.
+func cellGrid(cell [3]float64, at func(k, n int) float64) []float64 {
+	axis := func(v float64, n int) []float64 {
+		out := make([]float64, n)
+		for k := range out {
+			out[k] = v * (1 + 0.03*at(k, n))
+		}
+		return out
+	}
+	return grid(axis(cell[0], 8), axis(cell[1], 8), axis(cell[2], 4))
+}
+
+// TestScanWorkersStartAtAcceptingTape pins the rejecting tape replays
+// of warm scans at GOMAXPROCS 1 and 2. Like the scan-grid workload, a
+// predictor first scans each cell's corner and midpoint grids, caching
+// the cells' regions in cell order; then one grid inside each of the
+// second, third and first cell is scanned. Each worker walks its first
+// point through the cached tapes before its first batch, so no first
+// batch replays through another cell's tape and rejects all its lanes
+// (without the walk, each worker whose chunk starts outside the first
+// cached region would spend one such batch). The rejecting
+// batches left meet perforations of their cell's regions; the scalar
+// rejections are the first points' walks past other cells' tapes and
+// the rejected lanes' walks. Both depend on where the chunks start, so
+// each setting pins its own counts.
+func TestScanWorkersStartAtAcceptingTape(t *testing.T) {
+	const w, n, rounds = 2, 256, 40
+	corners := func(k, n int) float64 { return float64(k) / float64(n-1) }
+	midpoints := func(k, n int) float64 { return (float64(k) + 0.5) / float64(n) }
+	inside := func(k, n int) float64 { return (float64(k) + 0.25) / float64(n) }
+	type run struct {
+		stats         []dperf.ScanStats
+		batch, scalar int64
+	}
+	scanAt := func(procs int) run {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p := dperf.NewPredictor()
+		f := ghostFamily(t, w, n, rounds, "scan-grid-cells")
+		for _, cell := range scanGridCells {
+			for _, at := range []func(k, n int) float64{corners, midpoints} {
+				if _, err := p.Scan(f, cellGrid(cell, at), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		b0, s0 := p.ScanRejects()
+		var out run
+		for _, c := range []int{1, 2, 0} {
+			stats, err := p.Scan(f, cellGrid(scanGridCells[c], inside), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.stats = append(out.stats, *stats)
+		}
+		b1, s1 := p.ScanRejects()
+		out.batch, out.scalar = b1-b0, s1-s0
+		return out
+	}
+	// ScanStats does not depend on GOMAXPROCS. The first two scans each
+	// meet a perforation of their cell's regions, one point that falls
+	// back and records a region.
+	wantStats := []dperf.ScanStats{
+		{Points: 256, Replayed: 255, Fallbacks: 1, Regions: 7},
+		{Points: 256, Replayed: 255, Fallbacks: 1, Regions: 8},
+		{Points: 256, Replayed: 256, Fallbacks: 0, Regions: 8},
+	}
+	for _, c := range []struct {
+		procs         int
+		batch, scalar int64
+	}{{1, 15, 101}, {2, 15, 111}} {
+		got := scanAt(c.procs)
+		t.Logf("GOMAXPROCS %d: %+v", c.procs, got)
+		for k, st := range got.stats {
+			if st != wantStats[k] {
+				t.Fatalf("GOMAXPROCS %d: warm scan %d work %+v, want %+v", c.procs, k, st, wantStats[k])
+			}
+		}
+		if got.batch != c.batch || got.scalar != c.scalar {
+			t.Errorf("GOMAXPROCS %d: warm scans ran %d rejecting batch and %d rejecting scalar replays, want %d and %d",
+				c.procs, got.batch, got.scalar, c.batch, c.scalar)
+		}
+	}
+}

@@ -31,6 +31,7 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -297,10 +298,11 @@ func (t *Tape) NumGuards() int { return len(t.guards) }
 // NumConsts returns the live-constant count.
 func (t *Tape) NumConsts() int { return len(t.consts) }
 
-// finalize runs dead-code elimination from the outputs and guard
-// operands, renumbers registers into [params | consts | results]
+// finalize runs dead-code elimination from the recording's outputs and
+// guard operands, renumbers registers into [params | consts | results]
 // layout, and freezes the tape.
-func (r *recorder) finalize(outs [4]sval, roundsSim, roundsFF, jumps int64) *Tape {
+func (r *recorder) finalize(res *gresult[sval]) *Tape {
+	outs := [4]sval{res.predicted, res.scatter, res.compute, res.gather}
 	n := len(r.vals)
 	live := make([]bool, n)
 	var stack []int32
@@ -388,7 +390,7 @@ func (r *recorder) finalize(outs [4]sval, roundsSim, roundsFF, jumps int64) *Tap
 			break
 		}
 	}
-	t.roundsSim, t.roundsFF, t.jumps = roundsSim, roundsFF, jumps
+	t.roundsSim, t.roundsFF, t.jumps = res.ff.RoundsSimulated, res.ff.RoundsFastForwarded, res.ff.Jumps
 	t.nregs = int(next)
 	np, nc := t.np, len(t.consts)
 	consts := t.consts
@@ -409,6 +411,216 @@ func (r *recorder) finalize(outs [4]sval, roundsSim, roundsFF, jumps int64) *Tap
 		return &rs
 	}
 	return t
+}
+
+// pruneGuards drops every recorded guard that the guards it keeps
+// imply at every parameter point, so a replay checks only the guards
+// that can fail. The kept list accepts exactly the points the recorded
+// list accepts, so no replayed bit, fallback or region moves, and the
+// instructions whose only use was a dropped guard die in finalize's
+// dead-code elimination. Each rule is exact in IEEE-754 binary64 with
+// gradual underflow, which Go's float64 guarantees:
+//
+//   - (C) Subtraction sign: 0 < a−b becomes b < a, and a−b < 0 becomes
+//     a < b, with the same outcome. Rounding keeps the sign of the
+//     exact difference, two finite a ≠ b never round to a zero one, and
+//     a NaN operand or ∞−∞ makes both sides false. The <= forms stay,
+//     since 0 <= ∞−∞ is false while ∞ <= ∞ holds.
+//   - (B) Monotone addition: x+y < x is false at every point when y is
+//     +0, positive, +Inf or NaN, because rounding is monotone; such a
+//     guard is dropped when y is a constant with a clear sign bit (−0
+//     does not qualify: c/−0 is −Inf). A sum, product or quotient of
+//     two such registers would qualify too, but the recorder folds
+//     every operation on two constants, and a parameter never does.
+//   - (A) Order implication: see pruneImplied.
+//
+// Rule C's rewrites can duplicate a recorded guard; the copies go too.
+func (r *recorder) pruneGuards() {
+	zero := func(reg int32) bool { return r.kinds[reg] == rkConst && r.vals[reg] == 0 }
+	sub := func(reg int32) bool { return r.kinds[reg] == rkOp && r.defs[reg].op == topSub }
+	nonneg := func(reg int32) bool { return r.kinds[reg] == rkConst && !math.Signbit(r.vals[reg]) }
+	gs := r.guards[:0]
+	for _, g := range r.guards {
+		if g.op == tgLT {
+			switch {
+			case zero(g.a) && sub(g.b):
+				d := r.defs[g.b]
+				g.a, g.b = d.b, d.a
+			case sub(g.a) && zero(g.b):
+				d := r.defs[g.a]
+				g.a, g.b = d.a, d.b
+			}
+			if d := r.defs[g.a]; !g.want && r.kinds[g.a] == rkOp && d.op == topAdd &&
+				(d.a == g.b && nonneg(d.b) || d.b == g.b && nonneg(d.a)) {
+				continue
+			}
+		}
+		gs = append(gs, g)
+	}
+	r.guards = pruneImplied(gs, len(r.vals))
+}
+
+// pruneImplied applies rule (A), order implication, to gs, guards over
+// registers 0..n-1 in recording order, and returns the ones it keeps.
+//
+// Each comparison is an edge over registers: a true a < b the strict
+// edge a→b, a true a <= b the non-strict edge a→b, a false a < b the
+// non-strict edge b→a and a false a <= b the strict edge b→a. A false
+// comparison is an edge only while both operands are certified non-NaN
+// by a kept true <, <= or == guard. In recording order, a comparison is
+// dropped when one other kept edge, or a path of two, proves its edge
+// — through a strict edge if its edge is strict; a proven edge fixes
+// the comparison's outcome whatever its operands hold. Only guards
+// still kept justify a drop, so the final list implies every dropped
+// guard.
+//
+// Each register's out-edges are listed by head and its in-edges by
+// tail, so a path a→w→b is found by walking the shorter of a's out-
+// and b's in-edges and binary-searching the other: constants such as
+// the flow-completion epsilon are the endpoint of hundreds of edges.
+func pruneImplied(gs []tguard, n int) []tguard {
+	// Edge i is guard i: tail[i] → head[i], strict or not; cond marks
+	// a false comparison, an edge only between non-NaN operands. Guards
+	// that are no comparison get tail -1.
+	tail := make([]int32, len(gs))
+	head := make([]int32, len(gs))
+	strict := make([]bool, len(gs))
+	cond := make([]bool, len(gs))
+	seq := make([]int32, 0, len(gs)) // the edges, in recording order
+	cert := make([]int32, n)         // kept guards certifying the register non-NaN
+	certifies := func(g tguard) bool { return g.want && (g.op == tgLT || g.op == tgLE || g.op == tgEQ) }
+	for i, g := range gs {
+		if certifies(g) {
+			cert[g.a]++
+			cert[g.b]++
+		}
+		tail[i] = -1
+		switch {
+		case g.op == tgLT && g.want:
+			tail[i], head[i], strict[i] = g.a, g.b, true
+		case g.op == tgLE && g.want:
+			tail[i], head[i] = g.a, g.b
+		case g.op == tgLT:
+			tail[i], head[i], cond[i] = g.b, g.a, true
+		case g.op == tgLE:
+			tail[i], head[i], strict[i], cond[i] = g.b, g.a, true, true
+		default:
+			continue
+		}
+		seq = append(seq, int32(i))
+	}
+	// Two stable counting sorts: grouping by tail, then by head, leaves
+	// each in-list ordered by tail; grouping that by tail leaves each
+	// out-list ordered by head.
+	_, byTail := groupEdges(seq, n, tail)
+	inOff, ins := groupEdges(byTail, n, head)
+	outOff, outs := groupEdges(ins, n, tail)
+
+	dropped := make([]bool, len(gs))
+	var cur int32 // the guard under test
+	certified := func(reg int32) bool {
+		c := cert[reg]
+		if g := gs[cur]; certifies(g) {
+			if g.a == reg {
+				c--
+			}
+			if g.b == reg {
+				c--
+			}
+		}
+		return c > 0
+	}
+	// usable reports whether edge i may justify dropping the guard under
+	// test. A copy of that guard, which rule C's rewrites can make,
+	// justifies it outright.
+	usable := func(i int32) bool {
+		return i != cur && !dropped[i] && (!cond[i] || gs[i] == gs[cur] || certified(tail[i]) && certified(head[i]))
+	}
+	// proves reports whether a usable edge of span, joined on a path
+	// with an edge that is strict when s, proves the guard under test.
+	proves := func(span []int32, s bool) bool {
+		for _, i := range span {
+			if (s || strict[i] || !strict[cur]) && usable(i) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, cur = range seq {
+		a, b := tail[cur], head[cur]
+		outA := outs[outOff[a]:outOff[a+1]]
+		inB := ins[inOff[b]:inOff[b+1]]
+		var implied bool
+		if len(outA) <= len(inB) {
+			implied = proves(edgeSpan(outA, head, b), false)
+			for _, i := range outA {
+				if implied {
+					break
+				}
+				implied = usable(i) && proves(edgeSpan(inB, tail, head[i]), strict[i])
+			}
+		} else {
+			implied = proves(edgeSpan(inB, tail, a), false)
+			for _, i := range inB {
+				if implied {
+					break
+				}
+				implied = usable(i) && proves(edgeSpan(outA, head, tail[i]), strict[i])
+			}
+		}
+		if implied {
+			dropped[cur] = true
+			if g := gs[cur]; certifies(g) {
+				cert[g.a]--
+				cert[g.b]--
+			}
+		}
+	}
+	kept := gs[:0]
+	for i, g := range gs {
+		if !dropped[i] {
+			kept = append(kept, g)
+		}
+	}
+	return kept
+}
+
+// groupEdges groups the edges seq lists by their key register, keeping
+// seq's order within a group: list[off[r]:off[r+1]] are the edges i
+// with key[i] == r.
+func groupEdges(seq []int32, n int, key []int32) (off, list []int32) {
+	off = make([]int32, n+1)
+	for _, i := range seq {
+		off[key[i]+1]++
+	}
+	for r := 0; r < n; r++ {
+		off[r+1] += off[r]
+	}
+	next := slices.Clone(off[:n])
+	list = make([]int32, len(seq))
+	for _, i := range seq {
+		list[next[key[i]]] = i
+		next[key[i]]++
+	}
+	return off, list
+}
+
+// edgeSpan returns the edges i of list, which is ordered by key[i],
+// whose key is reg.
+func edgeSpan(list, key []int32, reg int32) []int32 {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); key[list[m]] < reg {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	end := lo
+	for end < len(list) && key[list[end]] == reg {
+		end++
+	}
+	return list[lo:end]
 }
 
 // replayBlock is how many instructions scalar Replay runs between
@@ -951,16 +1163,27 @@ func convSymOps(ops []SymOp) []gop[sval] {
 // hosts); cross-rank op mismatches surface as a stall error from the
 // recording evaluation.
 func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic) (*SymSpec, error)) (*Tape, error) {
+	rec, res, err := record(plat, point, build)
+	if err != nil {
+		return nil, err
+	}
+	rec.pruneGuards()
+	return rec.finalize(res), nil
+}
+
+// record runs the recording evaluation of CompileTape and returns the
+// recorder holding its registers and every guard it pinned.
+func record(plat *platform.Platform, point []float64, build func(*Symbolic) (*SymSpec, error)) (*recorder, *gresult[sval], error) {
 	if plat == nil {
-		return nil, fmt.Errorf("analytic: nil platform")
+		return nil, nil, fmt.Errorf("analytic: nil platform")
 	}
 	rec := newRecorder(point)
 	ss, err := build(&Symbolic{rec})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ss == nil {
-		return nil, fmt.Errorf("analytic: build returned nil spec")
+		return nil, nil, fmt.Errorf("analytic: build returned nil spec")
 	}
 	for r, ops := range ss.Ranks {
 		found := false
@@ -971,7 +1194,7 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("analytic: rank %d has no steady-state candidate (top-level Repeat of >= %d iterations with a leading compute and collectives)", r, replay.FFMinIterations)
+			return nil, nil, fmt.Errorf("analytic: rank %d has no steady-state candidate (top-level Repeat of >= %d iterations with a leading compute and collectives)", r, replay.FFMinIterations)
 		}
 	}
 	var bw, lat map[string]sval
@@ -989,7 +1212,7 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 	}
 	gm, err := newGModel[sval](rec, plat, bw, lat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ranks := make([][]gop[sval], len(ss.Ranks))
 	for r := range ss.Ranks {
@@ -1004,10 +1227,7 @@ func CompileTape(plat *platform.Platform, point []float64, build func(*Symbolic)
 	}
 	res, err := runGeneric[sval, *recorder](rec, gm, sp)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return rec.finalize(
-		[4]sval{res.predicted, res.scatter, res.compute, res.gather},
-		res.ff.RoundsSimulated, res.ff.RoundsFastForwarded, res.ff.Jumps,
-	), nil
+	return rec, res, nil
 }

@@ -246,10 +246,16 @@ func TestTapeReplayBitIdentical(t *testing.T) {
 		t.Fatal("no point was served by tape replay")
 	}
 	// The recording is deterministic, so tape 0's shape is pinned
-	// exactly: a change to the arithmetic the engine or its fast-forward
-	// controller records shows up here before it reaches a prediction.
-	if got, want := [3]int{tapes[0].NumInstrs(), tapes[0].NumGuards(), tapes[0].NumConsts()}, [3]int{193, 211, 19}; got != want {
-		t.Fatalf("tape 0 has %v instrs/guards/consts, want %v", got, want)
+	// exactly, as recorded (its unpruned twin) and as pruned: a change
+	// to the arithmetic the engine or its fast-forward controller
+	// records, or to the guards pruning drops, shows up here before it
+	// reaches a prediction.
+	full := compileUnpruned(t, plat, []float64{bws[0], lats[0], speeds[0]}, symGhostSpec(plat, w, n, rounds))
+	if got, want := [3]int{full.NumInstrs(), full.NumGuards(), full.NumConsts()}, [3]int{193, 211, 19}; got != want {
+		t.Fatalf("tape 0 records %v instrs/guards/consts, want %v", got, want)
+	}
+	if got, want := [3]int{tapes[0].NumInstrs(), tapes[0].NumGuards(), tapes[0].NumConsts()}, [3]int{177, 131, 19}; got != want {
+		t.Fatalf("tape 0 keeps %v instrs/guards/consts after pruning, want %v", got, want)
 	}
 	t.Logf("%d points: %d replayed, %d fallbacks, %d regions (%d instrs, %d guards, %d consts on tape 0)",
 		points, replays, fallbacks, len(tapes), tapes[0].NumInstrs(), tapes[0].NumGuards(), tapes[0].NumConsts())
